@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import logging
 import re
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import net
-from .corpus import EOL, EOS, AcrosticSpec, Poem, detokenize
+from .corpus import EOL, EOS, AcrosticSpec, Poem, Vocabulary, detokenize
 from .embed import EmbeddingError, EmbeddingTable, knn_with_initial
 from .poemlm import PoemLM
 from .rhymer import RhymerModel, _last_word, choose_rhyme
@@ -155,21 +156,48 @@ def force_line_boundaries(tokens: list[str], target_lines: int,
 # First-word policy
 # ---------------------------------------------------------------------------
 
-def _letter_mask(lm: PoemLM, letter: str) -> np.ndarray:
-    mask = np.zeros(len(lm.vocab))
-    for tok, tid in lm.vocab.token_to_id.items():
-        if tok[0] == letter and tok[0].isalpha():
-            mask[tid] = 1.0
-    if not mask.any():
-        raise DecodeError(f"no vocabulary token starts with {letter!r}")
-    return mask
+class _Masks:
+    """Sampling masks of one vocabulary, built on first use, never written.
+
+    Holds no reference to the vocabulary, so that its `_MASKS` entry goes
+    when the vocabulary does.
+    """
+
+    def __init__(self, vocab: Vocabulary):
+        self.base = np.ones(len(vocab))
+        self.base[[vocab.pad_id, vocab.bos_id, vocab.unk_id]] = 0.0
+        # the first token of a line is never a line or poem boundary
+        self.first = self.base.copy()
+        self.first[[vocab.eol_id, vocab.eos_id]] = 0.0
+        self._first_with_initial: dict[str, np.ndarray] = {}
+        self.base.setflags(write=False)
+        self.first.setflags(write=False)
+
+    def first_with_initial(self, vocab: Vocabulary,
+                           letter: str) -> np.ndarray:
+        mask = self._first_with_initial.get(letter)
+        if mask is None:
+            initial = np.zeros(len(vocab))
+            for tok, tid in vocab.token_to_id.items():
+                if tok[0] == letter and tok[0].isalpha():
+                    initial[tid] = 1.0
+            if not initial.any():
+                raise DecodeError(
+                    f"no vocabulary token starts with {letter!r}")
+            mask = self.first * initial
+            mask.setflags(write=False)
+            self._first_with_initial[letter] = mask
+        return mask
 
 
-def _base_mask(lm: PoemLM) -> np.ndarray:
-    mask = np.ones(len(lm.vocab))
-    v = lm.vocab
-    mask[[v.pad_id, v.bos_id, v.unk_id]] = 0.0
-    return mask
+_MASKS = weakref.WeakKeyDictionary()  # Vocabulary -> _Masks
+
+
+def _masks(vocab: Vocabulary) -> _Masks:
+    masks = _MASKS.get(vocab)
+    if masks is None:
+        masks = _MASKS[vocab] = _Masks(vocab)
+    return masks
 
 
 def _sample_id(probs: np.ndarray, mask: np.ndarray,
@@ -206,13 +234,8 @@ def first_word(letter: str, topic: str, probs: np.ndarray,
         if cands:
             best = max(cands, key=lambda c: probs[v.token_to_id[c]])
             return v.token_to_id[best], "knn"
-    mask = _base_mask(lm)
-    mask[[v.eol_id, v.eos_id]] = 0.0
-    if cfg.ac:
-        mask *= _letter_mask(lm, letter)
-        if not mask.any():
-            raise DecodeError(
-                f"no vocabulary token starts with {letter!r}")
+    masks = _masks(v)
+    mask = masks.first_with_initial(v, letter) if cfg.ac else masks.first
     return _sample_id(probs, mask, sample_rng, cfg.temperature), "sample"
 
 
@@ -220,24 +243,44 @@ def first_word(letter: str, topic: str, probs: np.ndarray,
 # Poem generation
 # ---------------------------------------------------------------------------
 
-def _token_for_feed(vocab, token: str) -> int:
-    return vocab.token_to_id.get(token, vocab.unk_id)
+class _LmCursor:
+    """The LM state over the poem fed so far, with the next-token probs.
 
+    Keeps the state from before each token of the current line, so that
+    a rhyme substitution re-feeds the tail of its own line only.
+    """
 
-def _replay_state(lm: PoemLM, token_ids: list[int], cond: np.ndarray):
-    """Rebuild LM state over a full prefix; returns (state, next probs)."""
-    state = lm.init_state()
-    probs = None
-    for tid in token_ids:
-        probs = lm.step(state, tid, cond)
-    return state, probs
+    def __init__(self, lm: PoemLM, cond: np.ndarray):
+        self.lm, self.cond = lm, cond
+        self.state = lm.init_state()
+        self.before: list[list] = []
+        self.probs = lm.step(self.state, lm.vocab.bos_id, cond)
+
+    def feed(self, tid: int) -> None:
+        # step replaces the per-layer (h, c) tuples and never writes into
+        # them, so a shallow copy of the state list is a full snapshot
+        self.before.append(list(self.state))
+        self.probs = self.lm.step(self.state, tid, self.cond)
+
+    def end_line(self, line: list[str], changed_from: int | None) -> None:
+        """Feed <eol> after `line`; when line[changed_from:] differs from
+        what was fed, first re-feed it from the snapshot before it."""
+        v = self.lm.vocab
+        if changed_from is not None:
+            self.state = self.before[changed_from]
+            # an out-of-vocabulary replacement is fed as <unk>
+            for tid in v.encode(line[changed_from:]):
+                self.probs = self.lm.step(self.state, tid, self.cond)
+        self.before = []
+        self.probs = self.lm.step(self.state, v.eol_id, self.cond)
 
 
 def _apply_rhyme(models: ModelBundle, result: GenerationResult,
                  lines: list[list[str]], slot: int,
                  last_word_dist: np.ndarray | None,
-                 cfg: GenerationConfig) -> bool:
-    """Substitute the slot line's last word; returns True if it changed."""
+                 cfg: GenerationConfig) -> int | None:
+    """Substitute the slot line's last word; returns its index in the
+    line if it changed, else None."""
     scheme = result.scheme
     partner_text = " ".join(lines[scheme.partner(slot) - 1])
     a, _ = _last_word(partner_text) or ("", 0)
@@ -251,26 +294,26 @@ def _apply_rhyme(models: ModelBundle, result: GenerationResult,
     cands = models.rhymer.rhyme_candidates(a, text, width=cfg.beam_width)
     result.rhymer_calls += 1
     if hit is None or not cands:
-        return False
+        return None
     original = hit[0]
     if last_word_dist is not None:
         chosen = choose_rhyme(cands, last_word_dist, models.lm.vocab)
     else:
         chosen = cands[0][0]
     if chosen == original:
-        return False
+        return None
     line = lines[slot - 1]
     idx = next((i for i in range(len(line) - 1, -1, -1)
                 if re.fullmatch(r"[a-z]+(?:'[a-z]+)*", line[i])), None)
     if idx is None:
-        return False
+        return None
     if idx == 0 and cfg.ac and chosen[:1] != result.word[slot - 1]:
         # never let a rhyme swap break the acrostic initial
-        return False
+        return None
     line[idx] = chosen
     result.substitutions.append({"slot": slot, "original": original,
                                  "replacement": chosen})
-    return True
+    return idx
 
 
 def generate_poem(word: str, cfg: GenerationConfig,
@@ -301,64 +344,44 @@ def generate_poem(word: str, cfg: GenerationConfig,
     coin_rng = net.child_rng(cfg.rng_seed, "generate", word, "coin")
     sample_rng = net.child_rng(cfg.rng_seed, "generate", word, "sample")
 
-    state = lm.init_state()
-    fed: list[int] = [v.bos_id]
-    probs = lm.step(state, v.bos_id, cond)
+    lm_cursor = _LmCursor(lm, cond)
+    masks = _masks(v)
     lines: list[list[str]] = []
 
     for line_no in range(1, n_lines + 1):
         line: list[str] = []
-        last_word_dist = None
+        probs = lm_cursor.probs
         tid, path = first_word(word[line_no - 1], word, probs, cfg, lm,
                                table, coin_rng, sample_rng)
         result.first_word_paths.append(path)
-        tok = v.id_to_token[tid]
-        line.append(tok)
+        line.append(v.id_to_token[tid])
         last_word_dist = probs.copy()
-        fed.append(tid)
-        probs = lm.step(state, tid, cond)
-        ban_eol_once = path == "knn"
+        lm_cursor.feed(tid)
+        # a nearest-neighbor first word may not end the line alone
+        mask = masks.first if path == "knn" else masks.base
 
-        while True:
-            if len(line) >= cfg.max_tokens_per_line:
-                break
-            mask = _base_mask(lm)
-            if ban_eol_once:
-                # a nearest-neighbor first word may not end the line alone
-                mask[[v.eol_id, v.eos_id]] = 0.0
-                ban_eol_once = False
+        while len(line) < cfg.max_tokens_per_line:
+            probs = lm_cursor.probs
             tid = _sample_id(probs, mask, sample_rng, cfg.temperature)
+            mask = masks.base
             if tid in (v.eol_id, v.eos_id):
                 break
             tok = v.id_to_token[tid]
             line.append(tok)
             if re.fullmatch(r"[a-z]+(?:'[a-z]+)*", tok):
                 last_word_dist = probs.copy()
-            fed.append(tid)
-            probs = lm.step(state, tid, cond)
+            lm_cursor.feed(tid)
 
         lines.append(line)
-        final = line_no == n_lines
-        changed = False
+        changed_from = None
         if cfg.rh and line_no in slots:
-            changed = _apply_rhyme(models, result, lines, line_no,
-                                   last_word_dist, cfg)
-            if changed:
-                fed = [v.bos_id]
-                for i, l in enumerate(lines):
-                    fed.extend(_token_for_feed(v, t) for t in l)
-                    if i < len(lines) - 1:
-                        fed.append(v.eol_id)
-        if final:
-            if lines[-1] and lines[-1][-1] in (",", ";"):
-                lines[-1][-1] = "."
+            changed_from = _apply_rhyme(models, result, lines, line_no,
+                                        last_word_dist, cfg)
+        if line_no == n_lines:
+            if line and line[-1] in (",", ";"):
+                line[-1] = "."
         else:
-            if changed:
-                fed.append(v.eol_id)
-                state, probs = _replay_state(lm, fed, cond)
-            else:
-                fed.append(v.eol_id)
-                probs = lm.step(state, v.eol_id, cond)
+            lm_cursor.end_line(line, changed_from)
 
     result.poem = Poem(lines=lines, topic=word)
     return result

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import logging
 import re
+import weakref
 
 import numpy as np
 
@@ -26,6 +27,8 @@ class EmbeddingTable:
     def __init__(self, dim: int, vectors: dict[str, np.ndarray]):
         self.dim = dim
         self._vectors = vectors
+        # vocabulary -> letter -> _LetterIndex, filled by knn_with_initial
+        self._knn_index = weakref.WeakKeyDictionary()
 
     def __len__(self) -> int:
         return len(self._vectors)
@@ -46,6 +49,19 @@ class EmbeddingTable:
 def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
     """Parse a word-vector text file, failing hard on any malformed line."""
     vectors: dict[str, np.ndarray] = {}
+    try:
+        _read_vectors(path, expected_dim, vectors)
+    except UnicodeDecodeError as exc:
+        raise EmbeddingError(
+            f"{path}:{_line_of_bad_utf8(path)}: not valid UTF-8 "
+            f"({exc.reason})") from None
+    log.info("loaded %d embeddings of dim %d from %s",
+             len(vectors), expected_dim, path)
+    return EmbeddingTable(dim=expected_dim, vectors=vectors)
+
+
+def _read_vectors(path, expected_dim: int,
+                  vectors: dict[str, np.ndarray]) -> None:
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -67,9 +83,17 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
                             "keeping the later one", token, lineno)
             vec.setflags(write=False)
             vectors[token] = vec
-    log.info("loaded %d embeddings of dim %d from %s",
-             len(vectors), expected_dim, path)
-    return EmbeddingTable(dim=expected_dim, vectors=vectors)
+
+
+def _line_of_bad_utf8(path) -> int:
+    """1-based line of the first byte that is not valid UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1
+    return 0
 
 
 def cosine(x: str, u: str, table: EmbeddingTable) -> float:
@@ -84,6 +108,49 @@ def cosine(x: str, u: str, table: EmbeddingTable) -> float:
     return float(np.dot(vx, vu) / (nx * nu))
 
 
+# The matvec and `cosine` differ by ~1e-15; any slack far above that keeps
+# every exact top-k token in the shortlist.
+SHORTLIST_SLACK = 1e-9
+
+
+class _LetterIndex:
+    """kNN candidates for one (table, vocabulary, letter).
+
+    `tokens` are the vocabulary tokens with that initial and a nonzero
+    vector, in vocabulary order; `unit` holds their row-normalised vectors,
+    or is None when some row has no finite nonzero norm, so that only the
+    exact scan reproduces what `cosine` does with it.
+    """
+
+    def __init__(self, table: EmbeddingTable, vocab: Vocabulary,
+                 letter: str):
+        self.tokens = [
+            tok for tok in vocab.non_special_tokens()
+            if tok.startswith(letter) and tok in table
+            and np.any(table.vector(tok))
+        ]
+        self.unit = None
+        if self.tokens:
+            rows = np.array([table.vector(tok) for tok in self.tokens],
+                            dtype=float)
+            norms = np.linalg.norm(rows, axis=1)
+            if np.all(np.isfinite(norms) & (norms > 0)):
+                self.unit = rows / norms[:, None]
+
+    def shortlist(self, topic_vec: np.ndarray, k: int) -> list[str]:
+        """Candidates that can be in the exact top k: every token whose
+        approximate cosine is within SHORTLIST_SLACK of the k-th best."""
+        if self.unit is None or not 0 < k < len(self.tokens):
+            return self.tokens
+        norm = np.linalg.norm(topic_vec)
+        if not (np.isfinite(norm) and norm > 0):
+            return self.tokens
+        approx = self.unit @ (topic_vec / norm)
+        kth = np.partition(approx, -k)[-k]
+        keep = np.flatnonzero(approx >= kth - SHORTLIST_SLACK)
+        return [self.tokens[i] for i in keep]
+
+
 def knn_with_initial(
     topic: str,
     letter: str,
@@ -95,17 +162,18 @@ def knn_with_initial(
 
     Candidates are vocabulary tokens that also have an embedding (tokens
     without a vector cannot be scored).  Ties break lexicographically.
+    A matvec over the letter's cached, row-normalised candidates picks a
+    shortlist; `cosine` ranks it, so the order is exactly that of scoring
+    every candidate with `cosine`.
     """
     if topic not in table:
         raise EmbeddingError(f"topic {topic!r} not in embedding table")
-    scored = []
-    for tok in restrict_to.non_special_tokens():
-        if not tok.startswith(letter):
-            continue
-        if tok not in table or not np.any(table.vector(tok)):
-            continue
-        scored.append((-cosine(tok, topic, table), tok))
-    scored.sort()
+    by_letter = table._knn_index.setdefault(restrict_to, {})
+    index = by_letter.get(letter)
+    if index is None:
+        index = by_letter[letter] = _LetterIndex(table, restrict_to, letter)
+    scored = sorted((-cosine(tok, topic, table), tok)
+                    for tok in index.shortlist(table.vector(topic), k))
     return [tok for _, tok in scored[:k]]
 
 

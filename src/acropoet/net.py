@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -501,13 +502,25 @@ def load_checkpoint(path) -> tuple[ParameterStore, dict]:
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise NetError(f"{path}: not a checkpoint file")
+        size = os.fstat(fh.fileno()).st_size
         hlen = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(hlen))
+        if len(_MAGIC) + 8 + hlen > size:
+            raise NetError(f"{path}: truncated checkpoint: header of "
+                           f"{hlen} bytes runs past the end of the file")
+        try:
+            header = json.loads(fh.read(hlen))
+        except ValueError as exc:
+            raise NetError(f"{path}: corrupt checkpoint header ({exc})")
         store = ParameterStore()
         store.step = header["step"]
         for entry in header["entries"]:
             shape = tuple(entry["shape"])
             count = int(np.prod(shape)) if shape else 1
+            left = size - fh.tell()
+            if not 0 <= count * 8 <= left:
+                raise NetError(
+                    f"{path}: truncated checkpoint: {entry['name']} needs "
+                    f"{count * 8} bytes, {left} left")
             arr = np.frombuffer(fh.read(count * 8), dtype="<f8")
             arr = arr.reshape(shape).copy()
             if entry["kind"] == "p":

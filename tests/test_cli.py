@@ -262,6 +262,35 @@ def test_generate_rhyme_without_rhymer_fails(workdir):
     assert "rhymer" in result.output
 
 
+def _assert_one_error_line(result):
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    errors = [l for l in result.output.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1
+    return errors[0]
+
+
+def test_generate_truncated_checkpoint_is_clean_error(workdir, tmp_path):
+    root, run = workdir
+    data = (root / "lm.ckpt").read_bytes()
+    for cut in (10, 100, len(data) // 2, len(data) - 3):
+        (tmp_path / "cut.ckpt").write_bytes(data[:cut])
+        result = run("generate", "glow", "--lm", tmp_path / "cut.ckpt",
+                     "--no-rh", "--embeddings", root / "vectors.txt",
+                     "--dim", DIM)
+        assert "cut.ckpt" in _assert_one_error_line(result)
+
+
+def test_generate_non_utf8_embeddings_is_clean_error(workdir, tmp_path):
+    root, run = workdir
+    bad = tmp_path / "vectors.txt"
+    bad.write_bytes((root / "vectors.txt").read_bytes() + b"\xff\xfe 1\n")
+    result = run("generate", "glow", "--lm", root / "lm.ckpt", "--no-rh",
+                 "--embeddings", bad, "--dim", DIM)
+    assert "not valid UTF-8" in _assert_one_error_line(result)
+
+
 @pytest.mark.parametrize("word", ["po3t", "cat", "abcdefghi"])
 def test_generate_invalid_word_usage_error(workdir, word):
     root, run = workdir

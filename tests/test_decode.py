@@ -1,10 +1,14 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from helpers import make_poems
 
-from acropoet.corpus import EOL, EOS, Poem, build_vocabulary
+from acropoet import decode
+from acropoet.corpus import EOL, EOS, AcrosticSpec, Poem, build_vocabulary
 from acropoet.decode import (
-    DecodeError, GenerationConfig, ModelBundle, RhymeScheme,
+    DecodeError, GenerationConfig, ModelBundle, RhymeScheme, _LmCursor,
     first_word, force_line_boundaries, generate_poem, render_poem,
     scheme_for,
 )
@@ -296,6 +300,138 @@ def test_branch_isolation_m2_only_draws_match(bundle):
                                                 rng_seed=chosen), bundle)
     assert r_mixed.first_word_paths == ["sample"] * len(word)
     assert r_mixed.poem.lines == r_m2.poem.lines
+
+
+# --- LM state: snapshot resume after a rhyme substitution ------------------
+
+def _fire_condition(lm, table):
+    return lm.condition_vector(lm.topic_vector("fire", table),
+                               AcrosticSpec.from_word("fire").onehot_block(),
+                               4)
+
+def _state_from_bos(lm, token_ids, cond):
+    state = lm.init_state()
+    probs = None
+    for tid in token_ids:
+        probs = lm.step(state, tid, cond)
+    return state, probs
+
+def test_resume_equals_full_prefix_from_bos(bundle):
+    lm, v = bundle.lm, bundle.lm.vocab
+    cond = _fire_condition(lm, bundle.table)
+    words = [t for t in v.non_special_tokens() if t.isalpha()]
+    rng = np.random.default_rng(17)
+    seen = {"index 0": 0, "word before punctuation": 0, "oov": 0}
+
+    def pick(n):
+        return [words[i] for i in rng.integers(0, len(words), size=n)]
+
+    for trial in range(6):
+        prior = [pick(int(rng.integers(1, 5)))
+                 for _ in range(int(rng.integers(0, 3)))]
+        line = pick(int(rng.integers(1, 5)))
+        if trial % 2:
+            line.append(".")
+        for idx in range(len(line)):
+            for replacement in (pick(1)[0], "zzqxoov"):
+                cursor = _LmCursor(lm, cond)
+                for toks in prior:
+                    for tok in toks:
+                        cursor.feed(v.token_to_id[tok])
+                    cursor.end_line(toks, None)
+                for tok in line:
+                    cursor.feed(v.token_to_id[tok])
+                new_line = list(line)
+                new_line[idx] = replacement
+                cursor.end_line(new_line, idx)
+
+                ids = [v.bos_id]
+                for toks in prior + [new_line]:
+                    ids += [v.token_to_id[t] if t in v else v.unk_id
+                            for t in toks] + [v.eol_id]
+                state, probs = _state_from_bos(lm, ids, cond)
+                for (h, c), (h_ref, c_ref) in zip(cursor.state, state):
+                    assert np.array_equal(h, h_ref)
+                    assert np.array_equal(c, c_ref)
+                assert np.array_equal(cursor.probs, probs)
+
+                seen["index 0"] += idx == 0
+                seen["word before punctuation"] += (
+                    idx == len(line) - 2 and line[-1] == ".")
+                seen["oov"] += replacement not in v
+    assert all(seen.values()), seen
+
+
+# --- LM step counts: each fed token is stepped once ------------------------
+
+STEP_WORDS = ["mist", "ember", "harbor", "kindled", "tide", "lake", "glow",
+              "wave", "spark", "oceans", "quaywind", "zephyr"]
+
+def _count_steps(monkeypatch):
+    calls = [0]
+    step = PoemLM.step
+
+    def counting(self, *args, **kwargs):
+        calls[0] += 1
+        return step(self, *args, **kwargs)
+
+    monkeypatch.setattr(PoemLM, "step", counting)
+    return calls
+
+def _fed_tokens(poem):
+    """<bos>, every token, and <eol> after every line but the last."""
+    return 1 + sum(map(len, poem.lines)) + poem.n_lines - 1
+
+def test_generate_rh_off_steps_once_per_fed_token(bundle, monkeypatch):
+    calls = _count_steps(monkeypatch)
+    for seed, word in enumerate(STEP_WORDS):
+        calls[0] = 0
+        result = generate_poem(word, GenerationConfig(rng_seed=seed,
+                                                      rh=False), bundle)
+        assert calls[0] == _fed_tokens(result.poem)
+
+def test_generate_rh_on_refeeds_only_changed_line_tails(bundle, monkeypatch):
+    calls = _count_steps(monkeypatch)
+    changed = []
+    apply_rhyme = decode._apply_rhyme
+
+    def recording(models, result, lines, slot, *args):
+        idx = apply_rhyme(models, result, lines, slot, *args)
+        if idx is not None:
+            changed.append((slot, idx))
+        return idx
+
+    monkeypatch.setattr(decode, "_apply_rhyme", recording)
+    refed_lines = 0
+    for seed, word in enumerate(STEP_WORDS):
+        calls[0] = 0
+        changed.clear()
+        result = generate_poem(word, GenerationConfig(rng_seed=seed), bundle)
+        lines = result.poem.lines
+        bound = sum(len(lines[slot - 1]) - idx + 1
+                    for slot, idx in changed if slot < len(lines))
+        refed_lines += sum(slot < len(lines) for slot, _ in changed)
+        assert _fed_tokens(result.poem) <= calls[0]
+        assert calls[0] <= _fed_tokens(result.poem) + bound
+    assert refed_lines > 0
+
+
+# --- sampling masks: cached per vocabulary, released with it ---------------
+
+def test_masks_released_with_their_vocabulary():
+    vocab = build_vocabulary(make_poems(3, seed=5), max_size=50)
+    letter = next(t[0] for t in vocab.non_special_tokens() if t[0].isalpha())
+    held = len(decode._MASKS)
+    masks = decode._masks(vocab)
+    assert decode._masks(vocab) is masks
+    mask = masks.first_with_initial(vocab, letter)
+    assert masks.first_with_initial(vocab, letter) is mask
+    assert len(decode._MASKS) == held + 1
+    dead = weakref.ref(vocab)
+    del vocab, masks, mask
+    gc.collect()
+    assert dead() is None
+    assert len(decode._MASKS) == held
 
 
 # --- rendering --------------------------------------------------------------

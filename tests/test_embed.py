@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -48,6 +51,12 @@ def test_load_duplicate_last_wins(tmp_path, caplog):
 def test_load_missing_file(tmp_path):
     with pytest.raises(OSError):
         load_embeddings(tmp_path / "nope.txt", expected_dim=2)
+
+def test_load_non_utf8_names_path_and_line(tmp_path):
+    p = tmp_path / "emb.txt"
+    p.write_bytes(b"cat 1 2\ndog 3 4\n\xe9t\xe9 5 6\n")
+    with pytest.raises(EmbeddingError, match=r"emb\.txt:3: not valid UTF-8"):
+        load_embeddings(p, expected_dim=2)
 
 
 # --- cosine -----------------------------------------------------------------
@@ -128,6 +137,94 @@ def test_knn_matches_bruteforce(seed):
     for letter in "abcd":
         got = knn_with_initial("topic", letter, table, vocab, k=4)
         assert got == knn_oracle("topic", letter, table, vocab, 4)
+
+
+def _assert_knn_matches_oracle(topic, table, vocab, letters, ks):
+    for letter in letters:
+        for k in ks:
+            want = knn_oracle(topic, letter, table, vocab, k)
+            # the second call is served from the cached index
+            assert knn_with_initial(topic, letter, table, vocab, k=k) == want
+            assert knn_with_initial(topic, letter, table, vocab, k=k) == want
+
+def test_knn_exact_ties_break_on_token():
+    rng = np.random.default_rng(11)
+    base = [rng.normal(size=4) for _ in range(4)]
+    entries = [("topic", rng.normal(size=4))]
+    toks = []
+    for i, vec in enumerate(base):
+        # duplicates and positive rescalings tie in exact cosine
+        for j, scale in enumerate([1.0, 1.0, 2.5, 1e-3, 1e3]):
+            tok = f"a{i}{'zyxwv'[j]}"
+            toks.append(tok)
+            entries.append((tok, scale * vec))
+    table = table_from(entries, 4)
+    vocab = _vocab(toks)
+    _assert_knn_matches_oracle("topic", table, vocab, "a", range(1, 12))
+
+def test_knn_near_ties_keep_exact_order():
+    # cosines that differ in the last few bits: the matvec may order them
+    # differently from `cosine`, the shortlist must not
+    entries = [("topic", np.array([1.0, 0.0, 0.0]))]
+    toks = []
+    for i in range(30):
+        tok = f"b{i:02d}"
+        toks.append(tok)
+        entries.append((tok, np.array([1.0, 1e-8 * (i % 7), 1e-9 * i])))
+    table = table_from(entries, 3)
+    vocab = _vocab(toks)
+    _assert_knn_matches_oracle("topic", table, vocab, "b", range(1, 31))
+
+def test_knn_zero_vector_tokens_excluded():
+    t = table_from([("top", [1, 0]), ("aa", [0, 0]), ("ab", [1, 1]),
+                    ("ac", [0, 0]), ("ad", [-1, 1]), ("ae", [2, 1])], 2)
+    v = _vocab(["aa", "ab", "ac", "ad", "ae"])
+    assert knn_with_initial("top", "a", t, v, k=2) == ["ae", "ab"]
+    assert knn_with_initial("top", "a", t, v, k=5) == ["ae", "ab", "ad"]
+    _assert_knn_matches_oracle("top", t, v, "a", range(1, 6))
+
+def test_knn_zero_norm_topic():
+    t = table_from([("top", [0, 0]), ("aa", [1, 1]), ("ab", [0, 1]),
+                    ("ac", [1, 0])], 2)
+    v = _vocab(["aa", "ab", "ac"])
+    for k in (1, 2, 5):
+        with pytest.raises(EmbeddingError, match="zero-norm"):
+            knn_with_initial("top", "a", t, v, k=k)
+    assert knn_with_initial("top", "z", t, v, k=2) == []
+
+def test_knn_k_larger_than_candidates():
+    rng = np.random.default_rng(5)
+    toks = [f"c{i}" for i in range(6)] + [f"d{i}" for i in range(3)]
+    entries = [("topic", rng.normal(size=3))]
+    entries += [(tok, rng.normal(size=3)) for tok in toks]
+    table = table_from(entries, 3)
+    vocab = _vocab(toks)
+    _assert_knn_matches_oracle("topic", table, vocab, "cde", [3, 6, 7, 50])
+    assert len(knn_with_initial("topic", "d", table, vocab, k=50)) == 3
+
+def test_knn_second_vocabulary_gets_own_index():
+    rng = np.random.default_rng(9)
+    toks = [f"e{i:02d}" for i in range(20)]
+    entries = [("topic", rng.normal(size=5))]
+    entries += [(tok, rng.normal(size=5)) for tok in toks]
+    table = table_from(entries, 5)
+    first, second = _vocab(toks[:12]), _vocab(toks[8:])
+    _assert_knn_matches_oracle("topic", table, first, "e", [1, 3, 20])
+    _assert_knn_matches_oracle("topic", table, second, "e", [1, 3, 20])
+    assert set(knn_with_initial("topic", "e", table, second, k=20)) == \
+        set(toks[8:])
+    assert len(table._knn_index) == 2
+
+def test_knn_index_released_with_its_vocabulary():
+    t = table_from([("top", [1, 0]), ("aa", [1, 1]), ("ab", [0, 1])], 2)
+    vocab = _vocab(["aa", "ab"])
+    assert knn_with_initial("top", "a", t, vocab, k=1) == ["aa"]
+    assert len(t._knn_index) == 1
+    dead = weakref.ref(vocab)
+    del vocab
+    gc.collect()
+    assert dead() is None
+    assert len(t._knn_index) == 0
 
 
 # --- char one-hot -----------------------------------------------------------

@@ -271,3 +271,45 @@ def test_child_rng_deterministic_and_distinct():
     c = child_rng(42, "rhymer").random(3)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def _small_checkpoint(tmp_path):
+    store = ParameterStore()
+    rng = np.random.default_rng(2)
+    store.add("a.W", rng.normal(size=(2, 3)))
+    store.add("b", rng.normal(size=4))
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, store, {"kind": "test"})
+    return path, path.read_bytes()
+
+def test_checkpoint_truncated_anywhere_raises_net_error(tmp_path):
+    path, data = _small_checkpoint(tmp_path)
+    cut_path = tmp_path / "cut.ckpt"
+    for cut in range(len(data)):
+        cut_path.write_bytes(data[:cut])
+        with pytest.raises(NetError):
+            load_checkpoint(cut_path)
+
+def test_checkpoint_short_payload_names_entry(tmp_path):
+    path, data = _small_checkpoint(tmp_path)
+    path.write_bytes(data[:-5])
+    with pytest.raises(NetError, match="truncated checkpoint: b needs 32 "
+                                       "bytes, 27 left"):
+        load_checkpoint(path)
+
+def test_checkpoint_header_length_past_file(tmp_path):
+    path, data = _small_checkpoint(tmp_path)
+    magic = data[:6]
+    path.write_bytes(magic + (len(data) * 2).to_bytes(8, "little")
+                     + data[14:])
+    with pytest.raises(NetError, match="runs past the end"):
+        load_checkpoint(path)
+
+@pytest.mark.parametrize("first", [b"{", b"\xff"])
+def test_checkpoint_header_not_json(tmp_path, first):
+    path, data = _small_checkpoint(tmp_path)
+    hlen = int.from_bytes(data[6:14], "little")
+    garbled = data[:14] + first + b"{" * (hlen - 1) + data[14 + hlen:]
+    path.write_bytes(garbled)
+    with pytest.raises(NetError, match="corrupt checkpoint header"):
+        load_checkpoint(path)
