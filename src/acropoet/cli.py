@@ -13,7 +13,7 @@ import logging
 import os
 import re
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import click
 import numpy as np
@@ -44,9 +44,6 @@ log = logging.getLogger(__name__)
 PIPELINE_ERRORS = (CorpusError, EmbeddingError, NetError, PoemLmError,
                    RhymerError, TopicError, DecodeError, OSError, KeyError)
 
-LM_VARIANTS = ["gold+", "gold-", "pred/gold+", "pred/gold-", "wiki+",
-               "wiki-"]
-
 
 def _fail(message) -> None:
     click.echo(f"error: {message}", err=True)
@@ -70,15 +67,21 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _section(obj: dict, name: str) -> dict:
-    return dict(obj["file"].get(name, {}))
+def _section(obj: dict, name: str, cls) -> dict:
+    """The config file's `name` section; every key must be a field of cls."""
+    section = dict(obj["file"].get(name, {}))
+    unknown = sorted(set(section) - {f.name for f in fields(cls)})
+    if unknown:
+        raise click.UsageError(f"unknown key {unknown[0]!r} in config "
+                               f"section {name!r}")
+    return section
 
 
 def _component_config(obj: dict, name: str, cls, flag_overrides=None):
     """Profile defaults < config-file section < CLI flags."""
     base = cls() if obj["profile"] == "paper_scale" else cls.desk_scale()
     vals = asdict(base)
-    vals.update(_section(obj, name))
+    vals.update(_section(obj, name, cls))
     for key, value in (flag_overrides or {}).items():
         if value is not None:
             vals[key] = value
@@ -148,7 +151,8 @@ def _read_pretrain(path: str) -> list[list[str]]:
 
 @main.command()
 @click.argument("model", type=click.Choice(["lm", "rhymer", "topics"]))
-@click.option("--variant", type=click.Choice(LM_VARIANTS), default="gold+",
+@click.option("--variant", type=click.Choice(list(LmVariant.NAMES)),
+              default="gold+",
               help="LM training regime (ignored for rhymer/topics).")
 @click.option("--train", "train_path", required=True,
               help="Training corpus (poem JSONL; document JSONL for the "
@@ -172,10 +176,11 @@ def train(obj, model, variant, train_path, dev_path, emb_path, dim,
     """Train one model and write its checkpoint plus a JSON log."""
     try:
         out = _outpath(out_path)
-        if model == "lm":
+        if model != "rhymer":
             if emb_path is None:
-                _fail("training the lm needs --embeddings")
+                _fail(f"training {model} needs --embeddings")
             table = load_embeddings(emb_path, dim)
+        if model == "lm":
             lm_variant = LmVariant.from_name(variant)
             gold_train = read_poems(train_path)
             gold_dev = read_poems(dev_path)
@@ -195,9 +200,6 @@ def train(obj, model, variant, train_path, dev_path, emb_path, dim,
             history = train_rhymer(rhymer, train_ex, dev_ex)
             save_rhymer(out, rhymer, history)
         else:
-            if emb_path is None:
-                _fail("training the topic model needs --embeddings")
-            table = load_embeddings(emb_path, dim)
             cfg = _component_config(obj, "topics", TopicConfig)
             classifier, history = train_topic_model(
                 read_poems(train_path), read_poems(dev_path), table, cfg)
@@ -281,7 +283,7 @@ def generate(obj, word, lm_path, rhymer_path, emb_path, dim, st, ac, rh,
         table = load_embeddings(emb_path, dim)
         trained = load_lm(lm_path)
         rhymer = load_rhymer(rhymer_path) if rhymer_path else None
-        gen_section = _section(obj, "generate")
+        gen_section = _section(obj, "generate", GenerationConfig)
         gen_section.update({"st": st, "ac": ac, "rh": rh, "tp": tp,
                             "rng_seed": obj["seed"]})
         cfg = GenerationConfig(**gen_section)

@@ -191,6 +191,16 @@ class Vocabulary:
         unk = self.unk_id
         return [self.token_to_id.get(t, unk) for t in tokens]
 
+    def encode_poem(self, poem: Poem) -> list[int]:
+        """<bos> line <eol> line ... <eol> line <eos>, as ids."""
+        ids = [self.bos_id]
+        for i, line in enumerate(poem.lines):
+            ids.extend(self.encode(line))
+            if i < poem.n_lines - 1:
+                ids.append(self.eol_id)
+        ids.append(self.eos_id)
+        return ids
+
     def decode(self, ids: Iterable[int]) -> list[str]:
         return [self.id_to_token[i] for i in ids]
 

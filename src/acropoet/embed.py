@@ -7,12 +7,11 @@ token followed by `dim` decimals, single-space separated.
 from __future__ import annotations
 
 import logging
-import re
 import weakref
 
 import numpy as np
 
-from .corpus import AcrosticSpec, Vocabulary
+from .corpus import Vocabulary
 
 log = logging.getLogger(__name__)
 
@@ -175,13 +174,3 @@ def knn_with_initial(
     scored = sorted((-cosine(tok, topic, table), tok)
                     for tok in index.shortlist(table.vector(topic), k))
     return [tok for _, tok in scored[:k]]
-
-
-def char_onehot_block(word: str) -> np.ndarray:
-    """8x27 one-hot rows for a 1-8 letter word, padding the remainder."""
-    word = word.lower()
-    if not re.fullmatch(r"[a-z]{1,8}", word):
-        raise EmbeddingError(
-            f"word must be 1-8 characters a-z, got {word!r}"
-        )
-    return AcrosticSpec.from_word(word).onehot_block()

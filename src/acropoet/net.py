@@ -2,8 +2,9 @@
 
 Everything here is float64 with hand-written backward passes: LSTM cells
 and stacks (uni/bidirectional), linear + softmax output, cross-entropy,
-Adam with bias correction, early stopping, and a central-finite-difference
-gradient checker used to validate the backprop code.
+Adam with bias correction, the early-stopped training loop, and a
+central-finite-difference gradient checker used to validate the backprop
+code.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,12 +52,17 @@ def child_rng(root_seed: int, *keys) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 class ParameterStore:
-    """Named parameter arrays plus Adam moments and a step counter."""
+    """Named parameter arrays plus Adam moments and a step counter.
+
+    Arrays named in `fixed` get no gradient, so training never changes
+    them; their (zero) moments are still saved with the rest.
+    """
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
+        self.fixed: set[str] = set()
         self.step = 0
 
     def add(self, name: str, array: np.ndarray) -> np.ndarray:
@@ -73,12 +81,9 @@ class ParameterStore:
         return self.params[name]
 
     def zero_grads(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(p) for k, p in self.params.items()}
-
-    def check_finite(self) -> None:
-        for name, p in self.params.items():
-            if not np.all(np.isfinite(p)):
-                raise NetError(f"non-finite values in parameter {name!r}")
+        """One zero gradient per trainable array; fixed arrays get none."""
+        return {k: np.zeros_like(p) for k, p in self.params.items()
+                if k not in self.fixed}
 
     def copy_params(self) -> dict[str, np.ndarray]:
         return {k: p.copy() for k, p in self.params.items()}
@@ -224,6 +229,20 @@ class LstmLayer:
         return dX
 
 
+def pad_ids(seqs: list[list[int]], pad_id: int):
+    """Id sequences as one (T, B) array padded with pad_id, and lengths."""
+    lengths = np.array([len(s) for s in seqs])
+    ids = np.full((lengths.max(), len(seqs)), pad_id, dtype=int)
+    for j, s in enumerate(seqs):
+        ids[:len(s), j] = s
+    return ids, lengths
+
+
+def length_mask(lengths: np.ndarray, T: int) -> np.ndarray:
+    """(T, B) float mask, 1 at the steps within each column's length."""
+    return (np.arange(T)[:, None] < lengths[None, :]).astype(float)
+
+
 def reverse_padded(X: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Reverse each sequence within its own length, leaving padding in place."""
     Y = X.copy()
@@ -244,7 +263,7 @@ class BiLstmEncoder:
 
     def forward(self, X: np.ndarray, lengths: np.ndarray):
         T, B, _ = X.shape
-        mask = (np.arange(T)[:, None] < lengths[None, :]).astype(float)
+        mask = length_mask(lengths, T)
         Hf, cf = self.fwd.forward(X, mask)
         Xr = reverse_padded(X, lengths)
         Hb, cb = self.bwd.forward(Xr, mask)
@@ -370,8 +389,7 @@ def clip_global_norm(grads: dict[str, np.ndarray],
 
 def adam_update(store: ParameterStore, grads: dict[str, np.ndarray],
                 lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                eps: float = 1e-8,
-                frozen: frozenset[str] = frozenset()) -> None:
+                eps: float = 1e-8) -> None:
     """Adam with bias correction.  Raises before mutating on bad gradients."""
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
@@ -381,8 +399,6 @@ def adam_update(store: ParameterStore, grads: dict[str, np.ndarray],
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
     for name, g in grads.items():
-        if name in frozen:
-            continue
         m = store.m[name]
         v = store.v[name]
         m *= beta1
@@ -417,6 +433,36 @@ class EarlyStopper:
     def restore_best(self, store: ParameterStore) -> None:
         if self.best_params:
             store.load_params(self.best_params)
+
+
+def fit(store: ParameterStore, run_epoch, evaluate, patience: int,
+        max_epochs: int, tag: str) -> list[dict]:
+    """Early-stopped training; returns the per-epoch history.
+
+    evaluate() -> (dev loss to minimise, that epoch's dev history fields);
+    run_epoch() trains one epoch and returns its training history fields,
+    which override same-named dev fields.  Epoch 0 is the dev pass before
+    any training.  The best parameters seen are restored at the end.
+    """
+    stopper = EarlyStopper(patience=patience)
+    loss, dev = evaluate()
+    history = [{"epoch": 0, **dev}]
+    stopper.update(loss, store)
+    t0 = time.time()
+    for epoch in range(1, max_epochs + 1):
+        train = run_epoch()
+        loss, dev = evaluate()
+        improved = stopper.update(loss, store)
+        entry = {"epoch": epoch, **dev, **train}
+        log.info("[%s] epoch %d %s%s", tag, epoch,
+                 " ".join(f"{k}={v:.4f}" for k, v in entry.items()
+                          if k != "epoch"),
+                 " *" if improved else "")
+        history.append(dict(entry, seconds=round(time.time() - t0, 3)))
+        if stopper.should_stop:
+            break
+    stopper.restore_best(store)
+    return history
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +544,22 @@ def save_checkpoint(path, store: ParameterStore, meta: dict) -> None:
             fh.write(blob)
 
 
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def _header_ok(header) -> bool:
+    """Whether a parsed header has the structure save_checkpoint writes."""
+    return (isinstance(header, dict) and _is_count(header.get("step"))
+            and isinstance(header.get("meta"), dict)
+            and isinstance(header.get("entries"), list)
+            and all(isinstance(e, dict) and e.get("kind") in ("p", "m", "v")
+                    and isinstance(e.get("name"), str)
+                    and isinstance(e.get("shape"), list)
+                    and all(map(_is_count, e["shape"]))
+                    for e in header["entries"]))
+
+
 def load_checkpoint(path) -> tuple[ParameterStore, dict]:
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
@@ -511,13 +573,16 @@ def load_checkpoint(path) -> tuple[ParameterStore, dict]:
             header = json.loads(fh.read(hlen))
         except ValueError as exc:
             raise NetError(f"{path}: corrupt checkpoint header ({exc})")
+        if not _header_ok(header):
+            raise NetError(f"{path}: corrupt checkpoint header (not the "
+                           f"structure of a checkpoint)")
         store = ParameterStore()
         store.step = header["step"]
         for entry in header["entries"]:
             shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
+            count = math.prod(shape)  # exact: dims may be huge if corrupt
             left = size - fh.tell()
-            if not 0 <= count * 8 <= left:
+            if count * 8 > left:
                 raise NetError(
                     f"{path}: truncated checkpoint: {entry['name']} needs "
                     f"{count * 8} bytes, {left} left")

@@ -14,9 +14,7 @@ channel is a zero vector throughout.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
-import time
 from dataclasses import dataclass, asdict, field
 from typing import Optional
 
@@ -24,13 +22,13 @@ import numpy as np
 
 from . import net
 from .corpus import (
-    MAX_LINES, MIN_LINES, N_LETTER_COLS, N_LETTER_ROWS, Poem, Vocabulary,
-    derive_training_condition, tokenize,
+    N_LETTER_COLS, N_LETTER_ROWS, Poem, Vocabulary, derive_training_condition,
+    tokenize,
 )
 from .embed import EmbeddingTable
 from .net import (
-    Linear, LstmLayer, NetError, ParameterStore, adam_update,
-    clip_global_norm, dropout_backward, dropout_forward, softmax,
+    Linear, LstmLayer, ParameterStore, adam_update, clip_global_norm,
+    dropout_backward, dropout_forward, length_mask, pad_ids, softmax,
     softmax_xent_batch,
 )
 
@@ -71,7 +69,7 @@ class LmVariant:
     finetune_corpus: str = "gold_only"  # gold_only | gold_plus_silver
     topic_channel: bool = True
 
-    _NAMES = {
+    NAMES = {
         "gold+": ("none", "gold_only", True),
         "gold-": ("none", "gold_only", False),
         "pred/gold+": ("none", "gold_plus_silver", True),
@@ -83,16 +81,16 @@ class LmVariant:
     @classmethod
     def from_name(cls, name: str) -> "LmVariant":
         key = name.lower()
-        if key not in cls._NAMES:
+        if key not in cls.NAMES:
             raise PoemLmError(
                 f"unknown variant {name!r}; expected one of "
-                f"{sorted(cls._NAMES)}")
-        pre, corp, topic = cls._NAMES[key]
+                f"{sorted(cls.NAMES)}")
+        pre, corp, topic = cls.NAMES[key]
         return cls(pretrain=pre, finetune_corpus=corp, topic_channel=topic)
 
     @property
     def name(self) -> str:
-        for key, val in self._NAMES.items():
+        for key, val in self.NAMES.items():
             if val == (self.pretrain, self.finetune_corpus,
                        self.topic_channel):
                 return key
@@ -137,23 +135,15 @@ class PoemLM:
         self.store = store if store is not None else ParameterStore()
         rng = net.child_rng(cfg.seed, "poemlm", "init")
         self.emb = self.store.add(EMB_NAME, emb_matrix)
+        self.store.fixed.add(EMB_NAME)
         self.layers = []
         for l in range(cfg.n_layers):
             in_dim = self.in_dim if l == 0 else cfg.hidden
             self.layers.append(
                 LstmLayer(self.store, f"lm.lstm{l}", in_dim, cfg.hidden, rng))
         self.out = Linear(self.store, "lm.out", cfg.hidden, len(vocab), rng)
-        self.frozen = frozenset([EMB_NAME])
 
     # -- encoding -----------------------------------------------------------
-
-    def encode_poem(self, poem: Poem) -> list[int]:
-        ids = [self.vocab.bos_id]
-        for i, line in enumerate(poem.lines):
-            ids.extend(self.vocab.encode(line))
-            ids.append(self.vocab.eol_id if i < poem.n_lines - 1
-                       else self.vocab.eos_id)
-        return ids
 
     def topic_vector(self, topic: Optional[str],
                      table: Optional[EmbeddingTable]) -> np.ndarray:
@@ -233,7 +223,7 @@ class PoemLM:
         return softmax(logits[-1, 0])
 
     def poem_log_prob(self, poem: Poem, cond: np.ndarray) -> float:
-        ids = self.encode_poem(poem)
+        ids = self.vocab.encode_poem(poem)
         inputs = np.asarray(ids[:-1])[:, None]
         targets = np.asarray(ids[1:])
         logits, _ = self.forward_batch(inputs, cond[None, :], train=False)
@@ -286,88 +276,30 @@ class PoemLM:
                 batch_size: int,
                 shuffle_rng: Optional[np.random.Generator] = None,
                 zero_cond: bool = False):
-        """Length-bucketed padded batches of (inputs, targets, weights, cond)."""
-        encoded = []
-        for poem in poems:
-            ids = self.encode_poem(poem)
-            cond = (self.zero_condition() if zero_cond
-                    else self.poem_condition(poem, table))
-            encoded.append((ids, cond))
-        yield from self._assemble(encoded, batch_size, shuffle_rng)
+        """Length-bucketed padded batches of (inputs, targets, weights, cond).
 
-    def plain_text_perplexity(self, sentences: list[list[str]]) -> float:
-        if not sentences:
-            raise PoemLmError("perplexity over an empty dataset")
-        total_nll = 0.0
-        total_tok = 0
-        for inputs, targets, weights, cond in self.plain_text_batches(
-                sentences, self.cfg.batch_size):
-            logits, _ = self.forward_batch(inputs, cond, train=False)
-            V = logits.shape[-1]
-            loss, _, wsum = softmax_xent_batch(
-                logits.reshape(-1, V), targets.reshape(-1),
-                weights.reshape(-1))
-            total_nll += loss
-            total_tok += int(wsum)
-        return float(np.exp(total_nll / total_tok))
-
-    def plain_text_batches(self, sentences: list[list[str]],
-                           batch_size: int,
-                           shuffle_rng: Optional[np.random.Generator] = None):
-        cond = self.zero_condition()
-        encoded = []
-        for toks in sentences:
-            ids = ([self.vocab.bos_id] + self.vocab.encode(toks)
-                   + [self.vocab.eos_id])
-            encoded.append((ids, cond))
-        yield from self._assemble(encoded, batch_size, shuffle_rng)
-
-    def _assemble(self, encoded, batch_size, shuffle_rng):
-        order = sorted(range(len(encoded)), key=lambda i: len(encoded[i][0]))
+        zero_cond zeroes every conditioning channel, as plain-text
+        pretraining does; `table` is then unused.
+        """
+        encoded = [self.vocab.encode_poem(poem) for poem in poems]
+        conds = [self.zero_condition() if zero_cond
+                 else self.poem_condition(poem, table) for poem in poems]
+        order = sorted(range(len(encoded)), key=lambda i: len(encoded[i]))
         chunks = [order[i:i + batch_size]
                   for i in range(0, len(order), batch_size)]
         if shuffle_rng is not None:
             shuffle_rng.shuffle(chunks)
         pad = self.vocab.pad_id
         for chunk in chunks:
-            T = max(len(encoded[i][0]) for i in chunk) - 1
-            B = len(chunk)
-            inputs = np.full((T, B), pad, dtype=int)
-            targets = np.full((T, B), pad, dtype=int)
-            weights = np.zeros((T, B))
-            cond = np.empty((B, self.topic_dim + ACROSTIC_DIM + 1))
-            for j, i in enumerate(chunk):
-                ids, c = encoded[i]
-                L = len(ids) - 1
-                inputs[:L, j] = ids[:-1]
-                targets[:L, j] = ids[1:]
-                weights[:L, j] = 1.0
-                cond[j] = c
-            yield inputs, targets, weights, cond
+            inputs, lengths = pad_ids([encoded[i][:-1] for i in chunk], pad)
+            targets, _ = pad_ids([encoded[i][1:] for i in chunk], pad)
+            yield (inputs, targets, length_mask(lengths, len(inputs)),
+                   np.array([conds[i] for i in chunk]))
 
 
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
-
-def _run_epoch(model: PoemLM, batches, rng: np.random.Generator) -> float:
-    total, count = 0.0, 0.0
-    for inputs, targets, weights, cond in batches:
-        logits, caches = model.forward_batch(inputs, cond, train=True,
-                                             rng=rng)
-        V = logits.shape[-1]
-        loss, dflat, wsum = softmax_xent_batch(
-            logits.reshape(-1, V), targets.reshape(-1), weights.reshape(-1))
-        grads = model.store.zero_grads()
-        model.backward_batch(dflat.reshape(logits.shape) / max(wsum, 1.0),
-                             caches, grads)
-        clip_global_norm(grads)
-        adam_update(model.store, grads, lr=model.cfg.lr,
-                    frozen=model.frozen)
-        total += loss
-        count += wsum
-    return float(np.exp(total / max(count, 1.0)))
-
 
 def train_lm(model: PoemLM, train_poems: list[Poem], dev_poems: list[Poem],
              table: Optional[EmbeddingTable], seed_key: str = "finetune",
@@ -375,50 +307,47 @@ def train_lm(model: PoemLM, train_poems: list[Poem], dev_poems: list[Poem],
              max_epochs: Optional[int] = None) -> list[dict]:
     """Early-stopped training loop; returns the per-epoch history.
 
-    When pretrain_sentences is given, trains on those with zeroed
-    conditioning; early stopping then watches held-out pretrain sentences
-    (a 10% tail split), not the poem dev set, so the pretrained weights
-    survive into finetuning.
+    When pretrain_sentences is given, trains on those as one-line poems
+    with zeroed conditioning; early stopping then watches held-out
+    pretrain sentences (a 10% tail split), not the poem dev set, so the
+    pretrained weights survive into finetuning.
     """
     cfg = model.cfg
     rng = net.child_rng(cfg.seed, "poemlm", seed_key)
-    stopper = net.EarlyStopper(patience=cfg.patience)
-    history = []
-    epochs = max_epochs if max_epochs is not None else cfg.max_epochs
-    pretraining = pretrain_sentences is not None
-    if pretraining:
-        held_out = max(1, len(pretrain_sentences) // 10)
-        pre_train = pretrain_sentences[:-held_out] or pretrain_sentences
-        pre_dev = pretrain_sentences[-held_out:]
+    zero_cond = pretrain_sentences is not None
+    if zero_cond:
+        sentences = [Poem(lines=[s]) for s in pretrain_sentences]
+        held_out = max(1, len(sentences) // 10)
+        train_poems = sentences[:-held_out] or sentences
+        dev_poems = sentences[-held_out:]
 
-    def dev_metric():
-        if pretraining:
-            return model.plain_text_perplexity(pre_dev)
-        return model.perplexity(dev_poems, table)
+    def run_epoch():
+        total, count = 0.0, 0.0
+        for inputs, targets, weights, cond in model.batches(
+                train_poems, table, cfg.batch_size, shuffle_rng=rng,
+                zero_cond=zero_cond):
+            logits, caches = model.forward_batch(inputs, cond, train=True,
+                                                 rng=rng)
+            V = logits.shape[-1]
+            loss, dflat, wsum = softmax_xent_batch(
+                logits.reshape(-1, V), targets.reshape(-1),
+                weights.reshape(-1))
+            grads = model.store.zero_grads()
+            model.backward_batch(
+                dflat.reshape(logits.shape) / max(wsum, 1.0), caches, grads)
+            clip_global_norm(grads)
+            adam_update(model.store, grads, lr=cfg.lr)
+            total += loss
+            count += wsum
+        return {"train_ppl": float(np.exp(total / max(count, 1.0)))}
 
-    dev_ppl = dev_metric()
-    history.append({"epoch": 0, "dev_ppl": dev_ppl, "train_ppl": None})
-    stopper.update(dev_ppl, model.store)
-    t0 = time.time()
-    for epoch in range(1, epochs + 1):
-        if pretraining:
-            batches = model.plain_text_batches(
-                pre_train, cfg.batch_size, shuffle_rng=rng)
-        else:
-            batches = model.batches(train_poems, table, cfg.batch_size,
-                                    shuffle_rng=rng)
-        train_ppl = _run_epoch(model, batches, rng)
-        dev_ppl = dev_metric()
-        improved = stopper.update(dev_ppl, model.store)
-        history.append({"epoch": epoch, "dev_ppl": dev_ppl,
-                        "train_ppl": train_ppl,
-                        "seconds": round(time.time() - t0, 3)})
-        log.info("[%s] epoch %d train_ppl=%.3f dev_ppl=%.3f%s", seed_key,
-                 epoch, train_ppl, dev_ppl, " *" if improved else "")
-        if stopper.should_stop:
-            break
-    stopper.restore_best(model.store)
-    return history
+    def evaluate():
+        dev_ppl = model.perplexity(dev_poems, table, zero_cond=zero_cond)
+        return dev_ppl, {"dev_ppl": dev_ppl, "train_ppl": None}
+
+    return net.fit(model.store, run_epoch, evaluate, cfg.patience,
+                   max_epochs if max_epochs is not None else cfg.max_epochs,
+                   seed_key)
 
 
 @dataclass

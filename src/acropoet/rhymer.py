@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 import re
 import string
-import time
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -21,7 +20,8 @@ from . import net
 from .corpus import RawDocument, Vocabulary
 from .net import (
     BiLstmEncoder, Linear, LstmLayer, ParameterStore, adam_update,
-    clip_global_norm, init_uniform, lstm_step, softmax, softmax_xent_batch,
+    clip_global_norm, init_uniform, length_mask, lstm_step, pad_ids, softmax,
+    softmax_xent_batch,
 )
 
 log = logging.getLogger(__name__)
@@ -151,34 +151,23 @@ class RhymerModel:
 
     # -- batching ------------------------------------------------------------
 
-    def _pad_ids(self, seqs: list[list[int]]):
-        T = max(len(s) for s in seqs)
-        B = len(seqs)
-        ids = np.full((T, B), PAD_ID, dtype=int)
-        lengths = np.zeros(B, dtype=int)
-        for j, s in enumerate(seqs):
-            ids[:len(s), j] = s
-            lengths[j] = len(s)
-        return ids, lengths
-
     def _encode_batch(self, examples: list[RhymeExample]):
         a_seqs = [encode_chars(ex.a) or [EOS_ID] for ex in examples]
         b_seqs = [encode_chars(ex.b)[-self.cfg.max_context_chars:]
                   or [EOS_ID] for ex in examples]
         dec_in = [[BOS_ID] + encode_chars(ex.c) for ex in examples]
         dec_tgt = [encode_chars(ex.c) + [EOS_ID] for ex in examples]
-        return (self._pad_ids(a_seqs), self._pad_ids(b_seqs),
-                self._pad_ids(dec_in), self._pad_ids(dec_tgt))
+        return (pad_ids(a_seqs, PAD_ID), pad_ids(b_seqs, PAD_ID),
+                pad_ids(dec_in, PAD_ID), pad_ids(dec_tgt, PAD_ID))
 
     # -- forward / backward ---------------------------------------------------
 
     def _encoders_forward(self, a_ids, a_len, b_ids, b_len):
         Xa = self.char_emb[a_ids]
         enc_a, cache_a = self.word_enc.forward(Xa, a_len)
-        Tb = b_ids.shape[0]
-        mask_b = (np.arange(Tb)[:, None] < b_len[None, :]).astype(float)
         Xb = self.char_emb[b_ids]
-        Hb, cache_b = self.poem_enc.forward(Xb, mask_b)
+        Hb, cache_b = self.poem_enc.forward(Xb,
+                                            length_mask(b_len, len(b_ids)))
         return enc_a, cache_a, Hb[-1], cache_b
 
     def forward_batch(self, batch):
@@ -216,33 +205,32 @@ class RhymerModel:
         np.add.at(grads["rh.chars"], b_ids.reshape(-1),
                   dXb.reshape(-1, E))
 
-    def loss_and_grads(self, examples: list[RhymeExample]):
+    def _forward_xent(self, examples: list[RhymeExample]):
+        """Decoder forward pass and its summed cross-entropy.
+
+        Returns (loss, dlogits shaped like the logits, target count,
+        caches for backward_batch).
+        """
         batch = self._encode_batch(examples)
         logits, caches = self.forward_batch(batch)
         (_, _), (_, _), (in_ids, in_len), (tgt_ids, _) = batch
-        T, B = in_ids.shape
-        weights = (np.arange(T)[:, None] < in_len[None, :]).astype(float)
+        weights = length_mask(in_len, len(in_ids))
         C = logits.shape[-1]
         loss, dflat, wsum = softmax_xent_batch(
             logits.reshape(-1, C), tgt_ids.reshape(-1), weights.reshape(-1))
+        return loss, dflat.reshape(logits.shape), wsum, caches
+
+    def loss_and_grads(self, examples: list[RhymeExample]):
+        loss, dlogits, wsum, caches = self._forward_xent(examples)
         grads = self.store.zero_grads()
-        self.backward_batch(dflat.reshape(logits.shape) / max(wsum, 1.0),
-                            caches, grads)
+        self.backward_batch(dlogits / max(wsum, 1.0), caches, grads)
         return loss, wsum, grads
 
     def per_char_nll(self, examples: list[RhymeExample]) -> float:
         total, count = 0.0, 0.0
         for i in range(0, len(examples), self.cfg.batch_size):
-            chunk = examples[i:i + self.cfg.batch_size]
-            batch = self._encode_batch(chunk)
-            logits, _ = self.forward_batch(batch)
-            (_, _), (_, _), (in_ids, in_len), (tgt_ids, _) = batch
-            T, B = in_ids.shape
-            weights = (np.arange(T)[:, None] < in_len[None, :]).astype(float)
-            C = logits.shape[-1]
-            loss, _, wsum = softmax_xent_batch(
-                logits.reshape(-1, C), tgt_ids.reshape(-1),
-                weights.reshape(-1))
+            loss, _, wsum, _ = self._forward_xent(
+                examples[i:i + self.cfg.batch_size])
             total += loss
             count += wsum
         return total / max(count, 1.0)
@@ -252,9 +240,9 @@ class RhymerModel:
     def rhyme_candidates(self, a: str, b: str,
                          width: int = 5) -> list[tuple[str, float]]:
         """Beam-search the decoder; candidates sorted by log prob descending."""
-        (a_ids, a_len) = self._pad_ids([encode_chars(a) or [EOS_ID]])
+        (a_ids, a_len) = pad_ids([encode_chars(a) or [EOS_ID]], PAD_ID)
         b_enc = encode_chars(b)[-self.cfg.max_context_chars:] or [EOS_ID]
-        (b_ids, b_len) = self._pad_ids([b_enc])
+        (b_ids, b_len) = pad_ids([b_enc], PAD_ID)
         enc_a, _, enc_b, _ = self._encoders_forward(a_ids, a_len, b_ids,
                                                     b_len)
         cond = np.concatenate([enc_a[0], enc_b[0]])
@@ -370,14 +358,9 @@ def train_rhymer(model: RhymerModel, train_ex: list[RhymeExample],
         raise RhymerError("empty rhymer training or dev set")
     cfg = model.cfg
     rng = net.child_rng(cfg.seed, "rhymer", "train")
-    stopper = net.EarlyStopper(patience=cfg.patience)
-    history = []
-    dev = model.per_char_nll(dev_ex)
-    history.append({"epoch": 0, "dev_nll": dev})
-    stopper.update(dev, model.store)
-    t0 = time.time()
-    order = np.arange(len(train_ex))
-    for epoch in range(1, cfg.max_epochs + 1):
+    order = np.arange(len(train_ex))  # shuffled in place every epoch
+
+    def run_epoch():
         rng.shuffle(order)
         total, count = 0.0, 0.0
         for i in range(0, len(order), cfg.batch_size):
@@ -387,17 +370,14 @@ def train_rhymer(model: RhymerModel, train_ex: list[RhymeExample],
             adam_update(model.store, grads, lr=cfg.lr)
             total += loss
             count += wsum
+        return {"train_nll": total / max(count, 1.0)}
+
+    def evaluate():
         dev = model.per_char_nll(dev_ex)
-        improved = stopper.update(dev, model.store)
-        history.append({"epoch": epoch, "dev_nll": dev,
-                        "train_nll": total / max(count, 1.0),
-                        "seconds": round(time.time() - t0, 3)})
-        log.info("[rhymer] epoch %d train_nll=%.4f dev_nll=%.4f%s", epoch,
-                 total / max(count, 1.0), dev, " *" if improved else "")
-        if stopper.should_stop:
-            break
-    stopper.restore_best(model.store)
-    return history
+        return dev, {"dev_nll": dev}
+
+    return net.fit(model.store, run_epoch, evaluate, cfg.patience,
+                   cfg.max_epochs, "rhymer")
 
 
 def save_rhymer(path, model: RhymerModel, history: list[dict]) -> None:

@@ -9,7 +9,6 @@ so they can serve as additional language-model training data.
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -19,7 +18,7 @@ from .corpus import Poem, Vocabulary, build_vocabulary
 from .embed import EmbeddingTable
 from .net import (
     BiLstmEncoder, Linear, ParameterStore, adam_update, clip_global_norm,
-    softmax, softmax_xent_batch,
+    pad_ids, softmax, softmax_xent_batch,
 )
 from .poemlm import EMB_NAME, build_embedding_matrix
 
@@ -63,34 +62,16 @@ class TopicClassifier:
         self.store = store if store is not None else ParameterStore()
         rng = net.child_rng(cfg.seed, "topics", "init")
         self.emb = self.store.add(EMB_NAME, emb_matrix)
+        self.store.fixed.add(EMB_NAME)
         self.embed_dim = emb_matrix.shape[1]
         self.encoder = BiLstmEncoder(self.store, "tp.enc", self.embed_dim,
                                      cfg.hidden, rng)
         self.head = Linear(self.store, "tp.head", 2 * cfg.hidden,
                            len(labels), rng)
-        self.frozen = frozenset([EMB_NAME])
-
-    def encode_poem(self, poem: Poem) -> list[int]:
-        ids = [self.vocab.bos_id]
-        for i, line in enumerate(poem.lines):
-            ids.extend(self.vocab.encode(line))
-            if i < poem.n_lines - 1:
-                ids.append(self.vocab.eol_id)
-        ids.append(self.vocab.eos_id)
-        return ids
-
-    def _batch_ids(self, poems: list[Poem]):
-        seqs = [self.encode_poem(p) for p in poems]
-        T = max(len(s) for s in seqs)
-        ids = np.full((T, len(seqs)), self.vocab.pad_id, dtype=int)
-        lengths = np.zeros(len(seqs), dtype=int)
-        for j, s in enumerate(seqs):
-            ids[:len(s), j] = s
-            lengths[j] = len(s)
-        return ids, lengths
 
     def forward_batch(self, poems: list[Poem]):
-        ids, lengths = self._batch_ids(poems)
+        ids, lengths = pad_ids([self.vocab.encode_poem(p) for p in poems],
+                               self.vocab.pad_id)
         X = self.emb[ids]
         enc, cache = self.encoder.forward(X, lengths)
         logits, head_cache = self.head.forward(enc)
@@ -161,31 +142,25 @@ def train_topic_model(gold_train: list[Poem], gold_dev: list[Poem],
     model = TopicClassifier(vocab, labels, cfg,
                             build_embedding_matrix(vocab, table))
     rng = net.child_rng(cfg.seed, "topics", "train")
-    stopper = net.EarlyStopper(patience=cfg.patience)
     targets_all = np.array([model.label_to_id[p.topic] for p in gold_train])
-    history = []
-    acc = model.accuracy(gold_dev)
-    history.append({"epoch": 0, "dev_acc": acc})
-    stopper.update(-acc, model.store)  # stopper minimizes
-    order = np.arange(len(gold_train))
-    t0 = time.time()
-    for epoch in range(1, cfg.max_epochs + 1):
+    order = np.arange(len(gold_train))  # shuffled in place every epoch
+
+    def run_epoch():
         rng.shuffle(order)
         for i in range(0, len(order), cfg.batch_size):
             sel = order[i:i + cfg.batch_size]
             chunk = [gold_train[j] for j in sel]
             _, grads = model.loss_and_grads(chunk, targets_all[sel])
             clip_global_norm(grads)
-            adam_update(model.store, grads, lr=cfg.lr, frozen=model.frozen)
+            adam_update(model.store, grads, lr=cfg.lr)
+        return {}
+
+    def evaluate():
         acc = model.accuracy(gold_dev)
-        improved = stopper.update(-acc, model.store)
-        history.append({"epoch": epoch, "dev_acc": acc,
-                        "seconds": round(time.time() - t0, 3)})
-        log.info("[topics] epoch %d dev_acc=%.3f%s", epoch, acc,
-                 " *" if improved else "")
-        if stopper.should_stop:
-            break
-    stopper.restore_best(model.store)
+        return -acc, {"dev_acc": acc}  # fit minimizes
+
+    history = net.fit(model.store, run_epoch, evaluate, cfg.patience,
+                      cfg.max_epochs, "topics")
     return model, history
 
 

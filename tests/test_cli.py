@@ -322,3 +322,46 @@ def test_output_dir_env_override(workdir, tmp_path, monkeypatch):
         "--output", "sub/prepared.jsonl"])
     assert result.exit_code == 0, result.output
     assert (tmp_path / "sub" / "prepared.jsonl").exists()
+
+
+def test_generate_bad_checkpoint_header_is_clean_error(workdir, tmp_path):
+    root, run = workdir
+    data = (root / "lm.ckpt").read_bytes()
+    hlen = int.from_bytes(data[6:14], "little")
+    header = b"[1]" + b" " * (hlen - 3)
+    (tmp_path / "bad.ckpt").write_bytes(data[:14] + header
+                                        + data[14 + hlen:])
+    result = run("generate", "glow", "--lm", tmp_path / "bad.ckpt",
+                 "--no-rh", "--embeddings", root / "vectors.txt",
+                 "--dim", DIM)
+    assert "corrupt checkpoint header" in _assert_one_error_line(result)
+
+
+def _run_with_config(tmp_path, config, *args):
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    return CliRunner().invoke(
+        main, ["--config", str(tmp_path / "config.json"),
+               *[str(a) for a in args]])
+
+
+def test_unknown_training_config_key_is_usage_error(workdir, tmp_path):
+    root, _ = workdir
+    result = _run_with_config(
+        tmp_path, {"rhymer": {"bogus": 1}}, "train", "rhymer",
+        "--train", root / "sonnets_train.jsonl",
+        "--dev", root / "sonnets_dev.jsonl", "--out", tmp_path / "r.ckpt")
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert "'bogus'" in result.output and "'rhymer'" in result.output
+    assert not (tmp_path / "r.ckpt").exists()
+
+
+def test_unknown_generate_config_key_is_usage_error(workdir, tmp_path):
+    root, _ = workdir
+    result = _run_with_config(
+        tmp_path, {"generate": {"beam_width": 3, "bogus": 1}}, "generate",
+        "glow", "--lm", root / "lm.ckpt", "--no-rh",
+        "--embeddings", root / "vectors.txt", "--dim", DIM)
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert "'bogus'" in result.output and "'generate'" in result.output

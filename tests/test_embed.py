@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from acropoet import embed
-from acropoet.corpus import Poem, build_vocabulary
+from acropoet.corpus import AcrosticSpec, CorpusError, Poem, build_vocabulary
 from acropoet.embed import (
-    EmbeddingError, EmbeddingTable, char_onehot_block, cosine,
-    knn_with_initial, load_embeddings,
+    EmbeddingError, EmbeddingTable, cosine, knn_with_initial, load_embeddings,
 )
 
 
@@ -230,16 +229,16 @@ def test_knn_index_released_with_its_vocabulary():
 # --- char one-hot -----------------------------------------------------------
 
 def test_onehot_poet():
-    block = char_onehot_block("poet")
+    block = AcrosticSpec.from_word("poet").onehot_block()
     for row, ch in enumerate("poet"):
         assert block[row, ord(ch) - ord("a")] == 1
     for row in range(4, 8):
         assert block[row, 26] == 1
 
 def test_onehot_full_length_no_pad():
-    assert char_onehot_block("abcdefgh")[:, 26].sum() == 0
+    assert AcrosticSpec.from_word("abcdefgh").onehot_block()[:, 26].sum() == 0
 
 def test_onehot_rejects_bad_words():
     for bad in ["po3t", "", "abcdefghi"]:
-        with pytest.raises(EmbeddingError):
-            char_onehot_block(bad)
+        with pytest.raises(CorpusError):
+            AcrosticSpec.from_word(bad).onehot_block()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -312,4 +314,46 @@ def test_checkpoint_header_not_json(tmp_path, first):
     garbled = data[:14] + first + b"{" * (hlen - 1) + data[14 + hlen:]
     path.write_bytes(garbled)
     with pytest.raises(NetError, match="corrupt checkpoint header"):
+        load_checkpoint(path)
+
+def _with_header(path, data, header: bytes):
+    hlen = int.from_bytes(data[6:14], "little")
+    path.write_bytes(data[:6] + len(header).to_bytes(8, "little") + header
+                     + data[14 + hlen:])
+
+_GOOD_ENTRY = {"kind": "p", "name": "b", "shape": [4]}
+
+@pytest.mark.parametrize("header", [
+    [1],
+    "step",
+    {"meta": {}, "entries": []},
+    {"step": 0, "entries": []},
+    {"step": 0, "meta": {}},
+    {"step": "3", "meta": {}, "entries": []},
+    {"step": True, "meta": {}, "entries": []},
+    {"step": -1, "meta": {}, "entries": []},
+    {"step": 0, "meta": [], "entries": []},
+    {"step": 0, "meta": {}, "entries": {}},
+    {"step": 0, "meta": {}, "entries": [1]},
+    {"step": 0, "meta": {}, "entries": [dict(_GOOD_ENTRY, kind="x")]},
+    {"step": 0, "meta": {}, "entries": [dict(_GOOD_ENTRY, name=5)]},
+    {"step": 0, "meta": {}, "entries": [{"kind": "p", "name": "b"}]},
+    {"step": 0, "meta": {}, "entries": [dict(_GOOD_ENTRY, shape="4")]},
+    {"step": 0, "meta": {}, "entries": [dict(_GOOD_ENTRY, shape=[-3])]},
+    {"step": 0, "meta": {}, "entries": [dict(_GOOD_ENTRY, shape=[2.5])]},
+    {"step": 0, "meta": {}, "entries": [dict(_GOOD_ENTRY, shape=[True])]},
+])
+def test_checkpoint_header_bad_structure(tmp_path, header):
+    path, data = _small_checkpoint(tmp_path)
+    _with_header(path, data, json.dumps(header).encode())
+    with pytest.raises(NetError, match="corrupt checkpoint header"):
+        load_checkpoint(path)
+
+def test_checkpoint_huge_shape_is_truncation(tmp_path):
+    # a product past 2**64 must not wrap around to a small byte count
+    path, data = _small_checkpoint(tmp_path)
+    entry = dict(_GOOD_ENTRY, shape=[2 ** 62, 4])
+    _with_header(path, data, json.dumps(
+        {"step": 0, "meta": {}, "entries": [entry]}).encode())
+    with pytest.raises(NetError, match="truncated checkpoint: b needs"):
         load_checkpoint(path)

@@ -81,7 +81,7 @@ def test_poem_log_prob_matches_stepwise_oracle(table):
     cond = model.poem_condition(poem, table)
     got = model.poem_log_prob(poem, cond)
     # oracle: accumulate lm_forward one prefix at a time
-    ids = model.encode_poem(poem)
+    ids = model.vocab.encode_poem(poem)
     total = 0.0
     for i in range(1, len(ids)):
         probs = model.lm_forward(ids[:i], cond)
@@ -92,7 +92,7 @@ def test_poem_log_prob_matches_stepwise_oracle(table):
 def test_step_state_matches_full_forward(table):
     model, poems = fresh_model(table)
     cond = model.poem_condition(poems[1], table)
-    ids = model.encode_poem(poems[1])[:6]
+    ids = model.vocab.encode_poem(poems[1])[:6]
     state = model.init_state()
     for i, tok in enumerate(ids):
         probs_inc = model.step(state, tok, cond)
@@ -221,3 +221,15 @@ def test_checkpoint_roundtrip_preserves_ppl(table, tmp_path):
     p2 = tmp_path / "lm2.ckpt"
     save_lm(p2, loaded)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_training_leaves_fixed_embeddings_untouched(table):
+    model, poems = fresh_model(table, max_epochs=2, patience=10)
+    passed_in = model.store[EMB_NAME].copy()
+    train_lm(model, poems[:20], poems[20:], table,
+             pretrain_sentences=make_plain_sentences(20, seed=1))
+    train_lm(model, poems[:20], poems[20:], table)
+    assert np.array_equal(model.store[EMB_NAME], passed_in)
+    assert not model.store.m[EMB_NAME].any()
+    assert not model.store.v[EMB_NAME].any()
+    assert EMB_NAME not in model.store.zero_grads()

@@ -133,3 +133,12 @@ def test_checkpoint_roundtrip(tmp_path, tiny_topics):
     p2 = tmp_path / "topics2.ckpt"
     save_topics(p2, loaded, history)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_training_leaves_fixed_embeddings_untouched(tiny_topics, table):
+    model, _, _ = tiny_topics
+    passed_in = build_embedding_matrix(model.vocab, table)
+    assert np.array_equal(model.store[EMB_NAME], passed_in)
+    assert not model.store.m[EMB_NAME].any()
+    assert not model.store.v[EMB_NAME].any()
+    assert EMB_NAME not in model.store.zero_grads()
