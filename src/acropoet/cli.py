@@ -13,7 +13,7 @@ import logging
 import os
 import re
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 import click
 import numpy as np
@@ -41,6 +41,7 @@ from .topics import (
 
 log = logging.getLogger(__name__)
 
+PROFILES = ["paper_scale", "desk_scale"]
 PIPELINE_ERRORS = (CorpusError, EmbeddingError, NetError, PoemLmError,
                    RhymerError, TopicError, DecodeError, OSError, KeyError)
 
@@ -68,13 +69,15 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _section(obj: dict, name: str, cls) -> dict:
-    """The config file's `name` section; every key must be a field of cls."""
-    section = dict(obj["file"].get(name, {}))
-    unknown = sorted(set(section) - {f.name for f in fields(cls)})
-    if unknown:
-        raise click.UsageError(f"unknown key {unknown[0]!r} in config "
-                               f"section {name!r}")
-    return section
+    """The config file's `name` section; every key must be a field of cls
+    and every value of that field's type."""
+    section = obj["file"].get(name, {})
+    if not isinstance(section, dict):
+        raise click.UsageError(f"config section {name!r} is not an object")
+    problem = net.field_problem(section, cls)
+    if problem:
+        raise click.UsageError(f"{problem} in config section {name!r}")
+    return dict(section)
 
 
 def _component_config(obj: dict, name: str, cls, flag_overrides=None):
@@ -95,7 +98,7 @@ def _component_config(obj: dict, name: str, cls, flag_overrides=None):
               help="JSON config file with profile/seed/per-component "
                    "hyperparameter sections.")
 @click.option("--profile",
-              type=click.Choice(["paper_scale", "desk_scale"]),
+              type=click.Choice(PROFILES),
               default=None, help="Hyperparameter profile.")
 @click.option("--seed", type=int, default=None,
               help="Root seed; every component derives its own stream.")
@@ -111,13 +114,17 @@ def main(ctx, config_path, profile, seed, verbose):
         try:
             with open(config_path, encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
             raise click.UsageError(f"bad config file: {exc}")
-    ctx.obj = {
-        "file": file_cfg,
-        "profile": profile or file_cfg.get("profile", "desk_scale"),
-        "seed": seed if seed is not None else file_cfg.get("seed", 0),
-    }
+        if not isinstance(file_cfg, dict):
+            raise click.UsageError("bad config file: not a JSON object")
+    profile = profile or file_cfg.get("profile", "desk_scale")
+    if profile not in PROFILES:
+        raise click.UsageError(f"config profile must be one of {PROFILES}")
+    seed = seed if seed is not None else file_cfg.get("seed", 0)
+    if type(seed) is not int:
+        raise click.UsageError("config seed must be an integer")
+    ctx.obj = {"file": file_cfg, "profile": profile, "seed": seed}
 
 
 @main.command()

@@ -20,7 +20,7 @@ from . import net
 from .corpus import EOL, EOS, AcrosticSpec, Poem, Vocabulary, detokenize
 from .embed import EmbeddingError, EmbeddingTable, knn_with_initial
 from .poemlm import PoemLM
-from .rhymer import RhymerModel, _last_word, choose_rhyme
+from .rhymer import WORD_RE, RhymerModel, _last_word, choose_rhyme
 
 log = logging.getLogger(__name__)
 
@@ -114,6 +114,33 @@ class GenerationResult:
 # Boundary forcing
 # ---------------------------------------------------------------------------
 
+class _LineRule:
+    """Closes the lines of a token stream fed one token at a time: at a
+    marker or at the token cap, and the poem after `target_lines` lines."""
+
+    def __init__(self, target_lines: int, max_tokens_per_line: int):
+        self.lines_left = target_lines
+        self.cap = max_tokens_per_line
+        self.in_line = 0
+
+    def push(self, tok: str, out: list[str]) -> str | None:
+        """Append tok to out unless it is a marker; return the marker that
+        closes the line (EOL, or EOS at the poem's end, which turns a
+        terminal "," or ";" of out into "."), or None."""
+        if tok not in (EOL, EOS):
+            out.append(tok)
+            self.in_line += 1
+            if self.in_line < self.cap:
+                return None
+        self.in_line = 0
+        self.lines_left -= 1
+        if self.lines_left > 0:
+            return EOL
+        if out and out[-1] in (",", ";"):
+            out[-1] = "."
+        return EOS
+
+
 def force_line_boundaries(tokens: list[str], target_lines: int,
                           max_tokens_per_line: int = 15) -> list[str]:
     """Rewrite a sampled token stream so it has exactly `target_lines` lines.
@@ -123,32 +150,14 @@ def force_line_boundaries(tokens: list[str], target_lines: int,
     the stream.  Lines hitting the token cap get a forced boundary.  A
     terminal "," or ";" is rewritten to ".".
     """
+    rule = _LineRule(target_lines, max_tokens_per_line)
     out: list[str] = []
-    line_no = 1
-    in_line = 0
-
-    def boundary() -> bool:
-        """Emit the right marker; True when the poem is finished."""
-        nonlocal line_no, in_line
-        if line_no < target_lines:
-            out.append(EOL)
-            line_no += 1
-            in_line = 0
-            return False
-        if out and out[-1] in (",", ";"):
-            out[-1] = "."
-        out.append(EOS)
-        return True
-
     for tok in tokens:
-        if tok in (EOL, EOS):
-            if boundary():
-                return out
-        else:
-            out.append(tok)
-            in_line += 1
-            if in_line >= max_tokens_per_line and boundary():
-                return out
+        end = rule.push(tok, out)
+        if end is not None:
+            out.append(end)
+        if end == EOS:
+            break
     return out
 
 
@@ -293,6 +302,7 @@ def _apply_rhyme(models: ModelBundle, result: GenerationResult,
         text = text[:offset]
     cands = models.rhymer.rhyme_candidates(a, text, width=cfg.beam_width)
     result.rhymer_calls += 1
+    cands = [cand for cand in cands if WORD_RE.fullmatch(cand[0])]
     if hit is None or not cands:
         return None
     original = hit[0]
@@ -304,7 +314,7 @@ def _apply_rhyme(models: ModelBundle, result: GenerationResult,
         return None
     line = lines[slot - 1]
     idx = next((i for i in range(len(line) - 1, -1, -1)
-                if re.fullmatch(r"[a-z]+(?:'[a-z]+)*", line[i])), None)
+                if WORD_RE.fullmatch(line[i])), None)
     if idx is None:
         return None
     if idx == 0 and cfg.ac and chosen[:1] != result.word[slot - 1]:
@@ -346,6 +356,7 @@ def generate_poem(word: str, cfg: GenerationConfig,
 
     lm_cursor = _LmCursor(lm, cond)
     masks = _masks(v)
+    rule = _LineRule(n_lines, cfg.max_tokens_per_line)
     lines: list[list[str]] = []
 
     for line_no in range(1, n_lines + 1):
@@ -354,33 +365,27 @@ def generate_poem(word: str, cfg: GenerationConfig,
         tid, path = first_word(word[line_no - 1], word, probs, cfg, lm,
                                table, coin_rng, sample_rng)
         result.first_word_paths.append(path)
-        line.append(v.id_to_token[tid])
         last_word_dist = probs.copy()
-        lm_cursor.feed(tid)
         # a nearest-neighbor first word may not end the line alone
         mask = masks.first if path == "knn" else masks.base
-
-        while len(line) < cfg.max_tokens_per_line:
+        while True:
+            end = rule.push(v.id_to_token[tid], line)
+            if tid not in (v.eol_id, v.eos_id):
+                lm_cursor.feed(tid)
+            if end is not None:
+                break
             probs = lm_cursor.probs
             tid = _sample_id(probs, mask, sample_rng, cfg.temperature)
             mask = masks.base
-            if tid in (v.eol_id, v.eos_id):
-                break
-            tok = v.id_to_token[tid]
-            line.append(tok)
-            if re.fullmatch(r"[a-z]+(?:'[a-z]+)*", tok):
+            if WORD_RE.fullmatch(v.id_to_token[tid]):
                 last_word_dist = probs.copy()
-            lm_cursor.feed(tid)
 
         lines.append(line)
         changed_from = None
         if cfg.rh and line_no in slots:
             changed_from = _apply_rhyme(models, result, lines, line_no,
                                         last_word_dist, cfg)
-        if line_no == n_lines:
-            if line and line[-1] in (",", ";"):
-                line[-1] = "."
-        else:
+        if end == EOL:
             lm_cursor.end_line(line, changed_from)
 
     result.poem = Poem(lines=lines, topic=word)

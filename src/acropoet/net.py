@@ -15,7 +15,7 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -107,22 +107,28 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def lstm_step(x, h_prev, c_prev, Wx, Wh, b):
-    """One LSTM recurrence step; gate order is input, forget, cell, output."""
+def _cell(x, h_prev, c_prev, Wx, Wh, b):
+    """LSTM cell, gates in order input, forget, cell, output; returns
+    ((h, c), (i, f, g, o, tanh(c))), the second part for backprop."""
     H = Wh.shape[0]
-    if x.shape[-1] != Wx.shape[0] or h_prev.shape[-1] != H:
-        raise NetError(
-            f"lstm_step dimension mismatch: x {x.shape}, h {h_prev.shape}, "
-            f"Wx {Wx.shape}, Wh {Wh.shape}"
-        )
     a = x @ Wx + h_prev @ Wh + b
     i = _sigmoid(a[..., :H])
     f = _sigmoid(a[..., H:2 * H])
     g = np.tanh(a[..., 2 * H:3 * H])
     o = _sigmoid(a[..., 3 * H:])
     c = f * c_prev + i * g
-    h = o * np.tanh(c)
-    return h, c
+    tc = np.tanh(c)
+    return (o * tc, c), (i, f, g, o, tc)
+
+
+def lstm_step(x, h_prev, c_prev, Wx, Wh, b):
+    """One LSTM recurrence step; returns (h, c)."""
+    if x.shape[-1] != Wx.shape[0] or h_prev.shape[-1] != Wh.shape[0]:
+        raise NetError(
+            f"lstm_step dimension mismatch: x {x.shape}, h {h_prev.shape}, "
+            f"Wx {Wx.shape}, Wh {Wh.shape}"
+        )
+    return _cell(x, h_prev, c_prev, Wx, Wh, b)[0]
 
 
 class LstmLayer:
@@ -156,23 +162,11 @@ class LstmLayer:
         H = self.hidden
         h = np.zeros((B, H))
         c = np.zeros((B, H))
-        cache = {"X": X, "mask": mask, "i": [], "f": [], "g": [], "o": [],
-                 "tanh_c": [], "h_prev": [], "c_prev": []}
+        steps = []  # per step: (h_prev, c_prev, gates)
         Hs = np.empty((T, B, H))
         for t in range(T):
-            a = X[t] @ Wx + h @ Wh + b
-            i = _sigmoid(a[:, :H])
-            f = _sigmoid(a[:, H:2 * H])
-            g = np.tanh(a[:, 2 * H:3 * H])
-            o = _sigmoid(a[:, 3 * H:])
-            c_new = f * c + i * g
-            tc = np.tanh(c_new)
-            h_new = o * tc
-            cache["h_prev"].append(h)
-            cache["c_prev"].append(c)
-            for k, v in zip(("i", "f", "g", "o", "tanh_c"),
-                            (i, f, g, o, tc)):
-                cache[k].append(v)
+            (h_new, c_new), gates = _cell(X[t], h, c, Wx, Wh, b)
+            steps.append((h, c, gates))
             if mask is not None:
                 m = mask[t][:, None]
                 h = m * h_new + (1.0 - m) * h
@@ -180,13 +174,13 @@ class LstmLayer:
             else:
                 h, c = h_new, c_new
             Hs[t] = h
-        return Hs, cache
+        return Hs, (X, mask, steps)
 
     def backward(self, dH: np.ndarray, cache,
                  grads: dict[str, np.ndarray]) -> np.ndarray:
         """Backprop through the sequence; dH is (T,B,H). Returns dX."""
         Wx, Wh, b = self._weights()
-        X, mask = cache["X"], cache["mask"]
+        X, mask, steps = cache
         T, B, D = X.shape
         H = self.hidden
         dWx = grads[f"{self.name}.Wx"]
@@ -196,9 +190,7 @@ class LstmLayer:
         dh_next = np.zeros((B, H))
         dc_next = np.zeros((B, H))
         for t in range(T - 1, -1, -1):
-            i, f, g, o, tc = (cache[k][t]
-                              for k in ("i", "f", "g", "o", "tanh_c"))
-            h_prev, c_prev = cache["h_prev"][t], cache["c_prev"][t]
+            h_prev, c_prev, (i, f, g, o, tc) = steps[t]
             dh_t = dH[t] + dh_next
             dc_t = dc_next
             if mask is not None:
@@ -558,6 +550,45 @@ def _header_ok(header) -> bool:
                     and isinstance(e.get("shape"), list)
                     and all(map(_is_count, e["shape"]))
                     for e in header["entries"]))
+
+
+def _json_is(value, want) -> bool:
+    """Whether a parsed JSON value has type `want`: an int passes for a
+    float, a bool never for an int, and list[str] checks every item."""
+    if want is float:
+        return type(value) in (int, float)
+    if getattr(want, "__origin__", None) is list:
+        return type(value) is list and all(
+            _json_is(item, want.__args__[0]) for item in value)
+    return type(value) is want
+
+
+def field_problem(values: dict, cls) -> str | None:
+    """Why `values` cannot be the keyword arguments of dataclass cls: a
+    key that is not a field, or a value of another type than the field's
+    default; None when they can."""
+    types = {f.name: type(f.default) for f in fields(cls)}
+    unknown = sorted(set(values) - set(types))
+    if unknown:
+        return f"unknown key {unknown[0]!r}"
+    for key, value in sorted(values.items()):
+        if not _json_is(value, types[key]):
+            return (f"key {key!r} must be {types[key].__name__}, got "
+                    f"{json.dumps(value)}")
+    return None
+
+
+def meta_problem(meta: dict, kind: str, config_cls, **required) -> str | None:
+    """What is wrong with the meta of a checkpoint of `kind`: another kind,
+    a required key (`config`, a dict of config_cls fields, plus each
+    keyword's key) missing or of the wrong type; None when it is sound."""
+    if meta.get("kind") != kind:
+        return f"not a {kind} checkpoint"
+    for key, want in {"config": dict, **required}.items():
+        if not _json_is(meta.get(key), want):
+            return f"checkpoint meta {key!r} is missing or of the wrong type"
+    problem = field_problem(meta["config"], config_cls)
+    return problem and f"checkpoint meta 'config': {problem}"
 
 
 def load_checkpoint(path) -> tuple[ParameterStore, dict]:

@@ -418,8 +418,10 @@ def save_lm(path, trained: TrainedLm) -> None:
 
 def load_lm(path) -> TrainedLm:
     store, meta = net.load_checkpoint(path)
-    if meta.get("kind") != "poemlm":
-        raise PoemLmError(f"{path}: not a poem LM checkpoint")
+    problem = net.meta_problem(meta, "poemlm", LmConfig, variant=str,
+                               topic_dim=int, vocab=list[str])
+    if problem:
+        raise PoemLmError(f"{path}: {problem}")
     vocab = Vocabulary(meta["vocab"])
     cfg = LmConfig(**meta["config"])
     model = PoemLM(vocab, cfg, topic_dim=meta["topic_dim"],

@@ -39,7 +39,7 @@ SONNET_LINES = 14
 SONNET_SCHEME = "ABABCDCDEFEFGG"
 MAX_WORD_LEN = 20
 
-_WORD_RE = re.compile(r"[a-z]+(?:'[a-z]+)*")
+WORD_RE = re.compile(r"[a-z]+(?:'[a-z]+)*")
 _CHUNK_RE = re.compile(r"\S+")
 
 
@@ -76,7 +76,7 @@ def _last_word(line: str):
     for chunk in reversed(list(_CHUNK_RE.finditer(line.lower()))):
         text = chunk.group()
         core = text.strip(string.punctuation.replace("'", "") + "'")
-        if core and _WORD_RE.fullmatch(core):
+        if core and WORD_RE.fullmatch(core):
             return core, chunk.start() + text.index(core)
     return None
 
@@ -388,6 +388,7 @@ def save_rhymer(path, model: RhymerModel, history: list[dict]) -> None:
 
 def load_rhymer(path) -> RhymerModel:
     store, meta = net.load_checkpoint(path)
-    if meta.get("kind") != "rhymer":
-        raise RhymerError(f"{path}: not a rhymer checkpoint")
+    problem = net.meta_problem(meta, "rhymer", RhymerConfig)
+    if problem:
+        raise RhymerError(f"{path}: {problem}")
     return RhymerModel(RhymerConfig(**meta["config"]), store=store)

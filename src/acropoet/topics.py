@@ -176,8 +176,10 @@ def save_topics(path, model: TopicClassifier, history: list[dict]) -> None:
 
 def load_topics(path) -> TopicClassifier:
     store, meta = net.load_checkpoint(path)
-    if meta.get("kind") != "topics":
-        raise TopicError(f"{path}: not a topic classifier checkpoint")
+    problem = net.meta_problem(meta, "topics", TopicConfig,
+                               labels=list[str], vocab=list[str])
+    if problem:
+        raise TopicError(f"{path}: {problem}")
     vocab = Vocabulary(meta["vocab"])
     return TopicClassifier(vocab, meta["labels"],
                            TopicConfig(**meta["config"]),

@@ -1,8 +1,10 @@
-"""The names the traced benchmark run wraps must keep resolving.
+"""The names the traced benchmark run wraps must keep resolving, and the
+calls it counts must come from the paths it expects.
 
 `bench/layers.py` wraps callables in the modules that look them up; a
-refactor that moves or renames one makes `bench/run.py --trace 1` fail its
-span-coverage check.  These tests catch that in seconds.
+refactor that moves or renames one, or routes another path through it,
+makes `bench/run.py --trace 1` fail its span-coverage check or miscount.
+These tests catch that in seconds.
 """
 
 import importlib.util
@@ -11,13 +13,15 @@ import math
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 from helpers import make_poems
 
-from acropoet import poemlm
+from acropoet import net, poemlm, rhymer
 from acropoet.corpus import build_vocabulary
 from acropoet.poemlm import (
     LmConfig, LmVariant, PoemLM, build_embedding_matrix, train_lm,
 )
+from acropoet.rhymer import RhymerConfig, RhymerModel
 
 LAYERS_PATH = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 
@@ -39,6 +43,24 @@ def test_every_wrapped_name_resolves():
             owner, attr, name)
 
 
+def _count_calls(monkeypatch, owner, name, calls):
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[f"{owner.__name__}.{name}"] += 1
+        return real(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+
+
+def _tiny_lm(table, train, n_layers=1):
+    vocab = build_vocabulary(train, max_size=200)
+    cfg = LmConfig(n_layers=n_layers, hidden=8, dropout=0.0, lr=0.01,
+                   batch_size=8, patience=5, max_epochs=2, seed=0)
+    return PoemLM(vocab, cfg, topic_dim=table.dim,
+                  emb_matrix=build_embedding_matrix(vocab, table),
+                  variant=LmVariant.from_name("gold+"))
+
+
 def test_lm_training_calls_through_poemlm_globals(table, monkeypatch):
     calls = Counter()
     for name in ("adam_update", "clip_global_norm", "softmax_xent_batch"):
@@ -48,15 +70,57 @@ def test_lm_training_calls_through_poemlm_globals(table, monkeypatch):
             return _real(*args, **kwargs)
         monkeypatch.setattr(poemlm, name, counted)
     train = make_poems(20, seed=1)
-    vocab = build_vocabulary(train, max_size=200)
-    cfg = LmConfig(n_layers=1, hidden=8, dropout=0.0, lr=0.01,
-                   batch_size=8, patience=5, max_epochs=2, seed=0)
-    model = PoemLM(vocab, cfg, topic_dim=table.dim,
-                   emb_matrix=build_embedding_matrix(vocab, table),
-                   variant=LmVariant.from_name("gold+"))
+    model = _tiny_lm(table, train)
+    cfg = model.cfg
     history = train_lm(model, train, make_poems(4, seed=2), table)
     batches = (len(history) - 1) * math.ceil(len(train) / cfg.batch_size)
     assert batches == 6
     assert calls["adam_update"] == batches
     assert calls["clip_global_norm"] == batches
     assert calls["softmax_xent_batch"] >= batches
+
+
+# `net.lstm_step_calls` and `rhymer.decoder_steps` count the public step
+# functions, and the train-lm workload expects `net.lstm_step` to record
+# nothing; the layer forward passes must use the cell directly.
+
+def test_lm_training_and_perplexity_make_no_step_calls(table, monkeypatch):
+    calls = Counter()
+    _count_calls(monkeypatch, net, "lstm_step", calls)
+    _count_calls(monkeypatch, rhymer, "lstm_step", calls)
+    train = make_poems(20, seed=1)
+    model = _tiny_lm(table, train, n_layers=2)
+    train_lm(model, train, make_poems(4, seed=2), table, max_epochs=1)
+    model.perplexity(make_poems(4, seed=3), table)
+    assert calls == Counter()
+
+
+def test_poemlm_step_makes_one_step_call_per_layer(table, monkeypatch):
+    calls = Counter()
+    _count_calls(monkeypatch, net, "lstm_step", calls)
+    model = _tiny_lm(table, make_poems(20, seed=1), n_layers=3)
+    state = model.init_state()
+    cond = np.zeros(model.in_dim - model.embed_dim)
+    for tid in (model.vocab.bos_id, model.vocab.token_to_id["ash"]):
+        model.step(state, tid, cond)
+    assert calls == Counter({"acropoet.net.lstm_step": 2 * 3})
+
+
+def test_rhymer_decoder_steps_through_rhymer_lstm_step(monkeypatch):
+    calls = Counter()
+    _count_calls(monkeypatch, net, "lstm_step", calls)
+    _count_calls(monkeypatch, rhymer, "lstm_step", calls)
+    beam_search = rhymer.beam_search
+
+    def counting_beam_search(step_fn, *args, **kwargs):
+        def step(*a):
+            calls["step_fn"] += 1
+            return step_fn(*a)
+        return beam_search(step, *args, **kwargs)
+
+    monkeypatch.setattr(rhymer, "beam_search", counting_beam_search)
+    model = RhymerModel(RhymerConfig.desk_scale(seed=1))
+    model.rhyme_candidates("day", "the sea at night and the", width=3)
+    assert calls["step_fn"] > 0
+    assert calls == Counter({"acropoet.rhymer.lstm_step": calls["step_fn"],
+                             "step_fn": calls["step_fn"]})

@@ -8,6 +8,7 @@ from acropoet.cli import main
 from acropoet.corpus import (
     Poem, RawDocument, read_poems, split_into_training_poems, write_poems,
 )
+from acropoet.net import load_checkpoint, save_checkpoint
 
 DIM = 8
 
@@ -365,3 +366,80 @@ def test_unknown_generate_config_key_is_usage_error(workdir, tmp_path):
     assert result.exit_code == 2
     assert "Traceback" not in result.output
     assert "'bogus'" in result.output and "'generate'" in result.output
+
+
+def _train_topics_args(root, tmp_path):
+    return ["train", "topics", "--train", root / "train.jsonl",
+            "--dev", root / "dev.jsonl", "--embeddings", root / "vectors.txt",
+            "--dim", DIM, "--out", tmp_path / "t.ckpt"]
+
+
+@pytest.mark.parametrize("config", [
+    [1], {"topics": 5}, {"topics": {"hidden": "big"}},
+    {"topics": {"hidden": True}}, {"topics": {"lr": "0.1"}},
+    {"topics": {"hidden": 8.0}}, {"seed": "x"}, {"profile": "huge"},
+    b"\xff{}",
+], ids=repr)
+def test_bad_config_file_is_usage_error(workdir, tmp_path, config):
+    root, _ = workdir
+    path = tmp_path / "config.json"
+    path.write_bytes(config if isinstance(config, bytes)
+                     else json.dumps(config).encode())
+    result = CliRunner().invoke(main, ["--config", str(path), *[
+        str(a) for a in _train_topics_args(root, tmp_path)]])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "t.ckpt").exists()
+
+
+def test_int_config_value_accepted_for_float_field(workdir, tmp_path):
+    root, _ = workdir
+    result = _run_with_config(
+        tmp_path, {"topics": {"hidden": 4, "lr": 1, "batch_size": 8,
+                              "patience": 0, "max_epochs": 1}},
+        *_train_topics_args(root, tmp_path))
+    assert result.exit_code == 0, result.output
+    log = json.loads((tmp_path / "t.ckpt.json").read_text())
+    assert log["config"]["lr"] == 1
+
+
+META_CASES = [
+    ("lm", lambda m: m.pop("vocab"), "'vocab'"),
+    ("lm", lambda m: m.update(vocab=5), "'vocab'"),
+    ("lm", lambda m: m.update(vocab=[1, 2]), "'vocab'"),
+    ("lm", lambda m: m.pop("topic_dim"), "'topic_dim'"),
+    ("lm", lambda m: m.update(topic_dim=True), "'topic_dim'"),
+    ("lm", lambda m: m.update(variant=3), "'variant'"),
+    ("lm", lambda m: m.update(config=5), "'config'"),
+    ("lm", lambda m: m["config"].update(bogus=1), "'bogus'"),
+    ("lm", lambda m: m["config"].update(hidden="big"), "'hidden'"),
+    ("lm", lambda m: m.update(kind="topics"), "not a poemlm"),
+    ("rhymer", lambda m: m.pop("config"), "'config'"),
+    ("rhymer", lambda m: m["config"].update(bogus=1), "'bogus'"),
+    ("topics", lambda m: m.pop("labels"), "'labels'"),
+    ("topics", lambda m: m.update(vocab="ash"), "'vocab'"),
+    ("topics", lambda m: m["config"].update(bogus=1), "'bogus'"),
+]
+
+
+@pytest.mark.parametrize("kind,change,named", META_CASES,
+                         ids=[f"{k}-{i}" for i, (k, _, _) in
+                              enumerate(META_CASES)])
+def test_bad_checkpoint_meta_is_clean_error(workdir, tmp_path, kind,
+                                            change, named):
+    root, run = workdir
+    store, meta = load_checkpoint(root / f"{kind}.ckpt")
+    change(meta)
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, store, meta)
+    if kind == "topics":
+        result = run("label", "--checkpoint", bad, "--input",
+                     root / "dev.jsonl", "--output", tmp_path / "out.jsonl")
+    else:
+        models = (["--lm", bad, "--no-rh"] if kind == "lm" else
+                  ["--lm", root / "lm.ckpt", "--rhymer", bad])
+        result = run("generate", "glow", *models,
+                     "--embeddings", root / "vectors.txt", "--dim", DIM)
+    line = _assert_one_error_line(result)
+    assert "bad.ckpt" in line and named in line

@@ -416,6 +416,106 @@ def test_generate_rh_on_refeeds_only_changed_line_tails(bundle, monkeypatch):
     assert refed_lines > 0
 
 
+# --- generation closes lines by the rule force_line_boundaries applies -----
+
+@pytest.fixture(scope="module")
+def comma_bundle(table):
+    """An untrained LM whose output bias favours "," and ";" and the line
+    markers, so lines end on punctuation and the terminal rewrite runs."""
+    poems = [Poem(lines=[line + [",", ";"] for line in p.lines],
+                  topic=p.topic) for p in make_poems(6, seed=9)]
+    vocab = build_vocabulary(poems, max_size=200)
+    lm = PoemLM(vocab, LmConfig(n_layers=1, hidden=8, seed=0),
+                topic_dim=table.dim,
+                emb_matrix=build_embedding_matrix(vocab, table),
+                variant=LmVariant.from_name("gold+"))
+    bias = lm.store["lm.out.b"]
+    bias[[vocab.token_to_id[","], vocab.token_to_id[";"]]] = 2.0
+    bias[[vocab.eol_id, vocab.eos_id]] = 1.0
+    return ModelBundle(lm=lm, table=table)
+
+@pytest.mark.parametrize("cap", [2, 3, 4, 5])
+@pytest.mark.parametrize("lm_kind", ["trained", "commas"])
+def test_generation_follows_the_shared_line_rule(request, monkeypatch,
+                                                 lm_kind, cap):
+    models = request.getfixturevalue(
+        "bundle" if lm_kind == "trained" else "comma_bundle")
+    v = models.lm.vocab
+    stream = []  # every token drawn, markers included, in draw order
+    real_first, real_sample = decode.first_word, decode._sample_id
+
+    def first(*args, **kwargs):
+        n = len(stream)
+        tid, path = real_first(*args, **kwargs)
+        del stream[n:]  # a sampled first word is recorded once, here
+        stream.append(v.id_to_token[tid])
+        return tid, path
+
+    def sample(*args, **kwargs):
+        tid = real_sample(*args, **kwargs)
+        stream.append(v.id_to_token[tid])
+        return tid
+
+    monkeypatch.setattr(decode, "first_word", first)
+    monkeypatch.setattr(decode, "_sample_id", sample)
+    closed_by = {"cap": 0, "marker": 0}
+    rewrites = 0
+    for seed, word in enumerate(STEP_WORDS):
+        stream.clear()
+        cfg = GenerationConfig(rng_seed=seed, rh=False,
+                               max_tokens_per_line=cap)
+        result = generate_poem(word, cfg, models)
+        forced = force_line_boundaries(stream, len(word), cap)
+        assert forced[-1] == EOS
+        lines = [[]]
+        for tok in forced[:-1]:
+            if tok == EOL:
+                lines.append([])
+            else:
+                lines[-1].append(tok)
+        assert result.poem.lines == lines
+        for line in lines:
+            closed_by["cap" if len(line) == cap else "marker"] += 1
+        rewrites += [t for t in stream if t not in (EOL, EOS)][-1] in ",;"
+    if lm_kind == "trained":
+        assert all(closed_by.values()), closed_by
+    else:
+        assert rewrites > 0
+
+
+# --- rhyme substitution writes words only ----------------------------------
+
+class StubRhymer:
+    def __init__(self, words):
+        self.words = words
+
+    def rhyme_candidates(self, a, b, width=5):
+        return [(w, -float(i)) for i, w in enumerate(self.words)]
+
+def test_non_word_rhyme_candidates_are_never_substituted(bundle):
+    assert "ash" in bundle.lm.vocab
+
+    def models(words):
+        return ModelBundle(lm=bundle.lm, table=bundle.table,
+                           rhymer=StubRhymer(words))
+
+    substituted = 0
+    for seed, word in enumerate(STEP_WORDS[:6]):
+        plain = generate_poem(word, GenerationConfig(rng_seed=seed,
+                                                     rh=False), bundle)
+        symbols = generate_poem(word, GenerationConfig(rng_seed=seed),
+                                models(["/", "&"]))
+        assert symbols.poem.lines == plain.poem.lines
+        assert symbols.substitutions == []
+        assert symbols.rhymer_calls == len(symbols.scheme.substitution_slots)
+        mixed = generate_poem(word, GenerationConfig(rng_seed=seed),
+                              models(["/", "ash"]))
+        assert all(sub["replacement"] == "ash"
+                   for sub in mixed.substitutions)
+        substituted += len(mixed.substitutions)
+    assert substituted > 0
+
+
 # --- sampling masks: cached per vocabulary, released with it ---------------
 
 def test_masks_released_with_their_vocabulary():

@@ -58,6 +58,25 @@ def test_lstm_step_dim_mismatch():
 
 # --- masked softmax / cross entropy -----------------------------------------
 
+@pytest.mark.parametrize("seed", range(3))
+def test_masked_forward_matches_stepwise_cells(seed):
+    """LstmLayer.forward with a length mask equals lstm_step stepped over
+    each column's valid prefix, the state then held through the padding."""
+    rng = np.random.default_rng(seed)
+    T, B, D, H = 7, 5, 3, 4
+    layer = LstmLayer(ParameterStore(), "l", D, H, rng)
+    Wx, Wh, b = layer._weights()
+    X = rng.normal(size=(T, B, D))
+    lengths = rng.integers(1, T + 1, size=B)
+    Hs, _ = layer.forward(X, net.length_mask(lengths, T))
+    for j, L in enumerate(lengths):
+        h, c = np.zeros(H), np.zeros(H)
+        for t in range(T):
+            if t < L:
+                h, c = lstm_step(X[t, j], h, c, Wx, Wh, b)
+            assert np.allclose(Hs[t, j], h, rtol=0, atol=1e-12)
+
+
 def test_softmax_masked_all_ones_is_softmax():
     logits = np.array([1.0, 2.0, 3.0])
     p = softmax_masked(logits, np.ones(3))
