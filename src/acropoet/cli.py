@@ -20,8 +20,9 @@ import numpy as np
 
 from . import net
 from .corpus import (
-    CorpusError, Poem, line_count_histogram, read_documents, read_poems,
-    split_into_training_poems, tokenize, write_poems,
+    CorpusError, Poem, bad_utf8_message, line_count_histogram,
+    read_documents, read_poems, split_into_training_poems, tokenize,
+    write_poems,
 )
 from .decode import (
     DecodeError, GenerationConfig, ModelBundle, generate_poem, render_poem,
@@ -43,7 +44,7 @@ log = logging.getLogger(__name__)
 
 PROFILES = ["paper_scale", "desk_scale"]
 PIPELINE_ERRORS = (CorpusError, EmbeddingError, NetError, PoemLmError,
-                   RhymerError, TopicError, DecodeError, OSError, KeyError)
+                   RhymerError, TopicError, DecodeError, OSError)
 
 
 def _fail(message) -> None:
@@ -100,7 +101,7 @@ def _component_config(obj: dict, name: str, cls, flag_overrides=None):
 @click.option("--profile",
               type=click.Choice(PROFILES),
               default=None, help="Hyperparameter profile.")
-@click.option("--seed", type=int, default=None,
+@click.option("--seed", type=click.IntRange(min=0), default=None,
               help="Root seed; every component derives its own stream.")
 @click.option("-v", "--verbose", is_flag=True)
 @click.pass_context
@@ -114,7 +115,8 @@ def main(ctx, config_path, profile, seed, verbose):
         try:
             with open(config_path, encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
-        except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+        except (OSError, ValueError, RecursionError) as exc:
+            # ValueError: bad JSON or UTF-8; RecursionError: nested too deep
             raise click.UsageError(f"bad config file: {exc}")
         if not isinstance(file_cfg, dict):
             raise click.UsageError("bad config file: not a JSON object")
@@ -122,8 +124,8 @@ def main(ctx, config_path, profile, seed, verbose):
     if profile not in PROFILES:
         raise click.UsageError(f"config profile must be one of {PROFILES}")
     seed = seed if seed is not None else file_cfg.get("seed", 0)
-    if type(seed) is not int:
-        raise click.UsageError("config seed must be an integer")
+    if type(seed) is not int or seed < 0:
+        raise click.UsageError("config seed must be a non-negative integer")
     ctx.obj = {"file": file_cfg, "profile": profile, "seed": seed}
 
 
@@ -151,8 +153,11 @@ def prepare(input_path, output_path):
 
 
 def _read_pretrain(path: str) -> list[list[str]]:
-    with open(path, encoding="utf-8") as fh:
-        sentences = [tokenize(line) for line in fh if line.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            sentences = [tokenize(line) for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise CorpusError(bad_utf8_message(path, exc)) from None
     return [s for s in sentences if s]
 
 

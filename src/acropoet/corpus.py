@@ -280,23 +280,68 @@ def derive_training_condition(poem: Poem) -> AcrosticSpec:
 # JSONL I/O
 # ---------------------------------------------------------------------------
 
+def bad_utf8_message(path, exc: UnicodeDecodeError) -> str:
+    """"path:line: not valid UTF-8 (reason)" for a text file whose reading
+    raised exc, with the line of the first byte that is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+        line = 0
+    except UnicodeDecodeError as first:
+        line = data.count(b"\n", 0, first.start) + 1
+    return f"{path}:{line}: not valid UTF-8 ({exc.reason})"
+
+
+def _records(path):
+    """("path:line", object) for each non-blank line of a JSONL file;
+    CorpusError for bytes that are not UTF-8, malformed JSON, or a line
+    that is not a JSON object."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                if not raw.strip():
+                    continue
+                where = f"{path}:{lineno}"
+                try:
+                    rec = json.loads(raw)
+                except (json.JSONDecodeError, RecursionError) as exc:
+                    raise CorpusError(f"{where}: malformed JSON ({exc})")
+                if not isinstance(rec, dict):
+                    raise CorpusError(f"{where}: not a JSON object")
+                yield where, rec
+    except UnicodeDecodeError as exc:
+        raise CorpusError(bad_utf8_message(path, exc)) from None
+
+
+def _field(rec: dict, key: str, ok, want: str, where: str, default=None):
+    """rec[key] (default when absent); CorpusError unless ok(value)."""
+    value = rec.get(key, default)
+    if not ok(value):
+        raise CorpusError(f"{where}: {key!r} must be {want}")
+    return value
+
+
+def _is_strs(value) -> bool:
+    return type(value) is list and all(type(s) is str for s in value)
+
+
+def _is_opt_str(value) -> bool:
+    return value is None or type(value) is str
+
+
 def read_documents(path) -> list[RawDocument]:
     docs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            if not raw.strip():
-                continue
-            try:
-                rec = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed JSON ({exc})")
-            docs.append(
-                RawDocument(
-                    lines=rec["lines"],
-                    source_tag=rec.get("source", "plain_text"),
-                    topic=rec.get("topic"),
-                )
-            )
+    for where, rec in _records(path):
+        lines = _field(rec, "lines", _is_strs, "a list of strings", where)
+        tag = _field(rec, "source", lambda v: type(v) is str, "a string",
+                     where, "plain_text")
+        topic = _field(rec, "topic", _is_opt_str, "a string", where)
+        try:
+            docs.append(RawDocument(lines=lines, source_tag=tag,
+                                    topic=topic))
+        except CorpusError as exc:
+            raise CorpusError(f"{where}: {exc}") from None
     return docs
 
 
@@ -313,21 +358,17 @@ def write_poems(path, poems: Iterable[Poem]) -> None:
 
 def read_poems(path) -> list[Poem]:
     poems = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            if not raw.strip():
-                continue
-            try:
-                rec = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed JSON ({exc})")
-            poems.append(
-                Poem(
-                    lines=rec["lines"],
-                    topic=rec.get("topic"),
-                    topic_confidence=rec.get("topic_confidence"),
-                )
-            )
+    for where, rec in _records(path):
+        lines = _field(rec, "lines",
+                       lambda v: type(v) is list and all(map(_is_strs, v)),
+                       "a list of token lists", where)
+        poems.append(Poem(
+            lines=lines,
+            topic=_field(rec, "topic", _is_opt_str, "a string", where),
+            topic_confidence=_field(
+                rec, "topic_confidence",
+                lambda v: v is None or type(v) in (int, float), "a number",
+                where)))
     return poems
 
 

@@ -20,7 +20,7 @@ from . import net
 from .corpus import EOL, EOS, AcrosticSpec, Poem, Vocabulary, detokenize
 from .embed import EmbeddingError, EmbeddingTable, knn_with_initial
 from .poemlm import PoemLM
-from .rhymer import WORD_RE, RhymerModel, _last_word, choose_rhyme
+from .rhymer import WORD_RE, RhymerModel, choose_rhyme
 
 log = logging.getLogger(__name__)
 
@@ -78,6 +78,8 @@ class GenerationConfig:
             self.m1, self.m2 = 0.0, 1.0
         if self.max_tokens_per_line < 1:
             raise DecodeError("max_tokens_per_line must be positive")
+        if not self.temperature > 0:
+            raise DecodeError("temperature must be positive")
 
 
 @dataclass
@@ -284,38 +286,37 @@ class _LmCursor:
         self.probs = self.lm.step(self.state, v.eol_id, self.cond)
 
 
+def _last_word_index(line: list[str]) -> int | None:
+    """Index of the line's last word token (rhymer.WORD_RE), or None."""
+    return next((i for i in range(len(line) - 1, -1, -1)
+                 if WORD_RE.fullmatch(line[i])), None)
+
+
 def _apply_rhyme(models: ModelBundle, result: GenerationResult,
                  lines: list[list[str]], slot: int,
                  last_word_dist: np.ndarray | None,
                  cfg: GenerationConfig) -> int | None:
     """Substitute the slot line's last word; returns its index in the
     line if it changed, else None."""
-    scheme = result.scheme
-    partner_text = " ".join(lines[scheme.partner(slot) - 1])
-    a, _ = _last_word(partner_text) or ("", 0)
-    slot_text = " ".join(lines[slot - 1])
-    hit = _last_word(slot_text)
-    text = "\n".join(" ".join(l) for l in lines[:slot - 1] + [lines[slot - 1]])
-    if hit is not None:
-        # context ends right before the word being replaced
-        offset = len(text) - (len(slot_text) - hit[1])
-        text = text[:offset]
-    cands = models.rhymer.rhyme_candidates(a, text, width=cfg.beam_width)
+    partner = lines[result.scheme.partner(slot) - 1]
+    p = _last_word_index(partner)
+    line = lines[slot - 1]
+    idx = _last_word_index(line)
+    # context: the poem so far, up to right before the word being replaced
+    head = " ".join(line) if idx is None else " ".join(line[:idx] + [""])
+    text = "\n".join([" ".join(l) for l in lines[:slot - 1]] + [head])
+    cands = models.rhymer.rhyme_candidates(
+        "" if p is None else partner[p], text, width=cfg.beam_width)
     result.rhymer_calls += 1
     cands = [cand for cand in cands if WORD_RE.fullmatch(cand[0])]
-    if hit is None or not cands:
+    if idx is None or not cands:
         return None
-    original = hit[0]
+    original = line[idx]
     if last_word_dist is not None:
         chosen = choose_rhyme(cands, last_word_dist, models.lm.vocab)
     else:
         chosen = cands[0][0]
     if chosen == original:
-        return None
-    line = lines[slot - 1]
-    idx = next((i for i in range(len(line) - 1, -1, -1)
-                if WORD_RE.fullmatch(line[i])), None)
-    if idx is None:
         return None
     if idx == 0 and cfg.ac and chosen[:1] != result.word[slot - 1]:
         # never let a rhyme swap break the acrostic initial

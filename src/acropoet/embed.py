@@ -11,7 +11,7 @@ import weakref
 
 import numpy as np
 
-from .corpus import Vocabulary
+from .corpus import Vocabulary, bad_utf8_message
 
 log = logging.getLogger(__name__)
 
@@ -51,9 +51,7 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
     try:
         _read_vectors(path, expected_dim, vectors)
     except UnicodeDecodeError as exc:
-        raise EmbeddingError(
-            f"{path}:{_line_of_bad_utf8(path)}: not valid UTF-8 "
-            f"({exc.reason})") from None
+        raise EmbeddingError(bad_utf8_message(path, exc)) from None
     log.info("loaded %d embeddings of dim %d from %s",
              len(vectors), expected_dim, path)
     return EmbeddingTable(dim=expected_dim, vectors=vectors)
@@ -82,17 +80,6 @@ def _read_vectors(path, expected_dim: int,
                             "keeping the later one", token, lineno)
             vec.setflags(write=False)
             vectors[token] = vec
-
-
-def _line_of_bad_utf8(path) -> int:
-    """1-based line of the first byte that is not valid UTF-8."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        return data.count(b"\n", 0, exc.start) + 1
-    return 0
 
 
 def cosine(x: str, u: str, table: EmbeddingTable) -> float:

@@ -15,6 +15,7 @@ import logging
 import math
 import os
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -51,11 +52,12 @@ def child_rng(root_seed: int, *keys) -> np.random.Generator:
 # Parameter store
 # ---------------------------------------------------------------------------
 
-class ParameterStore:
-    """Named parameter arrays plus Adam moments and a step counter.
+class ParameterStore(Mapping):
+    """Named parameter arrays, as a mapping from name to array.
 
     Arrays named in `fixed` get no gradient, so training never changes
-    them; their (zero) moments are still saved with the rest.
+    them.  Adam moments and the step counter exist for training only:
+    `init_moments` creates them, and checkpoints do not hold them.
     """
 
     def __init__(self):
@@ -66,19 +68,27 @@ class ParameterStore:
         self.step = 0
 
     def add(self, name: str, array: np.ndarray) -> np.ndarray:
-        arr = np.asarray(array, dtype=np.float64)
         if name in self.params:
-            # re-attaching a layer to a loaded checkpoint keeps stored values
-            if self.params[name].shape != arr.shape:
-                raise NetError(f"shape mismatch re-adding {name!r}")
-            return self.params[name]
+            raise NetError(f"parameter {name!r} added twice")
+        arr = np.asarray(array, dtype=np.float64)
         self.params[name] = arr
-        self.m[name] = np.zeros_like(arr)
-        self.v[name] = np.zeros_like(arr)
         return arr
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.params[name]
+
+    def __iter__(self):
+        return iter(self.params)
+
+    def __len__(self) -> int:
+        return len(self.params)
+
+    def init_moments(self) -> None:
+        """Zero Adam moments for each trainable array that has none yet."""
+        for k, p in self.params.items():
+            if k not in self.fixed and k not in self.m:
+                self.m[k] = np.zeros_like(p)
+                self.v[k] = np.zeros_like(p)
 
     def zero_grads(self) -> dict[str, np.ndarray]:
         """One zero gradient per trainable array; fixed arrays get none."""
@@ -88,10 +98,21 @@ class ParameterStore:
     def copy_params(self) -> dict[str, np.ndarray]:
         return {k: p.copy() for k, p in self.params.items()}
 
-    def load_params(self, params: dict[str, np.ndarray]) -> None:
+    def load_params(self, params: Mapping[str, np.ndarray],
+                    source: str = "parameters") -> None:
+        """Copy `params` into the store's arrays.  They must match the
+        store name for name and shape for shape; otherwise raise NetError
+        naming `source` and every missing, extra or misshapen array."""
+        problems = [f"missing {k!r}" for k in self.params if k not in params]
+        problems += [f"extra {k!r}" for k in sorted(params)
+                     if k not in self.params]
+        problems += [f"{k!r} has shape {params[k].shape}, the model "
+                     f"needs {p.shape}" for k, p in self.params.items()
+                     if k in params and params[k].shape != p.shape]
+        if problems:
+            raise NetError(f"{source}: arrays do not match the model: "
+                           + "; ".join(problems))
         for k, p in params.items():
-            if self.params[k].shape != p.shape:
-                raise NetError(f"shape mismatch loading {k!r}")
             self.params[k][...] = p
 
 
@@ -386,6 +407,7 @@ def adam_update(store: ParameterStore, grads: dict[str, np.ndarray],
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NetError(f"non-finite gradient for {name!r}")
+    store.init_moments()
     store.step += 1
     t = store.step
     bc1 = 1.0 - beta1 ** t
@@ -435,7 +457,10 @@ def fit(store: ParameterStore, run_epoch, evaluate, patience: int,
     run_epoch() trains one epoch and returns its training history fields,
     which override same-named dev fields.  Epoch 0 is the dev pass before
     any training.  The best parameters seen are restored at the end.
+    Arrays without Adam moments get zero ones before the first pass;
+    moments from an earlier call carry on.
     """
+    store.init_moments()
     stopper = EarlyStopper(patience=patience)
     loss, dev = evaluate()
     history = [{"epoch": 0, **dev}]
@@ -504,7 +529,7 @@ def grad_check(loss_fn, store: ParameterStore,
 # Checkpoint container (deterministic bytes: json header + raw arrays)
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"ACPK1\n"
+_MAGIC = b"ACPK2\n"
 
 
 def stable_history(history: list[dict]) -> list[dict]:
@@ -514,26 +539,22 @@ def stable_history(history: list[dict]) -> list[dict]:
             for entry in history]
 
 
-def save_checkpoint(path, store: ParameterStore, meta: dict) -> None:
-    names = sorted(store.params)
-    entries = []
-    blobs = []
-    for kind, source in (("p", store.params), ("m", store.m),
-                         ("v", store.v)):
-        for name in names:
-            arr = np.ascontiguousarray(source[name], dtype="<f8")
-            entries.append({"kind": kind, "name": name,
-                            "shape": list(arr.shape)})
-            blobs.append(arr.tobytes())
-    header = json.dumps(
-        {"meta": meta, "step": store.step, "entries": entries},
-        sort_keys=True).encode()
+def save_checkpoint(path, params: Mapping[str, np.ndarray],
+                    meta: dict) -> None:
+    """Write `meta` and the named arrays, sorted by name; nothing else."""
+    names = sorted(params)
+    arrays = [np.ascontiguousarray(params[name], dtype="<f8")
+              for name in names]
+    entries = [{"name": name, "shape": list(arr.shape)}
+               for name, arr in zip(names, arrays)]
+    header = json.dumps({"meta": meta, "entries": entries},
+                        sort_keys=True).encode()
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(len(header).to_bytes(8, "little"))
         fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+        for arr in arrays:
+            fh.write(arr.tobytes())
 
 
 def _is_count(x) -> bool:
@@ -541,22 +562,26 @@ def _is_count(x) -> bool:
 
 
 def _header_ok(header) -> bool:
-    """Whether a parsed header has the structure save_checkpoint writes."""
-    return (isinstance(header, dict) and _is_count(header.get("step"))
-            and isinstance(header.get("meta"), dict)
-            and isinstance(header.get("entries"), list)
-            and all(isinstance(e, dict) and e.get("kind") in ("p", "m", "v")
-                    and isinstance(e.get("name"), str)
-                    and isinstance(e.get("shape"), list)
-                    and all(map(_is_count, e["shape"]))
-                    for e in header["entries"]))
+    """Whether a parsed header has the structure save_checkpoint writes:
+    a meta object and entries of distinct names with valid shapes."""
+    if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)
+            and isinstance(header.get("entries"), list)):
+        return False
+    entries = header["entries"]
+    return (all(isinstance(e, dict) and isinstance(e.get("name"), str)
+                and isinstance(e.get("shape"), list)
+                and all(map(_is_count, e["shape"])) for e in entries)
+            and len({e["name"] for e in entries}) == len(entries))
 
 
 def _json_is(value, want) -> bool:
     """Whether a parsed JSON value has type `want`: an int passes for a
-    float, a bool never for an int, and list[str] checks every item."""
+    float, a bool never for an int, an int must not be negative (every int
+    field is a size, a count or a seed), and list[str] checks every item."""
     if want is float:
         return type(value) in (int, float)
+    if want is int:
+        return _is_count(value)
     if getattr(want, "__origin__", None) is list:
         return type(value) is list and all(
             _json_is(item, want.__args__[0]) for item in value)
@@ -573,8 +598,9 @@ def field_problem(values: dict, cls) -> str | None:
         return f"unknown key {unknown[0]!r}"
     for key, value in sorted(values.items()):
         if not _json_is(value, types[key]):
-            return (f"key {key!r} must be {types[key].__name__}, got "
-                    f"{json.dumps(value)}")
+            want = ("a non-negative int" if types[key] is int
+                    else types[key].__name__)
+            return f"key {key!r} must be {want}, got {json.dumps(value)}"
     return None
 
 
@@ -591,7 +617,10 @@ def meta_problem(meta: dict, kind: str, config_cls, **required) -> str | None:
     return problem and f"checkpoint meta 'config': {problem}"
 
 
-def load_checkpoint(path) -> tuple[ParameterStore, dict]:
+def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
+    """The arrays of a checkpoint by name, as read-only views of the
+    file's bytes, and its meta.  Raises NetError on a file that is not
+    exactly what save_checkpoint writes."""
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise NetError(f"{path}: not a checkpoint file")
@@ -607,8 +636,7 @@ def load_checkpoint(path) -> tuple[ParameterStore, dict]:
         if not _header_ok(header):
             raise NetError(f"{path}: corrupt checkpoint header (not the "
                            f"structure of a checkpoint)")
-        store = ParameterStore()
-        store.step = header["step"]
+        params = {}
         for entry in header["entries"]:
             shape = tuple(entry["shape"])
             count = math.prod(shape)  # exact: dims may be huge if corrupt
@@ -617,12 +645,10 @@ def load_checkpoint(path) -> tuple[ParameterStore, dict]:
                 raise NetError(
                     f"{path}: truncated checkpoint: {entry['name']} needs "
                     f"{count * 8} bytes, {left} left")
-            arr = np.frombuffer(fh.read(count * 8), dtype="<f8")
-            arr = arr.reshape(shape).copy()
-            if entry["kind"] == "p":
-                store.add(entry["name"], arr)
-            elif entry["kind"] == "m":
-                store.m[entry["name"]] = arr
-            else:
-                store.v[entry["name"]] = arr
-    return store, header["meta"]
+            params[entry["name"]] = np.frombuffer(
+                fh.read(count * 8), dtype="<f8").reshape(shape)
+        left = size - fh.tell()
+        if left:
+            raise NetError(f"{path}: corrupt checkpoint: {left} bytes after "
+                           f"the last array")
+    return params, header["meta"]

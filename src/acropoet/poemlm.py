@@ -122,8 +122,7 @@ class PoemLM:
     """LSTM language model with per-step conditioning channels."""
 
     def __init__(self, vocab: Vocabulary, cfg: LmConfig, topic_dim: int,
-                 emb_matrix: np.ndarray, variant: LmVariant,
-                 store: Optional[ParameterStore] = None):
+                 emb_matrix: np.ndarray, variant: LmVariant):
         if emb_matrix.shape != (len(vocab), topic_dim):
             raise PoemLmError("embedding matrix shape mismatch")
         self.vocab = vocab
@@ -132,7 +131,7 @@ class PoemLM:
         self.topic_dim = topic_dim
         self.embed_dim = emb_matrix.shape[1]
         self.in_dim = self.embed_dim + topic_dim + ACROSTIC_DIM + 1
-        self.store = store if store is not None else ParameterStore()
+        self.store = ParameterStore()
         rng = net.child_rng(cfg.seed, "poemlm", "init")
         self.emb = self.store.add(EMB_NAME, emb_matrix)
         self.store.fixed.add(EMB_NAME)
@@ -417,15 +416,15 @@ def save_lm(path, trained: TrainedLm) -> None:
 
 
 def load_lm(path) -> TrainedLm:
-    store, meta = net.load_checkpoint(path)
+    params, meta = net.load_checkpoint(path)
     problem = net.meta_problem(meta, "poemlm", LmConfig, variant=str,
                                topic_dim=int, vocab=list[str])
     if problem:
         raise PoemLmError(f"{path}: {problem}")
     vocab = Vocabulary(meta["vocab"])
-    cfg = LmConfig(**meta["config"])
-    model = PoemLM(vocab, cfg, topic_dim=meta["topic_dim"],
-                   emb_matrix=store[EMB_NAME],
-                   variant=LmVariant.from_name(meta["variant"]),
-                   store=store)
+    model = PoemLM(vocab, LmConfig(**meta["config"]),
+                   topic_dim=meta["topic_dim"],
+                   emb_matrix=np.zeros((len(vocab), meta["topic_dim"])),
+                   variant=LmVariant.from_name(meta["variant"]))
+    model.store.load_params(params, str(path))
     return TrainedLm(model=model, history=meta.get("history", []))

@@ -131,10 +131,9 @@ class RhymerConfig:
 
 
 class RhymerModel:
-    def __init__(self, cfg: RhymerConfig,
-                 store: ParameterStore | None = None):
+    def __init__(self, cfg: RhymerConfig):
         self.cfg = cfg
-        self.store = store if store is not None else ParameterStore()
+        self.store = ParameterStore()
         rng = net.child_rng(cfg.seed, "rhymer", "init")
         C = len(CHARSET)
         self.char_emb = self.store.add(
@@ -387,8 +386,10 @@ def save_rhymer(path, model: RhymerModel, history: list[dict]) -> None:
 
 
 def load_rhymer(path) -> RhymerModel:
-    store, meta = net.load_checkpoint(path)
+    params, meta = net.load_checkpoint(path)
     problem = net.meta_problem(meta, "rhymer", RhymerConfig)
     if problem:
         raise RhymerError(f"{path}: {problem}")
-    return RhymerModel(RhymerConfig(**meta["config"]), store=store)
+    model = RhymerModel(RhymerConfig(**meta["config"]))
+    model.store.load_params(params, str(path))
+    return model

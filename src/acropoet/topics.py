@@ -49,8 +49,7 @@ class TopicConfig:
 
 class TopicClassifier:
     def __init__(self, vocab: Vocabulary, labels: list[str],
-                 cfg: TopicConfig, emb_matrix: np.ndarray,
-                 store: ParameterStore | None = None):
+                 cfg: TopicConfig, emb_matrix: np.ndarray):
         if len(labels) < 2:
             raise TopicError("need at least two topics to classify")
         if labels != sorted(labels):
@@ -59,7 +58,7 @@ class TopicClassifier:
         self.labels = labels
         self.label_to_id = {t: i for i, t in enumerate(labels)}
         self.cfg = cfg
-        self.store = store if store is not None else ParameterStore()
+        self.store = ParameterStore()
         rng = net.child_rng(cfg.seed, "topics", "init")
         self.emb = self.store.add(EMB_NAME, emb_matrix)
         self.store.fixed.add(EMB_NAME)
@@ -101,7 +100,12 @@ class TopicClassifier:
             chunk = poems[i:i + self.cfg.batch_size]
             logits, _ = self.forward_batch(chunk)
             pred = logits.argmax(axis=1)
-            gold = np.array([self.label_to_id[p.topic] for p in chunk])
+            try:
+                gold = np.array([self.label_to_id[p.topic] for p in chunk])
+            except KeyError as exc:
+                raise TopicError(f"topic {exc.args[0]!r} is not one of the "
+                                 f"{len(self.labels)} the classifier was "
+                                 f"trained on") from None
             correct += int((pred == gold).sum())
         return correct / len(poems)
 
@@ -169,18 +173,22 @@ def save_topics(path, model: TopicClassifier, history: list[dict]) -> None:
         "kind": "topics",
         "config": asdict(model.cfg),
         "labels": model.labels,
+        "embed_dim": model.embed_dim,
         "vocab": model.vocab.non_special_tokens(),
         "history": net.stable_history(history),
     })
 
 
 def load_topics(path) -> TopicClassifier:
-    store, meta = net.load_checkpoint(path)
+    params, meta = net.load_checkpoint(path)
     problem = net.meta_problem(meta, "topics", TopicConfig,
-                               labels=list[str], vocab=list[str])
+                               labels=list[str], embed_dim=int,
+                               vocab=list[str])
     if problem:
         raise TopicError(f"{path}: {problem}")
     vocab = Vocabulary(meta["vocab"])
-    return TopicClassifier(vocab, meta["labels"],
-                           TopicConfig(**meta["config"]),
-                           emb_matrix=store[EMB_NAME], store=store)
+    model = TopicClassifier(
+        vocab, meta["labels"], TopicConfig(**meta["config"]),
+        emb_matrix=np.zeros((len(vocab), meta["embed_dim"])))
+    model.store.load_params(params, str(path))
+    return model

@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 from helpers import make_poems
 
-from acropoet import net, poemlm, rhymer
+from acropoet import net, poemlm, rhymer, topics
 from acropoet.corpus import build_vocabulary
 from acropoet.poemlm import (
-    LmConfig, LmVariant, PoemLM, build_embedding_matrix, train_lm,
+    LmConfig, LmVariant, PoemLM, TrainedLm, build_embedding_matrix, train_lm,
 )
 from acropoet.rhymer import RhymerConfig, RhymerModel
 
@@ -124,3 +124,34 @@ def test_rhymer_decoder_steps_through_rhymer_lstm_step(monkeypatch):
     assert calls["step_fn"] > 0
     assert calls == Counter({"acropoet.rhymer.lstm_step": calls["step_fn"],
                              "step_fn": calls["step_fn"]})
+
+
+# `net.load_checkpoint` spans give `net.checkpoint_bytes` through the
+# `_file_bytes` hook, which reads the file named by the first argument.
+
+def test_each_loader_reads_its_file_with_one_load_checkpoint_call(
+        table, tmp_path, monkeypatch):
+    train = make_poems(20, seed=1)
+    vocab = build_vocabulary(train, max_size=200)
+    saved = {
+        poemlm.load_lm: lambda p: poemlm.save_lm(
+            p, TrainedLm(model=_tiny_lm(table, train))),
+        rhymer.load_rhymer: lambda p: rhymer.save_rhymer(
+            p, RhymerModel(RhymerConfig.desk_scale(seed=1)), []),
+        topics.load_topics: lambda p: topics.save_topics(
+            p, topics.TopicClassifier(
+                vocab, ["fire", "water"], topics.TopicConfig.desk_scale(),
+                build_embedding_matrix(vocab, table)), []),
+    }
+    calls = []
+    real = net.load_checkpoint
+    monkeypatch.setattr(net, "load_checkpoint",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    file_bytes = _bench_layers()._file_bytes
+    for load, save in saved.items():
+        path = tmp_path / f"{load.__name__}.ckpt"
+        save(path)
+        calls.clear()
+        load(path)
+        assert calls == [(path,)], load.__name__
+        assert file_bytes(calls[0], None) == path.stat().st_size

@@ -1,13 +1,17 @@
 import json
+from dataclasses import fields
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from helpers import make_documents, make_poems, make_sonnets, make_table
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from acropoet.cli import main
+from acropoet.cli import PIPELINE_ERRORS, main
 from acropoet.corpus import (
     Poem, RawDocument, read_poems, split_into_training_poems, write_poems,
 )
+from acropoet.decode import GenerationConfig
 from acropoet.net import load_checkpoint, save_checkpoint
 
 DIM = 8
@@ -309,6 +313,27 @@ def test_gradcheck_command(workdir):
     assert "max relative error" in result.output
 
 
+def test_non_utf8_pretrain_file_is_clean_error(workdir, tmp_path):
+    root, run = workdir
+    (tmp_path / "pre.txt").write_bytes(b"ash blaze coal .\nash \xff .\n")
+    result = run("train", "lm", "--variant", "wiki+",
+                 "--train", root / "train.jsonl", "--dev", root / "dev.jsonl",
+                 "--silver", root / "train.jsonl",
+                 "--pretrain", tmp_path / "pre.txt",
+                 "--embeddings", root / "vectors.txt", "--dim", DIM,
+                 "--out", tmp_path / "lm.ckpt")
+    assert "pre.txt:2: not valid UTF-8" in _assert_one_error_line(result)
+
+
+def test_negative_seed_flag_is_usage_error(workdir):
+    root, _ = workdir
+    result = CliRunner().invoke(main, [
+        "--seed", "-1", "prepare", "--input", str(root / "docs.jsonl"),
+        "--output", str(root / "unused.jsonl")])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+
+
 def test_unknown_command_is_usage_error():
     result = CliRunner().invoke(main, ["frobnicate"])
     assert result.exit_code == 2
@@ -378,8 +403,8 @@ def _train_topics_args(root, tmp_path):
     [1], {"topics": 5}, {"topics": {"hidden": "big"}},
     {"topics": {"hidden": True}}, {"topics": {"lr": "0.1"}},
     {"topics": {"hidden": 8.0}}, {"seed": "x"}, {"profile": "huge"},
-    b"\xff{}",
-], ids=repr)
+    b"\xff{}", {"topics": {"hidden": -1}}, {"seed": -1}, b"[" * 100000,
+], ids=lambda c: repr(c)[:40])
 def test_bad_config_file_is_usage_error(workdir, tmp_path, config):
     root, _ = workdir
     path = tmp_path / "config.json"
@@ -443,3 +468,178 @@ def test_bad_checkpoint_meta_is_clean_error(workdir, tmp_path, kind,
                      "--embeddings", root / "vectors.txt", "--dim", DIM)
     line = _assert_one_error_line(result)
     assert "bad.ckpt" in line and named in line
+
+
+def _load_model(run, root, out, kind, path):
+    """Run the command that loads a `kind` checkpoint from path."""
+    if kind == "topics":
+        return run("label", "--checkpoint", path, "--input",
+                   root / "dev.jsonl", "--output", out / "out.jsonl")
+    models = (["--lm", path, "--no-rh"] if kind == "lm" else
+              ["--lm", root / "lm.ckpt", "--rhymer", path])
+    return run("generate", "glow", *models,
+               "--embeddings", root / "vectors.txt", "--dim", DIM)
+
+
+# --- checkpoints whose arrays are not the ones their meta implies -----------
+
+def _extra(params, meta):
+    params["bogus"] = np.zeros(2)
+
+
+ARRAY_CASES = [
+    ("lm", lambda p, m: m["config"].update(n_layers=5),
+     "missing 'lm.lstm1.Wx'"),
+    ("lm", lambda p, m: m["config"].update(hidden=13),
+     "'lm.lstm0.Wh' has shape (12, 48), the model needs (13, 52)"),
+    ("lm", lambda p, m: p.pop("embed.fixed"), "missing 'embed.fixed'"),
+    ("lm", _extra, "extra 'bogus'"),
+    ("lm", lambda p, m: m["vocab"].pop(), "'embed.fixed' has shape"),
+    ("topics", lambda p, m: m["config"].update(hidden=9),
+     "'tp.enc.fwd.Wh' has shape"),
+    ("topics", lambda p, m: m.update(embed_dim=DIM + 1),
+     "'embed.fixed' has shape"),
+    ("topics", lambda p, m: p.pop("embed.fixed"), "missing 'embed.fixed'"),
+    ("topics", _extra, "extra 'bogus'"),
+    ("topics", lambda p, m: m["labels"].append("zzz"),
+     "'tp.head.W' has shape"),
+    ("rhymer", lambda p, m: m["config"].update(decoder_hidden=9),
+     "'rh.dec.Wh' has shape"),
+    ("rhymer", lambda p, m: p.pop("rh.chars"), "missing 'rh.chars'"),
+    ("rhymer", _extra, "extra 'bogus'"),
+]
+
+
+@pytest.mark.parametrize("kind,change,named", ARRAY_CASES,
+                         ids=[f"{k}-{i}" for i, (k, _, _) in
+                              enumerate(ARRAY_CASES)])
+def test_checkpoint_arrays_unlike_meta_are_clean_error(workdir, tmp_path,
+                                                       kind, change, named):
+    root, run = workdir
+    params, meta = load_checkpoint(root / f"{kind}.ckpt")
+    params = dict(params)
+    change(params, meta)
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, params, meta)
+    line = _assert_one_error_line(_load_model(run, root, tmp_path, kind,
+                                              bad))
+    assert "bad.ckpt: arrays do not match the model" in line
+    assert named in line
+
+
+def test_dev_topic_unseen_in_training_is_clean_error(workdir, tmp_path):
+    root, run = workdir
+    dev = make_poems(6, seed=2)
+    dev[0] = Poem(lines=dev[0].lines, topic="earth")
+    write_poems(tmp_path / "dev.jsonl", dev)
+    result = run("train", "topics", "--train", root / "train.jsonl",
+                 "--dev", tmp_path / "dev.jsonl",
+                 "--embeddings", root / "vectors.txt", "--dim", DIM,
+                 "--out", tmp_path / "t.ckpt")
+    assert "'earth'" in _assert_one_error_line(result)
+    assert KeyError not in PIPELINE_ERRORS
+
+
+# --- fuzzing: every failure is an exit code, never a traceback ---------------
+
+FUZZ = settings(derandomize=True, database=None, deadline=None,
+                max_examples=100,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 8),
+    st.sampled_from([0.0, 0.3, 0.7, 1.0, -1.0, 2.5]),
+    st.sampled_from(["", "x", "desk_scale", "paper_scale"]))
+JSON = st.recursive(SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=3),
+    st.dictionaries(st.text(max_size=6), inner, max_size=3)), max_leaves=8)
+
+
+def _assert_clean_exit(result):
+    assert result.exit_code in (0, 1, 2), result.output
+    assert result.exception is None or isinstance(result.exception,
+                                                  SystemExit)
+    assert "Traceback" not in result.output
+
+
+def _with_edited_header(data: bytes, edit) -> bytes:
+    hlen = int.from_bytes(data[6:14], "little")
+    header = json.loads(data[14:14 + hlen])
+    edit(header)
+    raw = json.dumps(header).encode()
+    return data[:6] + len(raw).to_bytes(8, "little") + raw + data[14 + hlen:]
+
+
+@FUZZ
+@given(kind=st.sampled_from(["lm", "rhymer"]), data=st.data())
+def test_fuzzed_checkpoint_header_exits_cleanly(workdir, tmp_path, kind,
+                                                data):
+    root, run = workdir
+
+    def edit(header):
+        entries = header["entries"]
+        i = data.draw(st.integers(0, len(entries) - 1))
+        op = data.draw(st.sampled_from(["drop", "rename", "reshape",
+                                        "config"]))
+        if op == "drop":
+            del entries[i]
+        elif op == "rename":
+            entries[i]["name"] = data.draw(st.text("abz.", min_size=1,
+                                                   max_size=6))
+        elif op == "reshape":
+            entries[i]["shape"] = data.draw(st.lists(st.integers(0, 40),
+                                                     max_size=3))
+        else:
+            config = header["meta"]["config"]
+            key = data.draw(st.sampled_from(sorted(
+                k for k, v in config.items() if type(v) is int)))
+            config[key] = data.draw(st.integers(-2, 40))
+
+    path = tmp_path / "fuzz.ckpt"
+    path.write_bytes(_with_edited_header(
+        (root / f"{kind}.ckpt").read_bytes(), edit))
+    _assert_clean_exit(_load_model(run, root, tmp_path, kind, path))
+
+
+GENERATE_KEYS = [f.name for f in fields(GenerationConfig)] + ["bogus"]
+
+
+@FUZZ
+@given(config=st.one_of(
+    JSON,
+    st.binary(max_size=8),
+    st.dictionaries(
+        st.sampled_from(["profile", "seed", "generate", "lm", "bogus"]),
+        st.one_of(SCALARS, st.dictionaries(st.sampled_from(GENERATE_KEYS),
+                                           SCALARS, max_size=4)),
+        max_size=3)))
+def test_fuzzed_config_file_exits_cleanly(workdir, tmp_path, config):
+    root, _ = workdir
+    path = tmp_path / "fuzz.json"
+    path.write_bytes(config if isinstance(config, bytes)
+                     else json.dumps(config).encode())
+    result = CliRunner().invoke(main, [
+        "--config", str(path), "generate", "glow",
+        "--lm", str(root / "lm.ckpt"), "--rhymer", str(root / "rhymer.ckpt"),
+        "--embeddings", str(root / "vectors.txt"), "--dim", str(DIM)])
+    _assert_clean_exit(result)
+
+
+DOCUMENT_LINE = st.one_of(
+    JSON.map(json.dumps),
+    st.dictionaries(
+        st.sampled_from(["lines", "source", "topic", "bogus"]),
+        st.one_of(SCALARS, st.lists(st.one_of(st.text(max_size=20), SCALARS),
+                                    max_size=6)),
+        max_size=4).map(json.dumps),
+    st.text(max_size=10))
+
+
+@FUZZ
+@given(lines=st.lists(st.one_of(DOCUMENT_LINE.map(str.encode),
+                                st.binary(max_size=10)), max_size=4))
+def test_fuzzed_jsonl_for_prepare_exits_cleanly(workdir, tmp_path, lines):
+    root, run = workdir
+    path = tmp_path / "fuzz.jsonl"
+    path.write_bytes(b"\n".join(lines))
+    _assert_clean_exit(run("prepare", "--input", path,
+                           "--output", tmp_path / "out.jsonl"))

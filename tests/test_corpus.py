@@ -190,6 +190,59 @@ def test_jsonl_malformed_names_line(tmp_path):
     with pytest.raises(corpus.CorpusError, match="2"):
         corpus.read_documents(path)
 
+BAD_DOCUMENT_LINES = [
+    ("[1,2]", "not a JSON object"),
+    ('"text"', "not a JSON object"),
+    ('{"source": "plain_text"}', "'lines' must be a list of strings"),
+    ('{"lines": "abc"}', "'lines' must be a list of strings"),
+    ('{"lines": ["a", 5]}', "'lines' must be a list of strings"),
+    ('{"lines": ["a"], "source": 3}', "'source' must be a string"),
+    ('{"lines": ["a"], "source": "known_topic", "topic": ["x"]}',
+     "'topic' must be a string"),
+    ('{"lines": ["a"], "source": "novel"}', "unknown source tag"),
+    ("[" * 100000, "malformed JSON"),
+]
+
+
+@pytest.mark.parametrize("line,message", BAD_DOCUMENT_LINES,
+                         ids=[line[:24] for line, _ in BAD_DOCUMENT_LINES])
+def test_read_documents_bad_record_names_path_and_line(tmp_path, line,
+                                                       message):
+    path = tmp_path / "docs.jsonl"
+    path.write_text('{"lines": ["ok ok ok ok"]}\n\n' + line + "\n")
+    with pytest.raises(corpus.CorpusError) as err:
+        corpus.read_documents(path)
+    assert str(err.value).startswith(f"{path}:3: ")
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize("line,message", [
+    ("[1,2]", "not a JSON object"),
+    ('{"topic": "love"}', "'lines' must be a list of token lists"),
+    ('{"lines": ["a", "b"]}', "'lines' must be a list of token lists"),
+    ('{"lines": [["a"]], "topic": 5}', "'topic' must be a string"),
+    ('{"lines": [["a"]], "topic_confidence": "high"}',
+     "'topic_confidence' must be a number"),
+])
+def test_read_poems_bad_record_names_path_and_line(tmp_path, line, message):
+    path = tmp_path / "poems.jsonl"
+    path.write_text('{"lines": [["a"]]}\n' + line + "\n")
+    with pytest.raises(corpus.CorpusError) as err:
+        corpus.read_poems(path)
+    assert str(err.value).startswith(f"{path}:2: ")
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize("reader", [corpus.read_documents,
+                                    corpus.read_poems])
+def test_jsonl_non_utf8_names_path_and_line(tmp_path, reader):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b'{"lines": []}\n{"lines": ["caf\xe9"]}\n')
+    with pytest.raises(corpus.CorpusError,
+                       match=r"bad\.jsonl:2: not valid UTF-8"):
+        reader(path)
+
+
 def test_rawdoc_topic_invariant():
     with pytest.raises(corpus.CorpusError):
         RawDocument(lines=["x"], source_tag="known_topic", topic=None)

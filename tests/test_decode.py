@@ -63,6 +63,11 @@ def test_config_m1_m2_must_sum_to_one():
     with pytest.raises(DecodeError):
         GenerationConfig(m1=0.7, m2=0.7)
 
+@pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan")])
+def test_config_temperature_must_be_positive(temperature):
+    with pytest.raises(DecodeError, match="temperature"):
+        GenerationConfig(temperature=temperature)
+
 def test_config_st_off_forces_m2_only():
     cfg = GenerationConfig(st=False)
     assert cfg.m1 == 0.0
@@ -514,6 +519,31 @@ def test_non_word_rhyme_candidates_are_never_substituted(bundle):
                    for sub in mixed.substitutions)
         substituted += len(mixed.substitutions)
     assert substituted > 0
+
+
+class RecordingRhymer(StubRhymer):
+    def rhyme_candidates(self, a, b, width=5):
+        self.asked = (a, b)
+        return super().rhyme_candidates(a, b, width)
+
+@pytest.mark.parametrize("partner_end", [["."], ["'s", "."]])
+def test_rhyme_slot_word_skips_contraction_tokens(bundle, partner_end):
+    # the slot word, the partner word and the rhymer context all come from
+    # the token list: "'s" is not a word, so "bat" is the one replaced
+    rhymer = RecordingRhymer(["cat"])
+    models = ModelBundle(lm=bundle.lm, table=bundle.table, rhymer=rhymer)
+    lines = [["a", "night"] + partner_end, ["by", "the", "sea"],
+             ["to", "the", "bat", "'s", "."]]
+    result = decode.GenerationResult(poem=None, word="mist",
+                                     scheme=RhymeScheme("ABAB"), seed=0)
+    idx = decode._apply_rhyme(models, result, lines, 3, None,
+                              GenerationConfig())
+    assert idx == 2
+    assert rhymer.asked == (
+        "night", "a night " + " ".join(partner_end) + "\nby the sea\nto the ")
+    assert lines[2] == ["to", "the", "cat", "'s", "."]
+    assert result.substitutions == [{"slot": 3, "original": "bat",
+                                     "replacement": "cat"}]
 
 
 # --- sampling masks: cached per vocabulary, released with it ---------------

@@ -270,17 +270,14 @@ def test_checkpoint_roundtrip_bitexact(tmp_path):
     rng = np.random.default_rng(1)
     store.add("a.W", rng.normal(size=(3, 4)))
     store.add("b", rng.normal(size=7))
-    store.m["a.W"][...] = rng.normal(size=(3, 4))
-    store.step = 17
     meta = {"kind": "test", "epoch": 3}
     p1 = tmp_path / "c1.ckpt"
     save_checkpoint(p1, store, meta)
     loaded, meta2 = load_checkpoint(p1)
     assert meta2 == meta
-    assert loaded.step == 17
+    assert sorted(loaded) == sorted(store.params)
     for name in store.params:
         assert np.array_equal(loaded[name], store[name])
-        assert np.array_equal(loaded.m[name], store.m[name])
     p2 = tmp_path / "c2.ckpt"
     save_checkpoint(p2, loaded, meta2)
     assert p1.read_bytes() == p2.read_bytes()
@@ -340,27 +337,27 @@ def _with_header(path, data, header: bytes):
     path.write_bytes(data[:6] + len(header).to_bytes(8, "little") + header
                      + data[14 + hlen:])
 
-_GOOD_ENTRY = {"kind": "p", "name": "b", "shape": [4]}
+_GOOD_ENTRY = {"name": "b", "shape": [4]}
 
 @pytest.mark.parametrize("header", [
     [1],
     "step",
-    {"meta": {}, "entries": []},
-    {"step": 0, "entries": []},
-    {"step": 0, "meta": {}},
-    {"step": "3", "meta": {}, "entries": []},
-    {"step": True, "meta": {}, "entries": []},
-    {"step": -1, "meta": {}, "entries": []},
-    {"step": 0, "meta": [], "entries": []},
-    {"step": 0, "meta": {}, "entries": {}},
-    {"step": 0, "meta": {}, "entries": [1]},
-    {"step": 0, "meta": {}, "entries": [dict(_GOOD_ENTRY, kind="x")]},
-    {"step": 0, "meta": {}, "entries": [dict(_GOOD_ENTRY, name=5)]},
-    {"step": 0, "meta": {}, "entries": [{"kind": "p", "name": "b"}]},
-    {"step": 0, "meta": {}, "entries": [dict(_GOOD_ENTRY, shape="4")]},
-    {"step": 0, "meta": {}, "entries": [dict(_GOOD_ENTRY, shape=[-3])]},
-    {"step": 0, "meta": {}, "entries": [dict(_GOOD_ENTRY, shape=[2.5])]},
-    {"step": 0, "meta": {}, "entries": [dict(_GOOD_ENTRY, shape=[True])]},
+    {"meta": {}},
+    {"entries": []},
+    {"meta": None, "entries": []},
+    {"meta": "x", "entries": []},
+    {"meta": {}, "entries": None},
+    {"meta": {}, "entries": [_GOOD_ENTRY, _GOOD_ENTRY]},
+    {"meta": [], "entries": []},
+    {"meta": {}, "entries": {}},
+    {"meta": {}, "entries": [1]},
+    {"meta": {}, "entries": [{"shape": [4]}]},
+    {"meta": {}, "entries": [dict(_GOOD_ENTRY, name=5)]},
+    {"meta": {}, "entries": [{"name": "b"}]},
+    {"meta": {}, "entries": [dict(_GOOD_ENTRY, shape="4")]},
+    {"meta": {}, "entries": [dict(_GOOD_ENTRY, shape=[-3])]},
+    {"meta": {}, "entries": [dict(_GOOD_ENTRY, shape=[2.5])]},
+    {"meta": {}, "entries": [dict(_GOOD_ENTRY, shape=[True])]},
 ])
 def test_checkpoint_header_bad_structure(tmp_path, header):
     path, data = _small_checkpoint(tmp_path)
@@ -376,3 +373,59 @@ def test_checkpoint_huge_shape_is_truncation(tmp_path):
         {"step": 0, "meta": {}, "entries": [entry]}).encode())
     with pytest.raises(NetError, match="truncated checkpoint: b needs"):
         load_checkpoint(path)
+
+def test_checkpoint_holds_parameters_only(tmp_path):
+    path, data = _small_checkpoint(tmp_path)
+    hlen = int.from_bytes(data[6:14], "little")
+    header = json.loads(data[14:14 + hlen])
+    assert sorted(header) == ["entries", "meta"]
+    assert header["entries"] == [{"name": "a.W", "shape": [2, 3]},
+                                 {"name": "b", "shape": [4]}]
+    assert len(data) == 14 + hlen + 8 * (6 + 4)
+
+def test_checkpoint_of_another_format_is_not_a_checkpoint(tmp_path):
+    path, data = _small_checkpoint(tmp_path)
+    path.write_bytes(b"ACPK1\n" + data[6:])
+    with pytest.raises(NetError, match="not a checkpoint file"):
+        load_checkpoint(path)
+
+def test_checkpoint_trailing_bytes_are_corrupt(tmp_path):
+    path, data = _small_checkpoint(tmp_path)
+    path.write_bytes(data + b"\0" * 8)
+    with pytest.raises(NetError, match="8 bytes after the last array"):
+        load_checkpoint(path)
+
+
+# --- parameter store: moments for training only, exact loads -----------------
+
+def test_store_creates_moments_for_trainable_arrays_only():
+    s = ParameterStore()
+    s.add("w", np.ones(3))
+    s.add("emb", np.ones((2, 2)))
+    s.fixed.add("emb")
+    assert s.m == {} and s.v == {}
+    s.init_moments()
+    assert sorted(s.m) == sorted(s.v) == ["w"]
+    s.m["w"][...] = 1.0
+    s.init_moments()  # existing moments carry on
+    assert s.m["w"].tolist() == [1.0, 1.0, 1.0]
+
+def test_store_add_twice_is_an_error():
+    s = _store_with("w", np.ones(2))
+    with pytest.raises(NetError, match="'w' added twice"):
+        s.add("w", np.ones(2))
+
+def test_load_params_names_every_mismatched_array():
+    s = ParameterStore()
+    for name, shape in (("a", (2, 3)), ("b", (4,)), ("c", (1,))):
+        s.add(name, np.zeros(shape))
+    with pytest.raises(NetError) as err:
+        s.load_params({"a": np.ones((3, 2)), "c": np.ones(1),
+                       "z": np.ones(1)}, "x.ckpt")
+    message = str(err.value)
+    assert message.startswith("x.ckpt: arrays do not match the model: ")
+    for part in ("missing 'b'", "extra 'z'", "'a' has shape (3, 2)"):
+        assert part in message
+    assert not s["c"].any()  # nothing is copied unless everything matches
+    s.load_params({"a": np.ones((2, 3)), "b": np.ones(4), "c": np.ones(1)})
+    assert all(s[k].all() for k in s)

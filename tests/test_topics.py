@@ -33,6 +33,15 @@ def test_single_topic_corpus_rejected(table):
                           TopicConfig.desk_scale(max_epochs=1))
 
 
+def test_dev_topic_unseen_in_training_rejected(table):
+    train = make_poems(8, seed=0)
+    dev = make_poems(2, seed=1)
+    dev[1] = Poem(lines=dev[1].lines, topic="earth")
+    with pytest.raises(TopicError, match="'earth'"):
+        train_topic_model(train, dev, table,
+                          TopicConfig.desk_scale(max_epochs=1))
+
+
 def test_unlabeled_training_poem_rejected(table):
     poems = make_poems(10, seed=0)
     poems[3] = Poem(lines=poems[3].lines, topic=None)
@@ -139,6 +148,6 @@ def test_training_leaves_fixed_embeddings_untouched(tiny_topics, table):
     model, _, _ = tiny_topics
     passed_in = build_embedding_matrix(model.vocab, table)
     assert np.array_equal(model.store[EMB_NAME], passed_in)
-    assert not model.store.m[EMB_NAME].any()
-    assert not model.store.v[EMB_NAME].any()
+    assert EMB_NAME not in model.store.m
+    assert EMB_NAME not in model.store.v
     assert EMB_NAME not in model.store.zero_grads()
