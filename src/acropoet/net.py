@@ -9,6 +9,7 @@ code.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -17,6 +18,7 @@ import os
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -58,14 +60,21 @@ class ParameterStore(Mapping):
     Arrays named in `fixed` get no gradient, so training never changes
     them.  Adam moments and the step counter exist for training only:
     `init_moments` creates them, and checkpoints do not hold them.
+
+    A store made with `source` arrays (a checkpoint's, by name) builds
+    from them: `new` takes the source array of each name it is asked for
+    and allocates nothing, and `check_source` then rejects a source
+    unlike the model.
     """
 
-    def __init__(self):
+    def __init__(self, source: Mapping[str, np.ndarray] | None = None):
         self.params: dict[str, np.ndarray] = {}
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.fixed: set[str] = set()
         self.step = 0
+        self.source = source
+        self._misshapen: dict[str, str] = {}
 
     def add(self, name: str, array: np.ndarray) -> np.ndarray:
         if name in self.params:
@@ -73,6 +82,37 @@ class ParameterStore(Mapping):
         arr = np.asarray(array, dtype=np.float64)
         self.params[name] = arr
         return arr
+
+    def new(self, name: str, shape, init) -> np.ndarray:
+        """Add and return array `name` of `shape`, filled by init(shape),
+        or the source array of that name itself.
+
+        Building from a source, a missing array raises NetError at once
+        (so a model bigger than its checkpoint stops growing), and a
+        misshapen one is noted for `check_source` and left out: the
+        returned stand-in is empty.
+        """
+        shape = tuple(shape)
+        if self.source is None:
+            return self.add(name, init(shape))
+        have = self.source.get(name)
+        if have is None:
+            raise NetError(_mismatch([f"missing {name!r}",
+                                      *self._misshapen.values()]))
+        if have.shape != shape:
+            self._misshapen[name] = (f"{name!r} has shape {have.shape}, "
+                                     f"the model needs {shape}")
+            return np.empty(0)
+        return self.add(name, have)
+
+    def check_source(self) -> None:
+        """Raise NetError naming every misshapen source array and every
+        one the model never asked for."""
+        problems = list(self._misshapen.values())
+        problems += [f"extra {k!r}" for k in sorted(self.source)
+                     if k not in self.params and k not in self._misshapen]
+        if problems:
+            raise NetError(_mismatch(problems))
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.params[name]
@@ -110,10 +150,26 @@ class ParameterStore(Mapping):
                      f"needs {p.shape}" for k, p in self.params.items()
                      if k in params and params[k].shape != p.shape]
         if problems:
-            raise NetError(f"{source}: arrays do not match the model: "
-                           + "; ".join(problems))
+            raise NetError(f"{source}: {_mismatch(problems)}")
         for k, p in params.items():
             self.params[k][...] = p
+
+
+def _mismatch(problems: list[str]) -> str:
+    return "arrays do not match the model: " + "; ".join(problems)
+
+
+def build_from_checkpoint(path, build):
+    """The model build() makes from the arrays of the checkpoint at `path`,
+    which build passes to the model's constructor as its store's source.
+    Raises NetError naming `path` when the arrays are not the ones the
+    model needs, allocating none the file does not hold."""
+    try:
+        model = build()
+        model.store.check_source()
+    except NetError as exc:
+        raise NetError(f"{path}: {exc}") from None
+    return model
 
 
 def init_uniform(rng: np.random.Generator, shape) -> np.ndarray:
@@ -128,11 +184,11 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _cell(x, h_prev, c_prev, Wx, Wh, b):
-    """LSTM cell, gates in order input, forget, cell, output; returns
-    ((h, c), (i, f, g, o, tanh(c))), the second part for backprop."""
-    H = Wh.shape[0]
-    a = x @ Wx + h_prev @ Wh + b
+def _cell(a, c_prev):
+    """LSTM cell on the pre-activation a = x @ Wx + h_prev @ Wh + b, gates
+    in order input, forget, cell, output; returns ((h, c), (i, f, g, o,
+    tanh(c))), the second part for backprop."""
+    H = c_prev.shape[-1]
     i = _sigmoid(a[..., :H])
     f = _sigmoid(a[..., H:2 * H])
     g = np.tanh(a[..., 2 * H:3 * H])
@@ -149,69 +205,91 @@ def lstm_step(x, h_prev, c_prev, Wx, Wh, b):
             f"lstm_step dimension mismatch: x {x.shape}, h {h_prev.shape}, "
             f"Wx {Wx.shape}, Wh {Wh.shape}"
         )
-    return _cell(x, h_prev, c_prev, Wx, Wh, b)[0]
+    return _cell(x @ Wx + h_prev @ Wh + b, c_prev)[0]
 
 
 class LstmLayer:
-    """Single-direction LSTM over a (T, B, D) batch with optional length masks."""
+    """Single-direction LSTM over a (T, B, D) batch with optional length
+    masks and an optional input that is constant over time.
+
+    The input projection of all T steps is one GEMM before the time loop,
+    so each step multiplies only h @ Wh; backward collects the per-step
+    pre-activation gradients and takes the weight and input gradients as
+    single GEMMs after its loop.
+    """
 
     def __init__(self, store: ParameterStore, name: str, in_dim: int,
                  hidden: int, rng: np.random.Generator):
         self.name = name
         self.in_dim = in_dim
         self.hidden = hidden
-        store.add(f"{name}.Wx", init_uniform(rng, (in_dim, 4 * hidden)))
-        store.add(f"{name}.Wh", init_uniform(rng, (hidden, 4 * hidden)))
-        b = np.zeros(4 * hidden)
-        b[hidden:2 * hidden] = 1.0  # forget-gate bias
-        store.add(f"{name}.b", b)
+        uniform = functools.partial(init_uniform, rng)
+        store.new(f"{name}.Wx", (in_dim, 4 * hidden), uniform)
+        store.new(f"{name}.Wh", (hidden, 4 * hidden), uniform)
+        store.new(f"{name}.b", (4 * hidden,), self._forget_bias)
         self.store = store
+
+    def _forget_bias(self, shape):
+        b = np.zeros(shape)
+        b[self.hidden:2 * self.hidden] = 1.0
+        return b
 
     def _weights(self):
         s = self.store
         return s[f"{self.name}.Wx"], s[f"{self.name}.Wh"], s[f"{self.name}.b"]
 
-    def forward(self, X: np.ndarray, mask: np.ndarray | None = None):
+    def forward(self, X: np.ndarray, mask: np.ndarray | None = None,
+                const: np.ndarray | None = None):
         """Run the full sequence.
 
         mask, if given, is (T, B) with 1 at valid steps; masked steps carry
-        state through unchanged so h[-1] is the last valid state.
+        state through unchanged so h[-1] is the last valid state.  const,
+        if given, is a (B, Dc) input that every step sees after X[t]: it
+        meets the last Dc rows of Wx once, as a per-column bias, instead
+        of being copied into every step's input.
         Returns (H_out (T,B,H), cache).
         """
         Wx, Wh, b = self._weights()
         T, B, D = X.shape
+        Dc = 0 if const is None else const.shape[1]
+        if D + Dc != self.in_dim:
+            raise NetError(f"{self.name}: input width {D} plus constant "
+                           f"width {Dc} is not {self.in_dim}")
         H = self.hidden
-        h = np.zeros((B, H))
-        c = np.zeros((B, H))
-        steps = []  # per step: (h_prev, c_prev, gates)
-        Hs = np.empty((T, B, H))
+        XW = (X.reshape(T * B, D) @ Wx[:D]).reshape(T, B, 4 * H)
+        bias = b if const is None else const @ Wx[D:] + b
+        # row t holds the state before step t, row t + 1 the state after
+        Hs = np.zeros((T + 1, B, H))
+        Cs = np.zeros((T + 1, B, H))
+        gates = []
         for t in range(T):
-            (h_new, c_new), gates = _cell(X[t], h, c, Wx, Wh, b)
-            steps.append((h, c, gates))
+            (h, c), cell = _cell(XW[t] + Hs[t] @ Wh + bias, Cs[t])
+            gates.append(cell)
             if mask is not None:
                 m = mask[t][:, None]
-                h = m * h_new + (1.0 - m) * h
-                c = m * c_new + (1.0 - m) * c
-            else:
-                h, c = h_new, c_new
-            Hs[t] = h
-        return Hs, (X, mask, steps)
+                h = m * h + (1.0 - m) * Hs[t]
+                c = m * c + (1.0 - m) * Cs[t]
+            Hs[t + 1] = h
+            Cs[t + 1] = c
+        return Hs[1:], (X, mask, const, Hs, Cs, gates)
 
-    def backward(self, dH: np.ndarray, cache,
-                 grads: dict[str, np.ndarray]) -> np.ndarray:
-        """Backprop through the sequence; dH is (T,B,H). Returns dX."""
+    def backward(self, dH: np.ndarray, cache, grads: dict[str, np.ndarray],
+                 input_grad: bool = True):
+        """Backprop through the sequence; dH is (T,B,H).
+
+        Returns (dX, d_const): d_const is None without a constant input,
+        and both are None when input_grad is False (for inputs that take
+        no gradient, such as fixed embeddings).
+        """
         Wx, Wh, b = self._weights()
-        X, mask, steps = cache
+        X, mask, const, Hs, Cs, gates = cache
         T, B, D = X.shape
         H = self.hidden
-        dWx = grads[f"{self.name}.Wx"]
-        dWh = grads[f"{self.name}.Wh"]
-        db = grads[f"{self.name}.b"]
-        dX = np.zeros_like(X)
+        dA = np.empty((T, B, 4 * H))  # gradient of each step's pre-activation
         dh_next = np.zeros((B, H))
         dc_next = np.zeros((B, H))
         for t in range(T - 1, -1, -1):
-            h_prev, c_prev, (i, f, g, o, tc) = steps[t]
+            i, f, g, o, tc = gates[t]
             dh_t = dH[t] + dh_next
             dc_t = dc_next
             if mask is not None:
@@ -225,21 +303,25 @@ class LstmLayer:
                 dc_new, dc_carry = dc_t, 0.0
             do = dh_new * tc
             dc = dc_new + dh_new * o * (1.0 - tc * tc)
-            di = dc * g
-            df = dc * c_prev
-            dg = dc * i
-            da = np.concatenate(
-                [di * i * (1.0 - i),
-                 df * f * (1.0 - f),
-                 dg * (1.0 - g * g),
-                 do * o * (1.0 - o)], axis=1)
-            dWx += X[t].T @ da
-            dWh += h_prev.T @ da
-            db += da.sum(axis=0)
-            dX[t] = da @ Wx.T
+            da = dA[t]
+            da[:, :H] = dc * g * i * (1.0 - i)
+            da[:, H:2 * H] = dc * Cs[t] * f * (1.0 - f)
+            da[:, 2 * H:3 * H] = dc * i * (1.0 - g * g)
+            da[:, 3 * H:] = do * o * (1.0 - o)
             dh_next = da @ Wh.T + dh_carry
             dc_next = dc * f + dc_carry
-        return dX
+        flat = dA.reshape(T * B, 4 * H)
+        dWx = grads[f"{self.name}.Wx"]
+        dWx[:D] += X.reshape(T * B, D).T @ flat
+        grads[f"{self.name}.Wh"] += Hs[:-1].reshape(T * B, H).T @ flat
+        grads[f"{self.name}.b"] += flat.sum(axis=0)
+        if const is not None:
+            dA_sum = dA.sum(axis=0)
+            dWx[D:] += const.T @ dA_sum
+        if not input_grad:
+            return None, None
+        dX = (flat @ Wx[:D].T).reshape(T, B, D)
+        return dX, None if const is None else dA_sum @ Wx[D:].T
 
 
 def pad_ids(seqs: list[list[int]], pad_id: int):
@@ -292,8 +374,8 @@ class BiLstmEncoder:
         dHf[-1] = d_enc[:, :H]
         dHb = np.zeros((T, B, H))
         dHb[-1] = d_enc[:, H:]
-        dX = self.fwd.backward(dHf, cf, grads)
-        dXr = self.bwd.backward(dHb, cb, grads)
+        dX, _ = self.fwd.backward(dHf, cf, grads)
+        dXr, _ = self.bwd.backward(dHb, cb, grads)
         dX += reverse_padded(dXr, lengths)
         return dX
 
@@ -302,8 +384,9 @@ class Linear:
     def __init__(self, store: ParameterStore, name: str, in_dim: int,
                  out_dim: int, rng: np.random.Generator):
         self.name = name
-        store.add(f"{name}.W", init_uniform(rng, (in_dim, out_dim)))
-        store.add(f"{name}.b", np.zeros(out_dim))
+        store.new(f"{name}.W", (in_dim, out_dim),
+                  functools.partial(init_uniform, rng))
+        store.new(f"{name}.b", (out_dim,), np.zeros)
         self.store = store
 
     def forward(self, X: np.ndarray):
@@ -541,20 +624,31 @@ def stable_history(history: list[dict]) -> list[dict]:
 
 def save_checkpoint(path, params: Mapping[str, np.ndarray],
                     meta: dict) -> None:
-    """Write `meta` and the named arrays, sorted by name; nothing else."""
+    """Write `meta` and the named arrays, sorted by name; nothing else.
+
+    The bytes go to a temporary file beside `path`, which then replaces
+    `path` in one rename, so a save that fails leaves any earlier file at
+    `path` as it was.
+    """
     names = sorted(params)
-    arrays = [np.ascontiguousarray(params[name], dtype="<f8")
-              for name in names]
-    entries = [{"name": name, "shape": list(arr.shape)}
-               for name, arr in zip(names, arrays)]
+    entries = [{"name": name, "shape": list(np.shape(params[name]))}
+               for name in names]
     header = json.dumps({"meta": meta, "entries": entries},
                         sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(len(header).to_bytes(8, "little"))
-        fh.write(header)
-        for arr in arrays:
-            fh.write(arr.tobytes())
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(len(header).to_bytes(8, "little"))
+            fh.write(header)
+            for name in names:
+                fh.write(np.ascontiguousarray(params[name],
+                                              dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _is_count(x) -> bool:
@@ -618,9 +712,9 @@ def meta_problem(meta: dict, kind: str, config_cls, **required) -> str | None:
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    """The arrays of a checkpoint by name, as read-only views of the
-    file's bytes, and its meta.  Raises NetError on a file that is not
-    exactly what save_checkpoint writes."""
+    """The arrays of a checkpoint by name, each read from the file into
+    an array of its own, and its meta.  Raises NetError on a file that is
+    not exactly what save_checkpoint writes."""
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise NetError(f"{path}: not a checkpoint file")
@@ -645,8 +739,9 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
                 raise NetError(
                     f"{path}: truncated checkpoint: {entry['name']} needs "
                     f"{count * 8} bytes, {left} left")
-            params[entry["name"]] = np.frombuffer(
-                fh.read(count * 8), dtype="<f8").reshape(shape)
+            arr = np.empty(shape, dtype="<f8")
+            fh.readinto(arr.reshape(-1).view(np.uint8))
+            params[entry["name"]] = arr
         left = size - fh.tell()
         if left:
             raise NetError(f"{path}: corrupt checkpoint: {left} bytes after "

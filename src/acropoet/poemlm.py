@@ -119,10 +119,15 @@ def build_embedding_matrix(vocab: Vocabulary,
 
 
 class PoemLM:
-    """LSTM language model with per-step conditioning channels."""
+    """LSTM language model with per-step conditioning channels.
+
+    `params`, if given, are the arrays to build from (a checkpoint's); the
+    initial values, emb_matrix's included, are then never used.
+    """
 
     def __init__(self, vocab: Vocabulary, cfg: LmConfig, topic_dim: int,
-                 emb_matrix: np.ndarray, variant: LmVariant):
+                 emb_matrix: np.ndarray, variant: LmVariant,
+                 params: Optional[dict[str, np.ndarray]] = None):
         if emb_matrix.shape != (len(vocab), topic_dim):
             raise PoemLmError("embedding matrix shape mismatch")
         self.vocab = vocab
@@ -131,9 +136,10 @@ class PoemLM:
         self.topic_dim = topic_dim
         self.embed_dim = emb_matrix.shape[1]
         self.in_dim = self.embed_dim + topic_dim + ACROSTIC_DIM + 1
-        self.store = ParameterStore()
+        self.store = ParameterStore(params)
         rng = net.child_rng(cfg.seed, "poemlm", "init")
-        self.emb = self.store.add(EMB_NAME, emb_matrix)
+        self.emb = self.store.new(EMB_NAME, emb_matrix.shape,
+                                  lambda _: emb_matrix)
         self.store.fixed.add(EMB_NAME)
         self.layers = []
         for l in range(cfg.n_layers):
@@ -174,41 +180,63 @@ class PoemLM:
 
     # -- forward / backward ---------------------------------------------------
 
-    def _inputs(self, token_ids: np.ndarray, cond: np.ndarray) -> np.ndarray:
-        """(T,B) ids + (B,C) conditions -> (T,B,in_dim) input tensor."""
-        T, B = token_ids.shape
-        X = np.empty((T, B, self.in_dim))
-        X[:, :, :self.embed_dim] = self.emb[token_ids]
-        X[:, :, self.embed_dim:] = cond[None, :, :]
-        return X
-
     def forward_batch(self, token_ids: np.ndarray, cond: np.ndarray,
                       train: bool = False,
-                      rng: Optional[np.random.Generator] = None):
+                      rng: Optional[np.random.Generator] = None,
+                      positions: Optional[np.ndarray] = None):
+        """Logits for (T,B) token ids under (B,C) conditions: (T,B,V), or
+        (len(positions), V) at the given flat positions t * B + b only.
+
+        The conditions are layer 0's constant input, so they are projected
+        once per batch, not once per step.
+        """
         if token_ids.max() >= len(self.vocab) or token_ids.min() < 0:
             raise PoemLmError("token id out of range")
-        X = self._inputs(token_ids, cond)
-        caches = []
-        H = X
-        for l, layer in enumerate(self.layers):
-            if l > 0:
-                H, dmask = dropout_forward(H, self.cfg.dropout, rng, train)
-            else:
-                dmask = None
+        H, cache = self.layers[0].forward(self.emb[token_ids], const=cond)
+        caches = [(cache, None)]
+        for layer in self.layers[1:]:
+            H, dmask = dropout_forward(H, self.cfg.dropout, rng, train)
             H, cache = layer.forward(H)
             caches.append((cache, dmask))
+        shape = H.shape
+        if positions is not None:
+            H = H.reshape(-1, shape[-1])[positions]
         logits, lin_cache = self.out.forward(H)
-        return logits, (caches, lin_cache)
+        return logits, (caches, lin_cache, positions, shape)
 
     def backward_batch(self, dlogits: np.ndarray, caches,
                        grads: dict[str, np.ndarray]) -> None:
-        layer_caches, lin_cache = caches
+        layer_caches, lin_cache, positions, shape = caches
         dH = self.out.backward(dlogits, lin_cache, grads)
-        for l in range(len(self.layers) - 1, -1, -1):
+        if positions is not None:
+            full = np.zeros(shape)
+            full.reshape(-1, shape[-1])[positions] = dH
+            dH = full
+        for l in range(len(self.layers) - 1, 0, -1):
             cache, dmask = layer_caches[l]
-            dH = self.layers[l].backward(dH, cache, grads)
-            dH = dropout_backward(dH, dmask)
-        # inputs (fixed embeddings + conditions) receive no updates
+            dX, _ = self.layers[l].backward(dH, cache, grads)
+            dH = dropout_backward(dX, dmask)
+        # layer 0's inputs, fixed embeddings and conditions, take no gradient
+        self.layers[0].backward(dH, layer_caches[0][0], grads,
+                                input_grad=False)
+
+    def target_xent(self, inputs: np.ndarray, targets: np.ndarray,
+                    weights: np.ndarray, cond: np.ndarray,
+                    train: bool = False,
+                    rng: Optional[np.random.Generator] = None):
+        """Cross-entropy of one padded batch from `batches`, with logits
+        only at its target positions (weight > 0).
+
+        Returns (summed loss, dlogits at those positions, total weight,
+        caches for backward_batch).
+        """
+        positions = np.flatnonzero(weights > 0)
+        logits, caches = self.forward_batch(inputs, cond, train=train,
+                                            rng=rng, positions=positions)
+        loss, dlogits, wsum = softmax_xent_batch(
+            logits, targets.reshape(-1)[positions],
+            weights.reshape(-1)[positions])
+        return loss, dlogits, wsum, caches
 
     # -- scoring --------------------------------------------------------------
 
@@ -218,8 +246,9 @@ class PoemLM:
         if not prefix_ids or prefix_ids[0] != self.vocab.bos_id:
             raise PoemLmError("prefix must start with BOS")
         ids = np.asarray(prefix_ids)[:, None]
-        logits, _ = self.forward_batch(ids, cond[None, :], train=False)
-        return softmax(logits[-1, 0])
+        logits, _ = self.forward_batch(ids, cond[None, :],
+                                       positions=np.array([len(ids) - 1]))
+        return softmax(logits[0])
 
     def poem_log_prob(self, poem: Poem, cond: np.ndarray) -> float:
         ids = self.vocab.encode_poem(poem)
@@ -237,14 +266,10 @@ class PoemLM:
             raise PoemLmError("perplexity over an empty dataset")
         total_nll = 0.0
         total_tok = 0
-        for inputs, targets, weights, cond in self.batches(
-                poems, table, batch_size=self.cfg.batch_size,
-                zero_cond=zero_cond):
-            logits, _ = self.forward_batch(inputs, cond, train=False)
-            V = logits.shape[-1]
-            loss, _, wsum = softmax_xent_batch(
-                logits.reshape(-1, V), targets.reshape(-1),
-                weights.reshape(-1))
+        for batch in self.batches(poems, table,
+                                  batch_size=self.cfg.batch_size,
+                                  zero_cond=zero_cond):
+            loss, _, wsum, _ = self.target_xent(*batch)
             total_nll += loss
             total_tok += int(wsum)
         return float(np.exp(total_nll / total_tok))
@@ -322,18 +347,12 @@ def train_lm(model: PoemLM, train_poems: list[Poem], dev_poems: list[Poem],
 
     def run_epoch():
         total, count = 0.0, 0.0
-        for inputs, targets, weights, cond in model.batches(
-                train_poems, table, cfg.batch_size, shuffle_rng=rng,
-                zero_cond=zero_cond):
-            logits, caches = model.forward_batch(inputs, cond, train=True,
-                                                 rng=rng)
-            V = logits.shape[-1]
-            loss, dflat, wsum = softmax_xent_batch(
-                logits.reshape(-1, V), targets.reshape(-1),
-                weights.reshape(-1))
+        for batch in model.batches(train_poems, table, cfg.batch_size,
+                                   shuffle_rng=rng, zero_cond=zero_cond):
+            loss, dlogits, wsum, caches = model.target_xent(
+                *batch, train=True, rng=rng)
             grads = model.store.zero_grads()
-            model.backward_batch(
-                dflat.reshape(logits.shape) / max(wsum, 1.0), caches, grads)
+            model.backward_batch(dlogits / max(wsum, 1.0), caches, grads)
             clip_global_norm(grads)
             adam_update(model.store, grads, lr=cfg.lr)
             total += loss
@@ -422,9 +441,10 @@ def load_lm(path) -> TrainedLm:
     if problem:
         raise PoemLmError(f"{path}: {problem}")
     vocab = Vocabulary(meta["vocab"])
-    model = PoemLM(vocab, LmConfig(**meta["config"]),
-                   topic_dim=meta["topic_dim"],
-                   emb_matrix=np.zeros((len(vocab), meta["topic_dim"])),
-                   variant=LmVariant.from_name(meta["variant"]))
-    model.store.load_params(params, str(path))
+    # a zero-stride stand-in: the checkpoint supplies the values
+    emb = np.broadcast_to(0.0, (len(vocab), meta["topic_dim"]))
+    model = net.build_from_checkpoint(path, lambda: PoemLM(
+        vocab, LmConfig(**meta["config"]), topic_dim=meta["topic_dim"],
+        emb_matrix=emb, variant=LmVariant.from_name(meta["variant"]),
+        params=params))
     return TrainedLm(model=model, history=meta.get("history", []))

@@ -131,13 +131,17 @@ class RhymerConfig:
 
 
 class RhymerModel:
-    def __init__(self, cfg: RhymerConfig):
+    """`params`, if given, are the arrays to build from (a checkpoint's)."""
+
+    def __init__(self, cfg: RhymerConfig,
+                 params: dict[str, np.ndarray] | None = None):
         self.cfg = cfg
-        self.store = ParameterStore()
+        self.store = ParameterStore(params)
         rng = net.child_rng(cfg.seed, "rhymer", "init")
         C = len(CHARSET)
-        self.char_emb = self.store.add(
-            "rh.chars", init_uniform(rng, (C, cfg.char_dim)))
+        self.char_emb = self.store.new(
+            "rh.chars", (C, cfg.char_dim), lambda shape: init_uniform(
+                rng, shape))
         self.word_enc = BiLstmEncoder(self.store, "rh.word", cfg.char_dim,
                                       cfg.word_hidden, rng)
         self.poem_enc = LstmLayer(self.store, "rh.poem", cfg.char_dim,
@@ -173,13 +177,8 @@ class RhymerModel:
         (a_ids, a_len), (b_ids, b_len), (in_ids, in_len), _ = batch
         enc_a, cache_a, enc_b, cache_b = self._encoders_forward(
             a_ids, a_len, b_ids, b_len)
-        T, B = in_ids.shape
-        E = self.cfg.char_dim
-        X = np.empty((T, B, E + self.cond_dim))
-        X[:, :, :E] = self.char_emb[in_ids]
-        X[:, :, E:E + 2 * self.cfg.word_hidden] = enc_a[None]
-        X[:, :, E + 2 * self.cfg.word_hidden:] = enc_b[None]
-        Hd, cache_d = self.decoder.forward(X)
+        Hd, cache_d = self.decoder.forward(
+            self.char_emb[in_ids], const=np.concatenate([enc_a, enc_b], 1))
         logits, cache_o = self.out.forward(Hd)
         return logits, (cache_a, cache_b, cache_d, cache_o, a_ids, b_ids,
                         in_ids)
@@ -189,18 +188,16 @@ class RhymerModel:
         E = self.cfg.char_dim
         Hw2 = 2 * self.cfg.word_hidden
         dHd = self.out.backward(dlogits, cache_o, grads)
-        dX = self.decoder.backward(dHd, cache_d, grads)
-        np.add.at(grads["rh.chars"], in_ids.reshape(-1),
-                  dX[:, :, :E].reshape(-1, E))
-        d_enc_a = dX[:, :, E:E + Hw2].sum(axis=0)
-        d_enc_b = dX[:, :, E + Hw2:].sum(axis=0)
+        dX, d_cond = self.decoder.backward(dHd, cache_d, grads)
+        np.add.at(grads["rh.chars"], in_ids.reshape(-1), dX.reshape(-1, E))
+        d_enc_a, d_enc_b = d_cond[:, :Hw2], d_cond[:, Hw2:]
         dXa = self.word_enc.backward(d_enc_a, cache_a, grads)
         np.add.at(grads["rh.chars"], a_ids.reshape(-1),
                   dXa.reshape(-1, E))
         Tb, B = b_ids.shape
         dHb = np.zeros((Tb, B, self.cfg.poem_hidden))
         dHb[-1] = d_enc_b
-        dXb = self.poem_enc.backward(dHb, cache_b, grads)
+        dXb, _ = self.poem_enc.backward(dHb, cache_b, grads)
         np.add.at(grads["rh.chars"], b_ids.reshape(-1),
                   dXb.reshape(-1, E))
 
@@ -390,6 +387,5 @@ def load_rhymer(path) -> RhymerModel:
     problem = net.meta_problem(meta, "rhymer", RhymerConfig)
     if problem:
         raise RhymerError(f"{path}: {problem}")
-    model = RhymerModel(RhymerConfig(**meta["config"]))
-    model.store.load_params(params, str(path))
-    return model
+    return net.build_from_checkpoint(path, lambda: RhymerModel(
+        RhymerConfig(**meta["config"]), params=params))

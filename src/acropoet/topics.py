@@ -48,8 +48,12 @@ class TopicConfig:
 
 
 class TopicClassifier:
+    """`params`, if given, are the arrays to build from (a checkpoint's);
+    emb_matrix's values are then never used."""
+
     def __init__(self, vocab: Vocabulary, labels: list[str],
-                 cfg: TopicConfig, emb_matrix: np.ndarray):
+                 cfg: TopicConfig, emb_matrix: np.ndarray,
+                 params: dict[str, np.ndarray] | None = None):
         if len(labels) < 2:
             raise TopicError("need at least two topics to classify")
         if labels != sorted(labels):
@@ -58,9 +62,10 @@ class TopicClassifier:
         self.labels = labels
         self.label_to_id = {t: i for i, t in enumerate(labels)}
         self.cfg = cfg
-        self.store = ParameterStore()
+        self.store = ParameterStore(params)
         rng = net.child_rng(cfg.seed, "topics", "init")
-        self.emb = self.store.add(EMB_NAME, emb_matrix)
+        self.emb = self.store.new(EMB_NAME, emb_matrix.shape,
+                                  lambda _: emb_matrix)
         self.store.fixed.add(EMB_NAME)
         self.embed_dim = emb_matrix.shape[1]
         self.encoder = BiLstmEncoder(self.store, "tp.enc", self.embed_dim,
@@ -187,8 +192,8 @@ def load_topics(path) -> TopicClassifier:
     if problem:
         raise TopicError(f"{path}: {problem}")
     vocab = Vocabulary(meta["vocab"])
-    model = TopicClassifier(
+    # a zero-stride stand-in: the checkpoint supplies the values
+    emb = np.broadcast_to(0.0, (len(vocab), meta["embed_dim"]))
+    return net.build_from_checkpoint(path, lambda: TopicClassifier(
         vocab, meta["labels"], TopicConfig(**meta["config"]),
-        emb_matrix=np.zeros((len(vocab), meta["embed_dim"])))
-    model.store.load_params(params, str(path))
-    return model
+        emb_matrix=emb, params=params))

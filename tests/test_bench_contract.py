@@ -95,6 +95,39 @@ def test_lm_training_and_perplexity_make_no_step_calls(table, monkeypatch):
     assert calls == Counter()
 
 
+# The train-lm workload expects spans from the LM's batch methods and from
+# the layers they run; the target-position path must still go through them.
+
+def test_lm_training_and_perplexity_run_the_traced_layer_methods(
+        table, monkeypatch):
+    calls = Counter()
+    for owner, name in ((PoemLM, "forward_batch"),
+                        (PoemLM, "backward_batch"),
+                        (net.Linear, "forward"), (net.Linear, "backward"),
+                        (net.LstmLayer, "forward")):
+        _count_calls(monkeypatch, owner, name, calls)
+    input_grads = Counter()
+    real_backward = net.LstmLayer.backward
+
+    def backward(layer, *args, **kwargs):
+        dX, d_const = real_backward(layer, *args, **kwargs)
+        input_grads[layer.name, dX is not None, d_const is not None] += 1
+        return dX, d_const
+    monkeypatch.setattr(net.LstmLayer, "backward", backward)
+    train = make_poems(20, seed=1)
+    model = _tiny_lm(table, train, n_layers=2)
+    train_lm(model, train, make_poems(4, seed=2), table, max_epochs=1)
+    model.perplexity(make_poems(4, seed=3), table)
+    batches = 3  # 20 poems in batches of 8
+    assert calls["PoemLM.backward_batch"] == batches
+    assert calls["Linear.backward"] == batches
+    assert calls["PoemLM.forward_batch"] == calls["Linear.forward"] > batches
+    assert calls["LstmLayer.forward"] == 2 * calls["PoemLM.forward_batch"]
+    # layer 0 reads fixed embeddings and conditions: no input gradient
+    assert input_grads == Counter({("lm.lstm0", False, False): batches,
+                                   ("lm.lstm1", True, False): batches})
+
+
 def test_poemlm_step_makes_one_step_call_per_layer(table, monkeypatch):
     calls = Counter()
     _count_calls(monkeypatch, net, "lstm_step", calls)

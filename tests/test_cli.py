@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -525,6 +526,37 @@ def test_checkpoint_arrays_unlike_meta_are_clean_error(workdir, tmp_path,
                                               bad))
     assert "bad.ckpt: arrays do not match the model" in line
     assert named in line
+
+
+def _traced_peak(action):
+    """action() and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return action(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind,key", [("lm", "hidden"), ("topics", "hidden"),
+                                      ("rhymer", "decoder_hidden")])
+def test_meta_sizes_beyond_the_arrays_are_rejected_before_allocating(
+        workdir, tmp_path, kind, key):
+    """A small checkpoint whose meta names a large size fails with one
+    error line, having allocated no more than an honest load does."""
+    root, run = workdir
+    params, meta = load_checkpoint(root / f"{kind}.ckpt")
+    meta["config"][key] = 2000
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, params, meta)
+    honest, honest_peak = _traced_peak(
+        lambda: _load_model(run, root, tmp_path, kind, root / f"{kind}.ckpt"))
+    assert honest.exit_code == 0, honest.output
+    result, peak = _traced_peak(
+        lambda: _load_model(run, root, tmp_path, kind, bad))
+    line = _assert_one_error_line(result)
+    assert "bad.ckpt: arrays do not match the model" in line
+    assert "the model needs (2000, 8000)" in line
+    assert peak < 3 * honest_peak, (peak, honest_peak)
 
 
 def test_dev_topic_unseen_in_training_is_clean_error(workdir, tmp_path):

@@ -247,6 +247,78 @@ def test_gradcheck_bilstm_with_lengths(seed):
 
     assert _check(lg, store)["max_rel_error"] <= 1e-4
 
+def _const_case(seed, masked):
+    """A layer over 3 step inputs plus 2 constant ones, and its inputs."""
+    rng = np.random.default_rng(seed)
+    T, B, D, Dc, H = 4, 3, 3, 2, 4
+    store = ParameterStore()
+    layer = LstmLayer(store, "lstm", D + Dc, H, rng)
+    X = rng.normal(size=(T, B, D))
+    const = rng.normal(size=(B, Dc))
+    mask = (net.length_mask(np.array([4, 1, 2]), T) if masked else None)
+    return store, layer, X, const, mask, rng.normal(size=H)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+def test_const_input_equals_the_input_copied_into_every_step(seed, masked):
+    store, layer, X, const, mask, W = _const_case(seed, masked)
+    T, B, D = X.shape
+    wide = np.concatenate([X, np.broadcast_to(const, (T,) + const.shape)],
+                          axis=2)
+    runs = []
+    for args in ((X, mask, const), (wide, mask)):
+        H, cache = layer.forward(*args)
+        grads = store.zero_grads()
+        runs.append((H, grads, layer.backward(
+            np.broadcast_to(W, H.shape).copy(), cache, grads)))
+    (H_c, g_c, (dX_c, dconst)), (H_w, g_w, (dX_w, none)) = runs
+    assert none is None
+    assert np.allclose(H_c, H_w, rtol=0, atol=1e-12)
+    for name in g_w:
+        assert np.allclose(g_c[name], g_w[name], rtol=0, atol=1e-12), name
+    assert np.allclose(dX_c, dX_w[:, :, :D], rtol=0, atol=1e-12)
+    assert np.allclose(dconst, dX_w[:, :, D:].sum(axis=0), rtol=0,
+                       atol=1e-12)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+def test_gradcheck_lstm_layer_with_const(seed, masked):
+    """Weights and both inputs: X and const join the store so that the
+    finite differences reach them too."""
+    store, layer, X, const, mask, W = _const_case(seed, masked)
+    X = store.add("X", X)
+    const = store.add("const", const)
+
+    def lg():
+        H, cache = layer.forward(X, mask, const)
+        grads = store.zero_grads()
+        grads["X"], grads["const"] = layer.backward(
+            np.broadcast_to(W, H.shape).copy(), cache, grads)
+        return float((H * W).sum()), grads
+
+    assert _check(lg, store)["max_rel_error"] <= 1e-4
+
+
+def test_backward_without_input_grad_keeps_weight_grads():
+    store, layer, X, const, mask, W = _const_case(0, True)
+    H, cache = layer.forward(X, mask, const)
+    dH = np.broadcast_to(W, H.shape).copy()
+    with_inputs, without = store.zero_grads(), store.zero_grads()
+    assert layer.backward(dH, cache, with_inputs)[1] is not None
+    assert layer.backward(dH, cache, without, input_grad=False) == (None,
+                                                                    None)
+    for name in with_inputs:
+        assert np.array_equal(with_inputs[name], without[name])
+
+
+def test_lstm_forward_rejects_wrong_input_width():
+    store, layer, X, const, mask, W = _const_case(0, False)
+    with pytest.raises(NetError, match="input width 3 plus constant width 0"):
+        layer.forward(X)
+
+
 def test_gradcheck_flags_corrupted_gradient():
     store = ParameterStore()
     rng = np.random.default_rng(0)
@@ -281,6 +353,27 @@ def test_checkpoint_roundtrip_bitexact(tmp_path):
     p2 = tmp_path / "c2.ckpt"
     save_checkpoint(p2, loaded, meta2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+class _FailsOnWrite:
+    """An array-like whose values cannot be read: saving it fails after
+    the header and every array before it are written."""
+
+    shape = (2,)
+
+    def __array__(self, *args, **kwargs):
+        raise RuntimeError("disk full")
+
+
+def test_failed_save_leaves_the_earlier_file_whole(tmp_path):
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, {"a": np.ones(3), "b": np.zeros(2)}, {"k": 1})
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError, match="disk full"):
+        save_checkpoint(path, {"a": np.full(3, 2.0), "b": _FailsOnWrite()},
+                        {"k": 2})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["c.ckpt"]
 
 
 def test_child_rng_deterministic_and_distinct():
@@ -429,3 +522,41 @@ def test_load_params_names_every_mismatched_array():
     assert not s["c"].any()  # nothing is copied unless everything matches
     s.load_params({"a": np.ones((2, 3)), "b": np.ones(4), "c": np.ones(1)})
     assert all(s[k].all() for k in s)
+
+
+def _layer_store(source=None):
+    store = ParameterStore(source)
+    LstmLayer(store, "l", 3, 2, np.random.default_rng(0))
+    return store
+
+
+def test_store_built_from_source_takes_its_arrays(tmp_path):
+    path = tmp_path / "l.ckpt"
+    save_checkpoint(path, {k: v + 1.0 for k, v in _layer_store().items()},
+                    {})
+    source, _ = load_checkpoint(path)
+    store = _layer_store(source)
+    store.check_source()
+    for name, arr in source.items():
+        assert store[name] is arr
+        arr += 1.0  # writable: a loaded model can be trained further
+
+
+def test_store_built_from_source_names_every_mismatch():
+    source = dict(_layer_store().params)
+    source["l.Wh"] = np.zeros((3, 8))
+    source["z"] = np.zeros(1)
+    store = _layer_store(source)
+    assert "l.Wh" not in store  # never allocated at the model's shape
+    with pytest.raises(NetError) as err:
+        store.check_source()
+    assert str(err.value) == (
+        "arrays do not match the model: 'l.Wh' has shape (3, 8), the model "
+        "needs (2, 8); extra 'z'")
+
+
+def test_store_built_from_source_stops_at_a_missing_array():
+    source = dict(_layer_store().params)
+    del source["l.Wh"]
+    with pytest.raises(NetError, match="missing 'l.Wh'"):
+        _layer_store(source)

@@ -3,7 +3,7 @@ import pytest
 from helpers import make_plain_sentences, make_poems, make_table
 
 from acropoet.corpus import Poem, build_vocabulary
-from acropoet.net import grad_check
+from acropoet.net import grad_check, softmax, softmax_xent_batch
 from acropoet.poemlm import (
     ACROSTIC_DIM, EMB_NAME, LmConfig, LmVariant, PoemLM, PoemLmError,
     TrainedLm, build_embedding_matrix, load_lm, save_lm, train_lm,
@@ -185,6 +185,57 @@ def test_gradcheck_full_model(table):
     report = grad_check(lambda: loss_and_grads()[0], model.store, grads,
                         param_names=names, max_entries_per_param=20)
     assert report["max_rel_error"] <= 1e-4
+
+
+def _full_logits_xent(model, inputs, targets, weights, cond, rng):
+    """The loss and gradients from logits at every position, padding
+    included: the reference for the target-position path."""
+    logits, caches = model.forward_batch(inputs, cond, train=True, rng=rng)
+    V = logits.shape[-1]
+    loss, dflat, wsum = softmax_xent_batch(
+        logits.reshape(-1, V), targets.reshape(-1), weights.reshape(-1))
+    grads = model.store.zero_grads()
+    model.backward_batch(dflat.reshape(logits.shape) / wsum, caches, grads)
+    return logits, loss, grads
+
+
+def test_target_positions_match_full_logits(table):
+    model, poems = fresh_model(table, n_layers=3, dropout=0.3)
+    # one batch of poems 4 to 8 lines long: padding of many lengths
+    batch = next(model.batches(poems, table, batch_size=len(poems)))
+    inputs, targets, weights, cond = batch
+    assert 0.2 < 1.0 - weights.mean() < 0.8
+    logits, loss, grads = _full_logits_xent(
+        model, *batch, rng=np.random.default_rng(3))
+    loss_t, dlogits, wsum, caches = model.target_xent(
+        *batch, train=True, rng=np.random.default_rng(3))
+    grads_t = model.store.zero_grads()
+    model.backward_batch(dlogits / wsum, caches, grads_t)
+    assert loss_t == pytest.approx(loss, rel=0, abs=1e-12)
+    assert sorted(grads_t) == sorted(grads)
+    for name in grads:
+        assert np.allclose(grads_t[name], grads[name], rtol=0,
+                           atol=1e-12), name
+    # the default call still returns every position's logits, and those
+    # at the target positions are the gathered ones
+    full, _ = model.forward_batch(inputs, cond)
+    T, B = inputs.shape
+    assert full.shape == (T, B, len(model.vocab))
+    positions = np.flatnonzero(weights > 0)
+    gathered, _ = model.forward_batch(inputs, cond, positions=positions)
+    assert np.allclose(full.reshape(T * B, -1)[positions], gathered,
+                       rtol=0, atol=1e-12)
+
+
+def test_lm_forward_equals_the_last_row_of_full_logits(table):
+    model, poems = fresh_model(table)
+    cond = model.poem_condition(poems[2], table)
+    ids = model.vocab.encode_poem(poems[2])
+    for i in (1, 4, len(ids)):
+        logits, _ = model.forward_batch(np.asarray(ids[:i])[:, None],
+                                        cond[None, :])
+        assert np.allclose(model.lm_forward(ids[:i], cond),
+                           softmax(logits[-1, 0]), rtol=0, atol=1e-12)
 
 
 def test_variant_prerequisites(table):

@@ -197,6 +197,31 @@ def test_gradcheck_rhymer_full():
                         max_entries_per_param=15)
     assert report["max_rel_error"] <= 1e-4
 
+@pytest.mark.parametrize("seed", range(3))
+def test_gradcheck_rhymer_encoders_via_decoder_constant_input(seed):
+    """The encodings reach the decoder only as its constant input, so the
+    encoders' gradients all flow through d_const; check every entry of
+    theirs and of the decoder's input weights."""
+    cfg = RhymerConfig(word_hidden=2, poem_hidden=3, decoder_hidden=3,
+                       char_dim=2, seed=seed)
+    model = RhymerModel(cfg)
+    examples = [RhymeExample(a="ab", b="xy z", c="cde"),
+                RhymeExample(a="q", b="a longer context", c="b"),
+                RhymeExample(a="sea", b="wild and", c="free")]
+
+    def loss_fn():
+        loss, wsum, _ = model.loss_and_grads(examples)
+        return loss / wsum
+
+    _, _, grads = model.loss_and_grads(examples)
+    names = [n for n in model.store
+             if n.startswith(("rh.word.", "rh.poem.", "rh.dec.Wx"))]
+    assert all(np.any(grads[n]) for n in names)
+    report = grad_check(loss_fn, model.store, grads, param_names=names,
+                        max_entries_per_param=200)
+    assert report["max_rel_error"] <= 1e-4
+
+
 def test_rhymer_checkpoint_roundtrip(tmp_path, tiny_rhymer):
     model, examples = tiny_rhymer
     p1 = tmp_path / "rh.ckpt"
