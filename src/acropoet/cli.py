@@ -222,7 +222,7 @@ def train(obj, model, variant, train_path, dev_path, emb_path, dim,
             "profile": obj["profile"],
             "seed": obj["seed"],
             "config": asdict(cfg),
-            "history": net.stable_history(history),
+            "history": history,
         })
         click.echo(f"wrote {out}")
     except PIPELINE_ERRORS as exc:

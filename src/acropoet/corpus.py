@@ -122,13 +122,11 @@ def _stanzas(lines: list[str]) -> list[list[str]]:
     return groups
 
 
-def split_into_training_poems(
-    doc: RawDocument, sentence_enders: tuple[str, ...] = (".",)
-) -> list[Poem]:
+def split_into_training_poems(doc: RawDocument) -> list[Poem]:
     """Break a document into 4-8 line poems.
 
     Stanzas (empty-line separated) within bounds are kept whole.  Over-long
-    stanzas contribute every prefix that ends on a sentence-final line and
+    stanzas contribute every prefix that ends on a line ending in "." and
     falls within bounds; under-long stanzas are dropped.
     """
     poems: list[Poem] = []
@@ -141,7 +139,7 @@ def split_into_training_poems(
             poems.append(Poem(lines=tok_lines, topic=doc.topic))
             continue
         for k in range(MIN_LINES, MAX_LINES + 1):
-            if tok_lines[k - 1][-1] in sentence_enders:
+            if tok_lines[k - 1][-1] == ".":
                 poems.append(Poem(lines=tok_lines[:k], topic=doc.topic))
     return poems
 

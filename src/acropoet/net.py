@@ -209,13 +209,15 @@ def lstm_step(x, h_prev, c_prev, Wx, Wh, b):
 
 
 class LstmLayer:
-    """Single-direction LSTM over a (T, B, D) batch with optional length
-    masks and an optional input that is constant over time.
+    """Single-direction LSTM over a (T, B, D) batch with an optional input
+    that is constant over time.
 
     The input projection of all T steps is one GEMM before the time loop,
     so each step multiplies only h @ Wh; backward collects the per-step
     pre-activation gradients and takes the weight and input gradients as
-    single GEMMs after its loop.
+    single GEMMs after its loop.  Every column runs all T steps: a caller
+    of right-padded sequences reads each column's state at its length
+    (`final_steps`), and padding steps, which get no gradient, add none.
     """
 
     def __init__(self, store: ParameterStore, name: str, in_dim: int,
@@ -238,15 +240,12 @@ class LstmLayer:
         s = self.store
         return s[f"{self.name}.Wx"], s[f"{self.name}.Wh"], s[f"{self.name}.b"]
 
-    def forward(self, X: np.ndarray, mask: np.ndarray | None = None,
-                const: np.ndarray | None = None):
+    def forward(self, X: np.ndarray, const: np.ndarray | None = None):
         """Run the full sequence.
 
-        mask, if given, is (T, B) with 1 at valid steps; masked steps carry
-        state through unchanged so h[-1] is the last valid state.  const,
-        if given, is a (B, Dc) input that every step sees after X[t]: it
-        meets the last Dc rows of Wx once, as a per-column bias, instead
-        of being copied into every step's input.
+        const, if given, is a (B, Dc) input that every step sees after
+        X[t]: it meets the last Dc rows of Wx once, as a per-column bias,
+        instead of being copied into every step's input.
         Returns (H_out (T,B,H), cache).
         """
         Wx, Wh, b = self._weights()
@@ -263,15 +262,10 @@ class LstmLayer:
         Cs = np.zeros((T + 1, B, H))
         gates = []
         for t in range(T):
-            (h, c), cell = _cell(XW[t] + Hs[t] @ Wh + bias, Cs[t])
+            (Hs[t + 1], Cs[t + 1]), cell = _cell(XW[t] + Hs[t] @ Wh + bias,
+                                                 Cs[t])
             gates.append(cell)
-            if mask is not None:
-                m = mask[t][:, None]
-                h = m * h + (1.0 - m) * Hs[t]
-                c = m * c + (1.0 - m) * Cs[t]
-            Hs[t + 1] = h
-            Cs[t + 1] = c
-        return Hs[1:], (X, mask, const, Hs, Cs, gates)
+        return Hs[1:], (X, const, Hs, Cs, gates)
 
     def backward(self, dH: np.ndarray, cache, grads: dict[str, np.ndarray],
                  input_grad: bool = True):
@@ -282,7 +276,7 @@ class LstmLayer:
         no gradient, such as fixed embeddings).
         """
         Wx, Wh, b = self._weights()
-        X, mask, const, Hs, Cs, gates = cache
+        X, const, Hs, Cs, gates = cache
         T, B, D = X.shape
         H = self.hidden
         dA = np.empty((T, B, 4 * H))  # gradient of each step's pre-activation
@@ -290,26 +284,16 @@ class LstmLayer:
         dc_next = np.zeros((B, H))
         for t in range(T - 1, -1, -1):
             i, f, g, o, tc = gates[t]
-            dh_t = dH[t] + dh_next
-            dc_t = dc_next
-            if mask is not None:
-                m = mask[t][:, None]
-                dh_new = dh_t * m
-                dh_carry = dh_t * (1.0 - m)
-                dc_new = dc_t * m
-                dc_carry = dc_t * (1.0 - m)
-            else:
-                dh_new, dh_carry = dh_t, 0.0
-                dc_new, dc_carry = dc_t, 0.0
-            do = dh_new * tc
-            dc = dc_new + dh_new * o * (1.0 - tc * tc)
+            dh = dH[t] + dh_next
+            do = dh * tc
+            dc = dc_next + dh * o * (1.0 - tc * tc)
             da = dA[t]
             da[:, :H] = dc * g * i * (1.0 - i)
             da[:, H:2 * H] = dc * Cs[t] * f * (1.0 - f)
             da[:, 2 * H:3 * H] = dc * i * (1.0 - g * g)
             da[:, 3 * H:] = do * o * (1.0 - o)
-            dh_next = da @ Wh.T + dh_carry
-            dc_next = dc * f + dc_carry
+            dh_next = da @ Wh.T
+            dc_next = dc * f
         flat = dA.reshape(T * B, 4 * H)
         dWx = grads[f"{self.name}.Wx"]
         dWx[:D] += X.reshape(T * B, D).T @ flat
@@ -338,12 +322,18 @@ def length_mask(lengths: np.ndarray, T: int) -> np.ndarray:
     return (np.arange(T)[:, None] < lengths[None, :]).astype(float)
 
 
+def final_steps(lengths: np.ndarray):
+    """Index of each column's last step within its length: H[idx] is the
+    (B, ...) final state of a right-padded (T, B, ...) H, and dH[idx] = d
+    puts the final states' gradient back."""
+    return lengths - 1, np.arange(len(lengths))
+
+
 def reverse_padded(X: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Reverse each sequence within its own length, leaving padding in place."""
-    Y = X.copy()
-    for b, L in enumerate(lengths):
-        Y[:L, b] = X[L - 1::-1, b]
-    return Y
+    t = np.arange(X.shape[0])[:, None]
+    return X[np.where(t < lengths, lengths - 1 - t, t),
+             np.arange(X.shape[1])]
 
 
 class BiLstmEncoder:
@@ -357,25 +347,30 @@ class BiLstmEncoder:
         self.out_dim = 2 * hidden
 
     def forward(self, X: np.ndarray, lengths: np.ndarray):
-        T, B, _ = X.shape
-        mask = length_mask(lengths, T)
-        Hf, cf = self.fwd.forward(X, mask)
-        Xr = reverse_padded(X, lengths)
-        Hb, cb = self.bwd.forward(Xr, mask)
-        enc = np.concatenate([Hf[-1], Hb[-1]], axis=1)
-        return enc, (cf, cb, lengths, T)
+        """Final states of right-padded X (T, B, D), each column read at
+        its length; returns ((B, 2H) encodings, cache)."""
+        last = final_steps(lengths)
+        Hf, cf = self.fwd.forward(X)
+        Hb, cb = self.bwd.forward(reverse_padded(X, lengths))
+        enc = np.concatenate([Hf[last], Hb[last]], axis=1)
+        return enc, (cf, cb, lengths, X.shape[0])
 
     def backward(self, d_enc: np.ndarray, cache,
-                 grads: dict[str, np.ndarray]) -> np.ndarray:
+                 grads: dict[str, np.ndarray],
+                 input_grad: bool = True) -> np.ndarray | None:
+        """Gradient of X, or None when input_grad is False."""
         cf, cb, lengths, T = cache
         B = d_enc.shape[0]
         H = self.hidden
+        last = final_steps(lengths)
         dHf = np.zeros((T, B, H))
-        dHf[-1] = d_enc[:, :H]
+        dHf[last] = d_enc[:, :H]
         dHb = np.zeros((T, B, H))
-        dHb[-1] = d_enc[:, H:]
-        dX, _ = self.fwd.backward(dHf, cf, grads)
-        dXr, _ = self.bwd.backward(dHb, cb, grads)
+        dHb[last] = d_enc[:, H:]
+        dX, _ = self.fwd.backward(dHf, cf, grads, input_grad)
+        dXr, _ = self.bwd.backward(dHb, cb, grads, input_grad)
+        if not input_grad:
+            return None
         dX += reverse_padded(dXr, lengths)
         return dX
 
@@ -461,11 +456,12 @@ def softmax_xent_batch(logits: np.ndarray, targets: np.ndarray,
     (padding) contribute nothing.
     """
     probs = softmax(logits)
-    N = logits.shape[0]
-    p_t = np.clip(probs[np.arange(N), targets], CE_EPS, None)
+    rows = np.arange(logits.shape[0])
+    p_t = np.clip(probs[rows, targets], CE_EPS, None)
     loss = float(-(weights * np.log(p_t)).sum())
-    dlogits = probs * weights[:, None]
-    dlogits[np.arange(N), targets] -= weights
+    dlogits = probs  # built in place: the probabilities are not kept
+    dlogits *= weights[:, None]
+    dlogits[rows, targets] -= weights
     return loss, dlogits, float(weights.sum())
 
 
@@ -541,24 +537,26 @@ def fit(store: ParameterStore, run_epoch, evaluate, patience: int,
     which override same-named dev fields.  Epoch 0 is the dev pass before
     any training.  The best parameters seen are restored at the end.
     Arrays without Adam moments get zero ones before the first pass;
-    moments from an earlier call carry on.
+    moments from an earlier call carry on.  Each epoch's wall-clock time
+    goes to its log line only, so artifacts written from the history stay
+    byte-identical across reruns with the same seed.
     """
     store.init_moments()
     stopper = EarlyStopper(patience=patience)
     loss, dev = evaluate()
     history = [{"epoch": 0, **dev}]
     stopper.update(loss, store)
-    t0 = time.time()
     for epoch in range(1, max_epochs + 1):
+        t0 = time.perf_counter()
         train = run_epoch()
         loss, dev = evaluate()
         improved = stopper.update(loss, store)
         entry = {"epoch": epoch, **dev, **train}
-        log.info("[%s] epoch %d %s%s", tag, epoch,
+        log.info("[%s] epoch %d %s (%.2fs)%s", tag, epoch,
                  " ".join(f"{k}={v:.4f}" for k, v in entry.items()
                           if k != "epoch"),
-                 " *" if improved else "")
-        history.append(dict(entry, seconds=round(time.time() - t0, 3)))
+                 time.perf_counter() - t0, " *" if improved else "")
+        history.append(entry)
         if stopper.should_stop:
             break
     stopper.restore_best(store)
@@ -613,13 +611,6 @@ def grad_check(loss_fn, store: ParameterStore,
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"ACPK2\n"
-
-
-def stable_history(history: list[dict]) -> list[dict]:
-    """Training history without wall-clock fields; artifacts written from it
-    stay byte-identical across reruns with the same seed."""
-    return [{k: v for k, v in entry.items() if k != "seconds"}
-            for entry in history]
 
 
 def save_checkpoint(path, params: Mapping[str, np.ndarray],

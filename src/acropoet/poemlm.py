@@ -36,6 +36,7 @@ log = logging.getLogger(__name__)
 
 ACROSTIC_DIM = N_LETTER_ROWS * N_LETTER_COLS  # 216
 EMB_NAME = "embed.fixed"
+VOCAB_SIZE = 50000  # most frequent training tokens the LM keeps
 
 
 class PoemLmError(ValueError):
@@ -377,9 +378,7 @@ class TrainedLm:
 def train_variant(variant: LmVariant, gold_train: list[Poem],
                   gold_dev: list[Poem], silver_train: list[Poem],
                   pretrain_sentences: Optional[list[list[str]]],
-                  table: EmbeddingTable, cfg: LmConfig,
-                  vocab: Optional[Vocabulary] = None,
-                  vocab_size: int = 50000) -> TrainedLm:
+                  table: EmbeddingTable, cfg: LmConfig) -> TrainedLm:
     """Train one of the named regimes end to end."""
     from .corpus import build_vocabulary
 
@@ -397,8 +396,7 @@ def train_variant(variant: LmVariant, gold_train: list[Poem],
     if not finetune or not gold_dev:
         raise PoemLmError("empty training or dev corpus")
 
-    if vocab is None:
-        vocab = build_vocabulary(finetune, max_size=vocab_size)
+    vocab = build_vocabulary(finetune, max_size=VOCAB_SIZE)
     model = PoemLM(vocab, cfg, topic_dim=table.dim,
                    emb_matrix=build_embedding_matrix(vocab, table),
                    variant=variant)
@@ -429,7 +427,7 @@ def save_lm(path, trained: TrainedLm) -> None:
         "variant": model.variant.name,
         "topic_dim": model.topic_dim,
         "vocab": model.vocab.non_special_tokens(),
-        "history": net.stable_history(trained.history),
+        "history": trained.history,
     }
     net.save_checkpoint(path, model.store, meta)
 

@@ -20,8 +20,8 @@ from . import net
 from .corpus import RawDocument, Vocabulary
 from .net import (
     BiLstmEncoder, Linear, LstmLayer, ParameterStore, adam_update,
-    clip_global_norm, init_uniform, length_mask, lstm_step, pad_ids, softmax,
-    softmax_xent_batch,
+    clip_global_norm, final_steps, init_uniform, length_mask, lstm_step,
+    pad_ids, softmax, softmax_xent_batch,
 )
 
 log = logging.getLogger(__name__)
@@ -154,10 +154,15 @@ class RhymerModel:
 
     # -- batching ------------------------------------------------------------
 
+    def _encode_inputs(self, a: str, b: str):
+        """Char ids of the word to rhyme with and of the last
+        max_context_chars of the poem so far; [EOS_ID] for an empty one."""
+        return (encode_chars(a) or [EOS_ID],
+                encode_chars(b)[-self.cfg.max_context_chars:] or [EOS_ID])
+
     def _encode_batch(self, examples: list[RhymeExample]):
-        a_seqs = [encode_chars(ex.a) or [EOS_ID] for ex in examples]
-        b_seqs = [encode_chars(ex.b)[-self.cfg.max_context_chars:]
-                  or [EOS_ID] for ex in examples]
+        a_seqs, b_seqs = zip(*(self._encode_inputs(ex.a, ex.b)
+                               for ex in examples))
         dec_in = [[BOS_ID] + encode_chars(ex.c) for ex in examples]
         dec_tgt = [encode_chars(ex.c) + [EOS_ID] for ex in examples]
         return (pad_ids(a_seqs, PAD_ID), pad_ids(b_seqs, PAD_ID),
@@ -168,10 +173,8 @@ class RhymerModel:
     def _encoders_forward(self, a_ids, a_len, b_ids, b_len):
         Xa = self.char_emb[a_ids]
         enc_a, cache_a = self.word_enc.forward(Xa, a_len)
-        Xb = self.char_emb[b_ids]
-        Hb, cache_b = self.poem_enc.forward(Xb,
-                                            length_mask(b_len, len(b_ids)))
-        return enc_a, cache_a, Hb[-1], cache_b
+        Hb, cache_b = self.poem_enc.forward(self.char_emb[b_ids])
+        return enc_a, cache_a, Hb[final_steps(b_len)], cache_b
 
     def forward_batch(self, batch):
         (a_ids, a_len), (b_ids, b_len), (in_ids, in_len), _ = batch
@@ -180,11 +183,12 @@ class RhymerModel:
         Hd, cache_d = self.decoder.forward(
             self.char_emb[in_ids], const=np.concatenate([enc_a, enc_b], 1))
         logits, cache_o = self.out.forward(Hd)
-        return logits, (cache_a, cache_b, cache_d, cache_o, a_ids, b_ids,
-                        in_ids)
+        return logits, (cache_a, cache_b, cache_d, cache_o, a_ids,
+                        (b_ids, b_len), in_ids)
 
     def backward_batch(self, dlogits, caches, grads):
-        cache_a, cache_b, cache_d, cache_o, a_ids, b_ids, in_ids = caches
+        (cache_a, cache_b, cache_d, cache_o, a_ids, (b_ids, b_len),
+         in_ids) = caches
         E = self.cfg.char_dim
         Hw2 = 2 * self.cfg.word_hidden
         dHd = self.out.backward(dlogits, cache_o, grads)
@@ -196,7 +200,7 @@ class RhymerModel:
                   dXa.reshape(-1, E))
         Tb, B = b_ids.shape
         dHb = np.zeros((Tb, B, self.cfg.poem_hidden))
-        dHb[-1] = d_enc_b
+        dHb[final_steps(b_len)] = d_enc_b
         dXb, _ = self.poem_enc.backward(dHb, cache_b, grads)
         np.add.at(grads["rh.chars"], b_ids.reshape(-1),
                   dXb.reshape(-1, E))
@@ -236,9 +240,9 @@ class RhymerModel:
     def rhyme_candidates(self, a: str, b: str,
                          width: int = 5) -> list[tuple[str, float]]:
         """Beam-search the decoder; candidates sorted by log prob descending."""
-        (a_ids, a_len) = pad_ids([encode_chars(a) or [EOS_ID]], PAD_ID)
-        b_enc = encode_chars(b)[-self.cfg.max_context_chars:] or [EOS_ID]
-        (b_ids, b_len) = pad_ids([b_enc], PAD_ID)
+        a_enc, b_enc = self._encode_inputs(a, b)
+        a_ids, a_len = pad_ids([a_enc], PAD_ID)
+        b_ids, b_len = pad_ids([b_enc], PAD_ID)
         enc_a, _, enc_b, _ = self._encoders_forward(a_ids, a_len, b_ids,
                                                     b_len)
         cond = np.concatenate([enc_a[0], enc_b[0]])
@@ -379,7 +383,7 @@ def train_rhymer(model: RhymerModel, train_ex: list[RhymeExample],
 def save_rhymer(path, model: RhymerModel, history: list[dict]) -> None:
     net.save_checkpoint(path, model.store, {
         "kind": "rhymer", "config": asdict(model.cfg),
-        "history": net.stable_history(history)})
+        "history": history})
 
 
 def load_rhymer(path) -> RhymerModel:

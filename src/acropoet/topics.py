@@ -87,7 +87,7 @@ class TopicClassifier:
         loss, dlogits, wsum = softmax_xent_batch(logits, targets, weights)
         grads = self.store.zero_grads()
         d_enc = self.head.backward(dlogits / wsum, head_cache, grads)
-        self.encoder.backward(d_enc, cache, grads)
+        self.encoder.backward(d_enc, cache, grads, input_grad=False)
         return loss / wsum, grads
 
     def predict_topic(self, poem: Poem) -> np.ndarray:
@@ -133,8 +133,7 @@ class TopicClassifier:
 
 
 def train_topic_model(gold_train: list[Poem], gold_dev: list[Poem],
-                      table: EmbeddingTable, cfg: TopicConfig,
-                      vocab: Vocabulary | None = None
+                      table: EmbeddingTable, cfg: TopicConfig
                       ) -> tuple[TopicClassifier, list[dict]]:
     """Train on gold-topic poems, early-stopped on dev accuracy."""
     if not gold_train or not gold_dev:
@@ -146,8 +145,7 @@ def train_topic_model(gold_train: list[Poem], gold_dev: list[Poem],
     if len(labels) < 2:
         raise TopicError(
             "training corpus has a single topic; classifier is degenerate")
-    if vocab is None:
-        vocab = build_vocabulary(gold_train, max_size=cfg.vocab_size)
+    vocab = build_vocabulary(gold_train, max_size=cfg.vocab_size)
     model = TopicClassifier(vocab, labels, cfg,
                             build_embedding_matrix(vocab, table))
     rng = net.child_rng(cfg.seed, "topics", "train")
@@ -180,7 +178,7 @@ def save_topics(path, model: TopicClassifier, history: list[dict]) -> None:
         "labels": model.labels,
         "embed_dim": model.embed_dim,
         "vocab": model.vocab.non_special_tokens(),
-        "history": net.stable_history(history),
+        "history": history,
     })
 
 

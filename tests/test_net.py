@@ -56,26 +56,39 @@ def test_lstm_step_dim_mismatch():
                   np.zeros((4, 8)), np.zeros((2, 8)), np.zeros(8))
 
 
-# --- masked softmax / cross entropy -----------------------------------------
+# --- padded batches -----------------------------------------------------------
 
 @pytest.mark.parametrize("seed", range(3))
-def test_masked_forward_matches_stepwise_cells(seed):
-    """LstmLayer.forward with a length mask equals lstm_step stepped over
-    each column's valid prefix, the state then held through the padding."""
+def test_bilstm_final_states_match_stepwise_cells(seed):
+    """BiLstmEncoder's final states for a batch of mixed lengths equal
+    lstm_step run over each column's own length, forward and reversed."""
     rng = np.random.default_rng(seed)
     T, B, D, H = 7, 5, 3, 4
-    layer = LstmLayer(ParameterStore(), "l", D, H, rng)
-    Wx, Wh, b = layer._weights()
+    enc = BiLstmEncoder(ParameterStore(), "enc", D, H, rng)
     X = rng.normal(size=(T, B, D))
     lengths = rng.integers(1, T + 1, size=B)
-    Hs, _ = layer.forward(X, net.length_mask(lengths, T))
+    encoded, _ = enc.forward(X, lengths)
     for j, L in enumerate(lengths):
-        h, c = np.zeros(H), np.zeros(H)
-        for t in range(T):
-            if t < L:
-                h, c = lstm_step(X[t, j], h, c, Wx, Wh, b)
-            assert np.allclose(Hs[t, j], h, rtol=0, atol=1e-12)
+        for layer, steps, half in ((enc.fwd, range(L), slice(0, H)),
+                                   (enc.bwd, range(L - 1, -1, -1),
+                                    slice(H, 2 * H))):
+            h, c = np.zeros(H), np.zeros(H)
+            for t in steps:
+                h, c = lstm_step(X[t, j], h, c, *layer._weights())
+            assert np.allclose(encoded[j, half], h, rtol=0, atol=1e-12)
 
+
+def test_reverse_padded_reverses_within_each_length():
+    X = np.arange(4 * 3 * 2).reshape(4, 3, 2)
+    lengths = np.array([4, 1, 3])
+    Y = net.reverse_padded(X, lengths)
+    for j, L in enumerate(lengths):
+        assert np.array_equal(Y[:L, j], X[L - 1::-1, j])
+        assert np.array_equal(Y[L:, j], X[L:, j])
+    assert np.array_equal(net.reverse_padded(Y, lengths), X)
+
+
+# --- masked softmax / cross entropy -----------------------------------------
 
 def test_softmax_masked_all_ones_is_softmax():
     logits = np.array([1.0, 2.0, 3.0])
@@ -229,12 +242,10 @@ def test_gradcheck_lstm_layer(seed):
 
     assert _check(lg, store)["max_rel_error"] <= 1e-4
 
-@pytest.mark.parametrize("seed", range(3))
-def test_gradcheck_bilstm_with_lengths(seed):
+def _bilstm_gradcheck(seed, lengths):
     store = ParameterStore()
     rng = np.random.default_rng(seed)
     enc = BiLstmEncoder(store, "enc", 2, 3, rng)
-    lengths = np.array([3, 1, 2])
     X = rng.normal(size=(3, 3, 2))
     W = rng.normal(size=6)
 
@@ -245,30 +256,39 @@ def test_gradcheck_bilstm_with_lengths(seed):
         enc.backward(np.broadcast_to(W, e.shape).copy(), cache, grads)
         return loss, grads
 
-    assert _check(lg, store)["max_rel_error"] <= 1e-4
+    return _check(lg, store)["max_rel_error"]
 
-def _const_case(seed, masked):
-    """A layer over 3 step inputs plus 2 constant ones, and its inputs."""
+@pytest.mark.parametrize("seed", range(3))
+def test_gradcheck_bilstm_with_lengths(seed):
+    assert _bilstm_gradcheck(seed, np.array([3, 1, 2])) <= 1e-4
+
+@pytest.mark.parametrize("seed", range(3))
+def test_gradcheck_bilstm_with_every_length_below_t(seed):
+    """No column's final state is the last row of the batch."""
+    assert _bilstm_gradcheck(seed, np.array([2, 1, 2])) <= 1e-4
+
+def _const_case(seed, single_column):
+    """A layer over 3 step inputs plus 2 constant ones, and its inputs: a
+    batch of 3 columns, or of the one column generation runs."""
     rng = np.random.default_rng(seed)
-    T, B, D, Dc, H = 4, 3, 3, 2, 4
+    T, B, D, Dc, H = 4, 1 if single_column else 3, 3, 2, 4
     store = ParameterStore()
     layer = LstmLayer(store, "lstm", D + Dc, H, rng)
     X = rng.normal(size=(T, B, D))
     const = rng.normal(size=(B, Dc))
-    mask = (net.length_mask(np.array([4, 1, 2]), T) if masked else None)
-    return store, layer, X, const, mask, rng.normal(size=H)
+    return store, layer, X, const, rng.normal(size=H)
 
 
-@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("single_column", [False, True])
 @pytest.mark.parametrize("seed", range(3))
-def test_const_input_equals_the_input_copied_into_every_step(seed, masked):
-    store, layer, X, const, mask, W = _const_case(seed, masked)
+def test_const_input_equals_the_input_copied_into_every_step(
+        seed, single_column):
+    store, layer, X, const, W = _const_case(seed, single_column)
     T, B, D = X.shape
     wide = np.concatenate([X, np.broadcast_to(const, (T,) + const.shape)],
                           axis=2)
     runs = []
-    for args in ((X, mask, const), (wide, mask)):
-        H, cache = layer.forward(*args)
+    for H, cache in (layer.forward(X, const=const), layer.forward(wide)):
         grads = store.zero_grads()
         runs.append((H, grads, layer.backward(
             np.broadcast_to(W, H.shape).copy(), cache, grads)))
@@ -282,17 +302,17 @@ def test_const_input_equals_the_input_copied_into_every_step(seed, masked):
                        atol=1e-12)
 
 
-@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("single_column", [False, True])
 @pytest.mark.parametrize("seed", range(3))
-def test_gradcheck_lstm_layer_with_const(seed, masked):
+def test_gradcheck_lstm_layer_with_const(seed, single_column):
     """Weights and both inputs: X and const join the store so that the
     finite differences reach them too."""
-    store, layer, X, const, mask, W = _const_case(seed, masked)
+    store, layer, X, const, W = _const_case(seed, single_column)
     X = store.add("X", X)
     const = store.add("const", const)
 
     def lg():
-        H, cache = layer.forward(X, mask, const)
+        H, cache = layer.forward(X, const=const)
         grads = store.zero_grads()
         grads["X"], grads["const"] = layer.backward(
             np.broadcast_to(W, H.shape).copy(), cache, grads)
@@ -302,8 +322,8 @@ def test_gradcheck_lstm_layer_with_const(seed, masked):
 
 
 def test_backward_without_input_grad_keeps_weight_grads():
-    store, layer, X, const, mask, W = _const_case(0, True)
-    H, cache = layer.forward(X, mask, const)
+    store, layer, X, const, W = _const_case(0, False)
+    H, cache = layer.forward(X, const=const)
     dH = np.broadcast_to(W, H.shape).copy()
     with_inputs, without = store.zero_grads(), store.zero_grads()
     assert layer.backward(dH, cache, with_inputs)[1] is not None
@@ -314,7 +334,7 @@ def test_backward_without_input_grad_keeps_weight_grads():
 
 
 def test_lstm_forward_rejects_wrong_input_width():
-    store, layer, X, const, mask, W = _const_case(0, False)
+    store, layer, X, const, W = _const_case(0, False)
     with pytest.raises(NetError, match="input width 3 plus constant width 0"):
         layer.forward(X)
 

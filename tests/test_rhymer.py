@@ -138,6 +138,26 @@ def test_word_encoder_output_dim():
     model = RhymerModel(cfg)
     assert model.word_enc.out_dim == 2 * cfg.word_hidden
 
+@pytest.mark.parametrize("seed", range(3))
+def test_batched_encodings_equal_each_example_encoded_alone(seed):
+    """A batch of mixed word and context lengths gives every example the
+    encodings it gets alone, in the one-column batch of generation."""
+    model = RhymerModel(RhymerConfig.desk_scale(seed=seed,
+                                                max_context_chars=12))
+    examples = [RhymeExample(a="cat", b="sat on a", c="hat"),
+                RhymeExample(a="seashore", b="", c="x"),
+                RhymeExample(a="q", b="a context longer than the cut",
+                             c="b")]
+
+    def encode(exs):
+        (a, a_len), (b, b_len), _, _ = model._encode_batch(exs)
+        enc_a, _, enc_b, _ = model._encoders_forward(a, a_len, b, b_len)
+        return np.concatenate([enc_a, enc_b], axis=1)
+
+    batched = encode(examples)
+    for j, ex in enumerate(examples):
+        assert np.allclose(batched[j], encode([ex])[0], rtol=0, atol=1e-12)
+
 
 # --- choose_rhyme -----------------------------------------------------------
 

@@ -1,7 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from helpers import make_poems
 
+from acropoet import net
 from acropoet.corpus import Poem, build_vocabulary
 from acropoet.net import grad_check
 from acropoet.poemlm import EMB_NAME, build_embedding_matrix
@@ -127,6 +130,28 @@ def test_gradcheck_classifier(table):
     report = grad_check(loss_fn, model.store, grads, param_names=names,
                         max_entries_per_param=20)
     assert report["max_rel_error"] <= 1e-4
+
+
+def test_encoder_backward_makes_no_input_gradient(table, monkeypatch):
+    """The encoder reads fixed embeddings, so neither direction's backward
+    computes a gradient for its input."""
+    input_grads = Counter()
+    real_backward = net.LstmLayer.backward
+
+    def backward(layer, *args, **kwargs):
+        dX, d_const = real_backward(layer, *args, **kwargs)
+        input_grads[layer.name, dX is not None, d_const is not None] += 1
+        return dX, d_const
+    monkeypatch.setattr(net.LstmLayer, "backward", backward)
+    poems = make_poems(4, seed=3)
+    vocab = build_vocabulary(poems, max_size=60)
+    model = TopicClassifier(vocab, ["fire", "water"],
+                            TopicConfig(hidden=4, seed=2),
+                            build_embedding_matrix(vocab, table))
+    model.loss_and_grads(
+        poems, np.array([model.label_to_id[p.topic] for p in poems]))
+    assert input_grads == Counter({("tp.enc.fwd", False, False): 1,
+                                   ("tp.enc.bwd", False, False): 1})
 
 
 def test_checkpoint_roundtrip(tmp_path, tiny_topics):
