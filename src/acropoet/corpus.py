@@ -7,11 +7,13 @@ Tokenized poems are written back out as JSONL with token lists per line.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -158,6 +160,8 @@ class Vocabulary:
         }
         if len(self.token_to_id) != len(self.id_to_token):
             raise CorpusError("duplicate token in vocabulary")
+        if "" in self.token_to_id:
+            raise CorpusError("empty token in vocabulary")
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -205,6 +209,18 @@ class Vocabulary:
     def non_special_tokens(self) -> list[str]:
         return self.id_to_token[len(SPECIALS):]
 
+    @functools.cached_property
+    def by_initial(self) -> Mapping[str, np.ndarray]:
+        """The non-special token ids by first character, each part in
+        vocabulary order; read-only, built on first use."""
+        parts: dict[str, list[int]] = {}
+        for tid, tok in enumerate(self.non_special_tokens(), len(SPECIALS)):
+            parts.setdefault(tok[0], []).append(tid)
+        arrays = {ch: np.array(ids) for ch, ids in parts.items()}
+        for ids in arrays.values():
+            ids.setflags(write=False)
+        return MappingProxyType(arrays)
+
 
 def build_vocabulary(poems: Iterable[Poem], max_size: int = 50000) -> Vocabulary:
     """Keep the max_size most frequent tokens; ties go to the smaller token."""
@@ -224,11 +240,8 @@ class AcrosticSpec:
     """Per-line required initials as an 8x27 one-hot block."""
 
     letters: list[Optional[str]]
-    n_lines: int = field(default=0)
 
     def __post_init__(self):
-        if not self.n_lines:
-            self.n_lines = len(self.letters)
         if not 1 <= len(self.letters) <= N_LETTER_ROWS:
             raise CorpusError(
                 f"need 1..{N_LETTER_ROWS} letters, got {len(self.letters)}"
@@ -244,11 +257,7 @@ class AcrosticSpec:
             raise CorpusError(
                 f"acrostic word must be 1-8 letters a-z, got {word!r}"
             )
-        return cls(letters=list(word), n_lines=len(word))
-
-    @property
-    def word(self) -> str:
-        return "".join(l for l in self.letters if l is not None)
+        return cls(letters=list(word))
 
     def onehot_block(self) -> np.ndarray:
         block = np.zeros((N_LETTER_ROWS, N_LETTER_COLS))
@@ -271,7 +280,7 @@ def derive_training_condition(poem: Poem) -> AcrosticSpec:
     for line in poem.lines:
         first = line[0][0] if line and line[0] else ""
         letters.append(first if "a" <= first <= "z" else None)
-    return AcrosticSpec(letters=letters, n_lines=poem.n_lines)
+    return AcrosticSpec(letters=letters)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +369,8 @@ def read_poems(path) -> list[Poem]:
         lines = _field(rec, "lines",
                        lambda v: type(v) is list and all(map(_is_strs, v)),
                        "a list of token lists", where)
+        if any("" in line for line in lines):
+            raise CorpusError(f"{where}: 'lines' holds an empty token")
         poems.append(Poem(
             lines=lines,
             topic=_field(rec, "topic", _is_opt_str, "a string", where),

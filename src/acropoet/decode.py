@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import re
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,48 +166,25 @@ def force_line_boundaries(tokens: list[str], target_lines: int,
 # First-word policy
 # ---------------------------------------------------------------------------
 
-class _Masks:
-    """Sampling masks of one vocabulary, built on first use, never written.
-
-    Holds no reference to the vocabulary, so that its `_MASKS` entry goes
-    when the vocabulary does.
-    """
-
-    def __init__(self, vocab: Vocabulary):
-        self.base = np.ones(len(vocab))
-        self.base[[vocab.pad_id, vocab.bos_id, vocab.unk_id]] = 0.0
-        # the first token of a line is never a line or poem boundary
-        self.first = self.base.copy()
-        self.first[[vocab.eol_id, vocab.eos_id]] = 0.0
-        self._first_with_initial: dict[str, np.ndarray] = {}
-        self.base.setflags(write=False)
-        self.first.setflags(write=False)
-
-    def first_with_initial(self, vocab: Vocabulary,
-                           letter: str) -> np.ndarray:
-        mask = self._first_with_initial.get(letter)
-        if mask is None:
-            initial = np.zeros(len(vocab))
-            for tok, tid in vocab.token_to_id.items():
-                if tok[0] == letter and tok[0].isalpha():
-                    initial[tid] = 1.0
-            if not initial.any():
-                raise DecodeError(
-                    f"no vocabulary token starts with {letter!r}")
-            mask = self.first * initial
-            mask.setflags(write=False)
-            self._first_with_initial[letter] = mask
-        return mask
+def _sampling_masks(vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """(base, first): every token but <pad>, <bos> and <unk>; and base
+    without the line and poem boundaries, which never start a line."""
+    base = np.ones(len(vocab))
+    base[[vocab.pad_id, vocab.bos_id, vocab.unk_id]] = 0.0
+    first = base.copy()
+    first[[vocab.eol_id, vocab.eos_id]] = 0.0
+    return base, first
 
 
-_MASKS = weakref.WeakKeyDictionary()  # Vocabulary -> _Masks
-
-
-def _masks(vocab: Vocabulary) -> _Masks:
-    masks = _MASKS.get(vocab)
-    if masks is None:
-        masks = _MASKS[vocab] = _Masks(vocab)
-    return masks
+def _initial_mask(vocab: Vocabulary, letter: str) -> np.ndarray:
+    """Mask of the tokens that start with `letter`; DecodeError when none
+    does or the letter is not alphabetic."""
+    ids = vocab.by_initial.get(letter) if letter.isalpha() else None
+    if ids is None:
+        raise DecodeError(f"no vocabulary token starts with {letter!r}")
+    mask = np.zeros(len(vocab))
+    mask[ids] = 1.0
+    return mask
 
 
 def _sample_id(probs: np.ndarray, mask: np.ndarray,
@@ -245,8 +221,7 @@ def first_word(letter: str, topic: str, probs: np.ndarray,
         if cands:
             best = max(cands, key=lambda c: probs[v.token_to_id[c]])
             return v.token_to_id[best], "knn"
-    masks = _masks(v)
-    mask = masks.first_with_initial(v, letter) if cfg.ac else masks.first
+    mask = _initial_mask(v, letter) if cfg.ac else _sampling_masks(v)[1]
     return _sample_id(probs, mask, sample_rng, cfg.temperature), "sample"
 
 
@@ -356,7 +331,7 @@ def generate_poem(word: str, cfg: GenerationConfig,
     sample_rng = net.child_rng(cfg.rng_seed, "generate", word, "sample")
 
     lm_cursor = _LmCursor(lm, cond)
-    masks = _masks(v)
+    base, first = _sampling_masks(v)
     rule = _LineRule(n_lines, cfg.max_tokens_per_line)
     lines: list[list[str]] = []
 
@@ -368,7 +343,7 @@ def generate_poem(word: str, cfg: GenerationConfig,
         result.first_word_paths.append(path)
         last_word_dist = probs.copy()
         # a nearest-neighbor first word may not end the line alone
-        mask = masks.first if path == "knn" else masks.base
+        mask = first if path == "knn" else base
         while True:
             end = rule.push(v.id_to_token[tid], line)
             if tid not in (v.eol_id, v.eos_id):
@@ -377,7 +352,7 @@ def generate_poem(word: str, cfg: GenerationConfig,
                 break
             probs = lm_cursor.probs
             tid = _sample_id(probs, mask, sample_rng, cfg.temperature)
-            mask = masks.base
+            mask = base
             if WORD_RE.fullmatch(v.id_to_token[tid]):
                 last_word_dist = probs.copy()
 

@@ -7,7 +7,6 @@ token followed by `dim` decimals, single-space separated.
 from __future__ import annotations
 
 import logging
-import weakref
 
 import numpy as np
 
@@ -26,8 +25,6 @@ class EmbeddingTable:
     def __init__(self, dim: int, vectors: dict[str, np.ndarray]):
         self.dim = dim
         self._vectors = vectors
-        # vocabulary -> letter -> _LetterIndex, filled by knn_with_initial
-        self._knn_index = weakref.WeakKeyDictionary()
 
     def __len__(self) -> int:
         return len(self._vectors)
@@ -99,42 +96,24 @@ def cosine(x: str, u: str, table: EmbeddingTable) -> float:
 SHORTLIST_SLACK = 1e-9
 
 
-class _LetterIndex:
-    """kNN candidates for one (table, vocabulary, letter).
-
-    `tokens` are the vocabulary tokens with that initial and a nonzero
-    vector, in vocabulary order; `unit` holds their row-normalised vectors,
-    or is None when some row has no finite nonzero norm, so that only the
-    exact scan reproduces what `cosine` does with it.
-    """
-
-    def __init__(self, table: EmbeddingTable, vocab: Vocabulary,
-                 letter: str):
-        self.tokens = [
-            tok for tok in vocab.non_special_tokens()
-            if tok.startswith(letter) and tok in table
-            and np.any(table.vector(tok))
-        ]
-        self.unit = None
-        if self.tokens:
-            rows = np.array([table.vector(tok) for tok in self.tokens],
-                            dtype=float)
-            norms = np.linalg.norm(rows, axis=1)
-            if np.all(np.isfinite(norms) & (norms > 0)):
-                self.unit = rows / norms[:, None]
-
-    def shortlist(self, topic_vec: np.ndarray, k: int) -> list[str]:
-        """Candidates that can be in the exact top k: every token whose
-        approximate cosine is within SHORTLIST_SLACK of the k-th best."""
-        if self.unit is None or not 0 < k < len(self.tokens):
-            return self.tokens
-        norm = np.linalg.norm(topic_vec)
-        if not (np.isfinite(norm) and norm > 0):
-            return self.tokens
-        approx = self.unit @ (topic_vec / norm)
-        kth = np.partition(approx, -k)[-k]
-        keep = np.flatnonzero(approx >= kth - SHORTLIST_SLACK)
-        return [self.tokens[i] for i in keep]
+def _shortlist(tokens: list[str], rows: np.ndarray, topic_vec: np.ndarray,
+               k: int) -> list[str]:
+    """The tokens that can be in the exact top k by cosine to topic_vec,
+    given their vectors as rows: every one whose matvec cosine is within
+    SHORTLIST_SLACK of the k-th best.  All of them when some norm is zero
+    or not finite, so that only the exact scan reproduces what `cosine`
+    does with it."""
+    if not 0 < k < len(tokens):
+        return tokens
+    norm = np.linalg.norm(topic_vec)
+    norms = np.linalg.norm(rows, axis=1)
+    if not (np.isfinite(norm) and norm > 0
+            and np.all(np.isfinite(norms) & (norms > 0))):
+        return tokens
+    approx = (rows @ (topic_vec / norm)) / norms
+    kth = np.partition(approx, -k)[-k]
+    keep = np.flatnonzero(approx >= kth - SHORTLIST_SLACK)
+    return [tokens[i] for i in keep]
 
 
 def knn_with_initial(
@@ -146,18 +125,25 @@ def knn_with_initial(
 ) -> list[str]:
     """Top-k vocabulary tokens starting with `letter`, by cosine to `topic`.
 
-    Candidates are vocabulary tokens that also have an embedding (tokens
-    without a vector cannot be scored).  Ties break lexicographically.
-    A matvec over the letter's cached, row-normalised candidates picks a
+    Candidates are the vocabulary's tokens with that initial that have a
+    nonzero vector in the table (tokens without one cannot be scored).
+    Ties break lexicographically.  One matvec over the candidates picks a
     shortlist; `cosine` ranks it, so the order is exactly that of scoring
     every candidate with `cosine`.
     """
     if topic not in table:
         raise EmbeddingError(f"topic {topic!r} not in embedding table")
-    by_letter = table._knn_index.setdefault(restrict_to, {})
-    index = by_letter.get(letter)
-    if index is None:
-        index = by_letter[letter] = _LetterIndex(table, restrict_to, letter)
+    ids = restrict_to.by_initial.get(letter)
+    found = [] if ids is None else [
+        (tok, vec) for tok in restrict_to.decode(ids.tolist())
+        if (vec := table._vectors.get(tok.lower())) is not None]
+    if not found:
+        return []
+    tokens, vecs = zip(*found)
+    rows = np.array(vecs, dtype=float)
+    nonzero = rows.any(axis=1)
+    tokens = [tok for tok, keep in zip(tokens, nonzero) if keep]
     scored = sorted((-cosine(tok, topic, table), tok)
-                    for tok in index.shortlist(table.vector(topic), k))
+                    for tok in _shortlist(tokens, rows[nonzero],
+                                          table.vector(topic), k))
     return [tok for _, tok in scored[:k]]

@@ -138,22 +138,6 @@ class ParameterStore(Mapping):
     def copy_params(self) -> dict[str, np.ndarray]:
         return {k: p.copy() for k, p in self.params.items()}
 
-    def load_params(self, params: Mapping[str, np.ndarray],
-                    source: str = "parameters") -> None:
-        """Copy `params` into the store's arrays.  They must match the
-        store name for name and shape for shape; otherwise raise NetError
-        naming `source` and every missing, extra or misshapen array."""
-        problems = [f"missing {k!r}" for k in self.params if k not in params]
-        problems += [f"extra {k!r}" for k in sorted(params)
-                     if k not in self.params]
-        problems += [f"{k!r} has shape {params[k].shape}, the model "
-                     f"needs {p.shape}" for k, p in self.params.items()
-                     if k in params and params[k].shape != p.shape]
-        if problems:
-            raise NetError(f"{source}: {_mismatch(problems)}")
-        for k, p in params.items():
-            self.params[k][...] = p
-
 
 def _mismatch(problems: list[str]) -> str:
     return "arrays do not match the model: " + "; ".join(problems)
@@ -524,8 +508,8 @@ class EarlyStopper:
         return self.epochs_since_best > self.patience
 
     def restore_best(self, store: ParameterStore) -> None:
-        if self.best_params:
-            store.load_params(self.best_params)
+        for name, p in self.best_params.items():
+            store.params[name][...] = p
 
 
 def fit(store: ParameterStore, run_epoch, evaluate, patience: int,

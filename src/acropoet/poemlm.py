@@ -22,8 +22,8 @@ import numpy as np
 
 from . import net
 from .corpus import (
-    N_LETTER_COLS, N_LETTER_ROWS, Poem, Vocabulary, derive_training_condition,
-    tokenize,
+    N_LETTER_COLS, N_LETTER_ROWS, CorpusError, Poem, Vocabulary,
+    derive_training_condition, tokenize,
 )
 from .embed import EmbeddingTable
 from .net import (
@@ -438,7 +438,10 @@ def load_lm(path) -> TrainedLm:
                                topic_dim=int, vocab=list[str])
     if problem:
         raise PoemLmError(f"{path}: {problem}")
-    vocab = Vocabulary(meta["vocab"])
+    try:
+        vocab = Vocabulary(meta["vocab"])
+    except CorpusError as exc:
+        raise PoemLmError(f"{path}: checkpoint meta 'vocab': {exc}") from None
     # a zero-stride stand-in: the checkpoint supplies the values
     emb = np.broadcast_to(0.0, (len(vocab), meta["topic_dim"]))
     model = net.build_from_checkpoint(path, lambda: PoemLM(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import net
-from .corpus import Poem, Vocabulary, build_vocabulary
+from .corpus import CorpusError, Poem, Vocabulary, build_vocabulary
 from .embed import EmbeddingTable
 from .net import (
     BiLstmEncoder, Linear, ParameterStore, adam_update, clip_global_norm,
@@ -189,7 +189,10 @@ def load_topics(path) -> TopicClassifier:
                                vocab=list[str])
     if problem:
         raise TopicError(f"{path}: {problem}")
-    vocab = Vocabulary(meta["vocab"])
+    try:
+        vocab = Vocabulary(meta["vocab"])
+    except CorpusError as exc:
+        raise TopicError(f"{path}: checkpoint meta 'vocab': {exc}") from None
     # a zero-stride stand-in: the checkpoint supplies the values
     emb = np.broadcast_to(0.0, (len(vocab), meta["embed_dim"]))
     return net.build_from_checkpoint(path, lambda: TopicClassifier(

@@ -177,6 +177,21 @@ def test_train_lm_requires_embeddings(workdir, tmp_path):
     assert "embeddings" in result.output
 
 
+def test_train_empty_token_is_clean_error(workdir, tmp_path):
+    root, run = workdir
+    poems = make_poems(16, seed=1)
+    poems[2].lines[1][0] = ""
+    write_poems(tmp_path / "train.jsonl", poems)
+    result = run("train", "lm", "--variant", "gold+",
+                 "--train", tmp_path / "train.jsonl",
+                 "--dev", root / "dev.jsonl",
+                 "--embeddings", root / "vectors.txt", "--dim", DIM,
+                 "--out", tmp_path / "x.ckpt")
+    line = _assert_one_error_line(result)
+    assert "train.jsonl:3: 'lines' holds an empty token" in line
+    assert not (tmp_path / "x.ckpt").exists()
+
+
 # --- label ----------------------------------------------------------------------
 
 def test_label_attaches_silver_topics(workdir, tmp_path):
@@ -446,6 +461,8 @@ META_CASES = [
     ("topics", lambda m: m.pop("labels"), "'labels'"),
     ("topics", lambda m: m.update(vocab="ash"), "'vocab'"),
     ("topics", lambda m: m["config"].update(bogus=1), "'bogus'"),
+    ("lm", lambda m: m["vocab"].__setitem__(3, ""), "empty token"),
+    ("topics", lambda m: m["vocab"].__setitem__(3, ""), "empty token"),
 ]
 
 

@@ -143,13 +143,34 @@ def test_vocab_identity_property(toks):
     v = build_vocabulary([_poem(["a", "b", "c", "dd"])], max_size=10)
     assert v.decode(v.encode(toks)) == toks
 
+def test_vocab_by_initial_equals_scan():
+    v = corpus.Vocabulary(["sun", ",", "'s", "42", "rain", "n't", "sea",
+                           "7", "river", ".", "'d", "ash", "stone"])
+    assert v.by_initial is v.by_initial  # built once
+    assert "z" not in v.by_initial
+    for letter in "abcdefghijklmnopqrstuvwxyz":
+        scan = [i for i, tok in enumerate(v.id_to_token)
+                if tok not in corpus.SPECIALS and tok[0] == letter]
+        assert v.by_initial.get(letter, np.empty(0)).tolist() == scan
+    assert v.decode(v.by_initial["'"].tolist()) == ["'s", "'d"]
+    assert sum(map(len, v.by_initial.values())) == len(v) - len(
+        corpus.SPECIALS)
+    with pytest.raises(TypeError):
+        v.by_initial["q"] = np.empty(0)
+    with pytest.raises(ValueError):
+        v.by_initial["s"][0] = 0
+
+def test_vocab_rejects_empty_token():
+    with pytest.raises(corpus.CorpusError, match="empty token"):
+        corpus.Vocabulary(["sun", ""])
+
 
 # --- training conditions ----------------------------------------------------
 
 def test_condition_alone():
     poem = Poem(lines=[[w] for w in ["alone", "less", "only", "not", "even"]])
     spec = derive_training_condition(poem)
-    assert spec.word == "alone"
+    assert spec.letters == list("alone")
     block = spec.onehot_block()
     assert block[0, 0] == 1  # 'a'
     for row in range(5, 8):
@@ -223,6 +244,7 @@ def test_read_documents_bad_record_names_path_and_line(tmp_path, line,
     ('{"lines": [["a"]], "topic": 5}', "'topic' must be a string"),
     ('{"lines": [["a"]], "topic_confidence": "high"}',
      "'topic_confidence' must be a number"),
+    ('{"lines": [["a", ""]]}', "'lines' holds an empty token"),
 ])
 def test_read_poems_bad_record_names_path_and_line(tmp_path, line, message):
     path = tmp_path / "poems.jsonl"

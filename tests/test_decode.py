@@ -3,7 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
-from helpers import make_poems
+from helpers import make_poems, make_table
 
 from acropoet import decode
 from acropoet.corpus import EOL, EOS, AcrosticSpec, Poem, build_vocabulary
@@ -546,22 +546,39 @@ def test_rhyme_slot_word_skips_contraction_tokens(bundle, partner_end):
                                      "replacement": "cat"}]
 
 
-# --- sampling masks: cached per vocabulary, released with it ---------------
+# --- no hidden state: dropped models are freed ----------------------------
 
 def test_masks_released_with_their_vocabulary():
     vocab = build_vocabulary(make_poems(3, seed=5), max_size=50)
     letter = next(t[0] for t in vocab.non_special_tokens() if t[0].isalpha())
-    held = len(decode._MASKS)
-    masks = decode._masks(vocab)
-    assert decode._masks(vocab) is masks
-    mask = masks.first_with_initial(vocab, letter)
-    assert masks.first_with_initial(vocab, letter) is mask
-    assert len(decode._MASKS) == held + 1
+    base, first = decode._sampling_masks(vocab)
+    mask = decode._initial_mask(vocab, letter)
+    assert base.shape == first.shape == mask.shape == (len(vocab),)
     dead = weakref.ref(vocab)
-    del vocab, masks, mask
+    del vocab
     gc.collect()
     assert dead() is None
-    assert len(decode._MASKS) == held
+    assert mask.sum() > 0
+
+def test_generation_keeps_no_reference_to_its_models():
+    table = make_table(dim=8, seed=0)
+    vocab = build_vocabulary(make_poems(20, seed=5), max_size=100)
+    lm = PoemLM(vocab, LmConfig(n_layers=1, hidden=8, seed=0),
+                topic_dim=table.dim,
+                emb_matrix=build_embedding_matrix(vocab, table),
+                variant=LmVariant.from_name("gold+"))
+    models = ModelBundle(lm=lm, table=table)
+    paths = []
+    for seed, word in enumerate(["fire", "water", "ember", "tide"]):
+        result = generate_poem(word, GenerationConfig(rh=False,
+                                                      rng_seed=seed), models)
+        paths += result.first_word_paths
+    assert {"knn", "sample"} <= set(paths)
+    assert knn_with_initial("fire", "s", table, vocab, k=2)
+    dead = [weakref.ref(obj) for obj in (vocab, table, lm)]
+    del vocab, table, lm, models, result
+    gc.collect()
+    assert [ref() for ref in dead] == [None, None, None]
 
 
 # --- rendering --------------------------------------------------------------
