@@ -10,6 +10,7 @@ substitution through the character-level rhyming model.
 from __future__ import annotations
 
 import logging
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -55,6 +56,13 @@ def scheme_for(n_lines: int) -> RhymeScheme:
     return RhymeScheme(SCHEMES[n_lines])
 
 
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 @dataclass
 class GenerationConfig:
     k: int = 5
@@ -70,6 +78,9 @@ class GenerationConfig:
     temperature: float = 1.0
 
     def __post_init__(self):
+        for name in ("m1", "m2", "temperature"):
+            if not _is_finite(getattr(self, name)):
+                raise DecodeError(f"{name} must be a finite number")
         if abs(self.m1 + self.m2 - 1.0) > 1e-9:
             raise DecodeError("m1 + m2 must equal 1")
         if not self.st:
@@ -191,7 +202,13 @@ def _sample_id(probs: np.ndarray, mask: np.ndarray,
                rng: np.random.Generator, temperature: float) -> int:
     p = probs * mask
     if temperature != 1.0:
-        p = p ** (1.0 / temperature)
+        # in log space, relative to the most likely allowed token, so that
+        # a low temperature cannot underflow every allowed token to zero
+        with np.errstate(divide="ignore"):
+            logp = np.log(p)
+        top = logp.max()
+        if top > -np.inf:
+            p = np.exp((logp - top) / temperature)
     total = p.sum()
     if total <= 0:
         raise DecodeError("sampling mask excludes every token")
@@ -233,14 +250,15 @@ class _LmCursor:
     """The LM state over the poem fed so far, with the next-token probs.
 
     Keeps the state from before each token of the current line, so that
-    a rhyme substitution re-feeds the tail of its own line only.
+    a rhyme substitution re-feeds the tail of its own line only.  The
+    poem's condition is projected once, when the cursor is made.
     """
 
     def __init__(self, lm: PoemLM, cond: np.ndarray):
-        self.lm, self.cond = lm, cond
+        self.lm, self.cond = lm, lm.project_condition(cond)
         self.state = lm.init_state()
         self.before: list[list] = []
-        self.probs = lm.step(self.state, lm.vocab.bos_id, cond)
+        self.probs = lm.step(self.state, lm.vocab.bos_id, self.cond)
 
     def feed(self, tid: int) -> None:
         # step replaces the per-layer (h, c) tuples and never writes into

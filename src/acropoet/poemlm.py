@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass, asdict, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -117,6 +117,13 @@ def build_embedding_matrix(vocab: Vocabulary,
         else:
             mat[i] = _fallback_vector(tok, table.dim)
     return mat
+
+
+class StepCondition(NamedTuple):
+    """A condition vector projected into layer 0's bias, made once for
+    the steps of one poem by `PoemLM.project_condition`."""
+
+    bias: np.ndarray
 
 
 class PoemLM:
@@ -281,13 +288,27 @@ class PoemLM:
         H = self.cfg.hidden
         return [(np.zeros(H), np.zeros(H)) for _ in self.layers]
 
-    def step(self, state, token_id: int, cond: np.ndarray) -> np.ndarray:
-        """Advance one token; mutates state, returns next-token probs."""
+    def project_condition(self, cond: np.ndarray) -> StepCondition:
+        """Layer 0's bias under a constant condition: b + cond @ Wx[E:]."""
+        Wx, _, b = self.layers[0]._weights()
+        return StepCondition(b + cond @ Wx[self.embed_dim:])
+
+    def step(self, state, token_id: int, cond) -> np.ndarray:
+        """Advance one token; mutates state, returns next-token probs.
+
+        `cond` is a condition vector, or its `project_condition` for a run
+        of steps under one condition; either way layer 0 multiplies only
+        the token's embedding.
+        """
         if not 0 <= token_id < len(self.vocab):
             raise PoemLmError(f"token id {token_id} out of range")
-        x = np.concatenate([self.emb[token_id], cond])
+        if not isinstance(cond, StepCondition):
+            cond = self.project_condition(cond)
+        x = self.emb[token_id]
         for l, layer in enumerate(self.layers):
             Wx, Wh, b = layer._weights()
+            if l == 0:
+                Wx, b = Wx[:self.embed_dim], cond.bias
             h, c = net.lstm_step(x, state[l][0], state[l][1], Wx, Wh, b)
             state[l] = (h, c)
             x = h

@@ -239,32 +239,37 @@ class RhymerModel:
 
     def rhyme_candidates(self, a: str, b: str,
                          width: int = 5) -> list[tuple[str, float]]:
-        """Beam-search the decoder; candidates sorted by log prob descending."""
+        """Beam-search the decoder; candidates sorted by log prob descending.
+
+        The encodings are the decoder's constant input, so they are
+        projected into its bias once per call; each beam step then runs
+        all live hypotheses as one batch.
+        """
         a_enc, b_enc = self._encode_inputs(a, b)
         a_ids, a_len = pad_ids([a_enc], PAD_ID)
         b_ids, b_len = pad_ids([b_enc], PAD_ID)
         enc_a, _, enc_b, _ = self._encoders_forward(a_ids, a_len, b_ids,
                                                     b_len)
         cond = np.concatenate([enc_a[0], enc_b[0]])
+        E = self.cfg.char_dim
         Wx, Wh, bias = self.decoder._weights()
+        Wx, bias = Wx[:E], bias + cond @ Wx[E:]
         W_out = self.store["rh.out.W"]
         b_out = self.store["rh.out.b"]
         H = self.cfg.decoder_hidden
 
-        def step_fn(prev, state):
-            h, c = state if state is not None else (np.zeros(H),
-                                                    np.zeros(H))
-            sym = BOS_ID if prev is None else prev
-            x = np.concatenate([self.char_emb[sym], cond])
-            h2, c2 = lstm_step(x, h, c, Wx, Wh, bias)
-            logp = np.log(np.clip(softmax(h2 @ W_out + b_out),
+        def step_rows(prev, state):
+            syms = [BOS_ID if sym is None else sym for sym in prev]
+            h, c = lstm_step(self.char_emb[syms], *state, Wx, Wh, bias)
+            logp = np.log(np.clip(softmax(h @ W_out + b_out),
                                   net.CE_EPS, None))
-            logp[PAD_ID] = -np.inf
-            logp[BOS_ID] = -np.inf
-            return logp, (h2, c2)
+            logp[:, [PAD_ID, BOS_ID]] = -np.inf
+            return logp, (h, c)
 
-        hyps = beam_search(step_fn, eos_id=EOS_ID, width=width,
-                           max_len=MAX_WORD_LEN)
+        hyps = beam_search_rows(
+            step_rows, lambda state, rows: (state[0][rows], state[1][rows]),
+            (np.zeros((1, H)), np.zeros((1, H))), eos_id=EOS_ID,
+            width=width, max_len=MAX_WORD_LEN)
         out = []
         seen = set()
         for ids, score in hyps:
@@ -279,48 +284,70 @@ class RhymerModel:
         return out
 
 
-def beam_search(step_fn, eos_id: int, width: int,
-                max_len: int) -> list[tuple[tuple, float]]:
-    """Length-completed beam search over a symbol sequence.
+def beam_search_rows(step_rows, take_rows, state, eos_id: int, width: int,
+                     max_len: int) -> list[tuple[tuple, float]]:
+    """Length-completed beam search that steps all live hypotheses at once.
 
-    step_fn(prev_symbol_or_None, state_or_None) -> (log-prob vector, state).
-    A hypothesis completes when it emits eos_id (eos log prob included in
-    its score) or when it reaches max_len symbols.  Returns completed
-    hypotheses as (symbol tuple, score), best first; score ties break on
-    the symbol tuple for determinism.
+    step_rows(prev_symbols, state) -> ((n, S) log-prob rows, new state)
+    advances the n live hypotheses, whose last symbols are prev_symbols
+    (None for the empty one); `state` starts as the one empty
+    hypothesis's, and take_rows(new_state, rows) keeps the given rows of
+    a step's state for the hypotheses that extend them.  Each hypothesis
+    is expanded by its top max(width + 1, 8) symbols plus eos_id; -inf
+    expansions are skipped.  A hypothesis completes when it emits eos_id
+    (eos log prob included in its score) or when it reaches max_len
+    symbols.  Returns completed hypotheses as (symbol tuple, score), best
+    first; score ties break on the symbol tuple for determinism.
     """
     if width < 1:
         raise RhymerError("beam width must be >= 1")
-    beams: list[tuple[float, tuple, object]] = [(0.0, (), None)]
+    beams: list[tuple[float, tuple]] = [(0.0, ())]
     completed: list[tuple[float, tuple]] = []
     for _ in range(max_len + 1):
+        logp, state = step_rows([ids[-1] if ids else None
+                                 for _, ids in beams], state)
+        tops = np.argsort(logp, axis=1)[:, ::-1][:, :max(width + 1, 8)]
         expansions = []
-        for score, ids, state in beams:
-            prev = ids[-1] if ids else None
-            logp, new_state = step_fn(prev, state)
-            top = list(np.argsort(logp)[::-1][:max(width + 1, 8)])
+        for row, (score, ids) in enumerate(beams):
+            top = list(tops[row])
             if eos_id not in top:
                 top.append(eos_id)  # a completion must always be considered
             for sym in top:
-                s = float(logp[sym])
+                s = float(logp[row, sym])
                 if s == -np.inf:
                     continue
-                expansions.append((score + s, ids + (int(sym),), new_state))
+                expansions.append((score + s, ids + (int(sym),), row))
         expansions.sort(key=lambda e: (-e[0], e[1]))
-        beams = []
-        for score, ids, state in expansions:
+        beams, rows = [], []
+        for score, ids, row in expansions:
             if ids[-1] == eos_id:
                 completed.append((score, ids[:-1]))
             elif len(ids) >= max_len:
                 completed.append((score, ids))
             elif len(beams) < width:
-                beams.append((score, ids, state))
+                beams.append((score, ids))
+                rows.append(row)
         if not beams:
             break
+        state = take_rows(state, rows)
     if not completed:
         raise RhymerError("beam search produced no candidates")
     completed.sort(key=lambda e: (-e[0], e[1]))
     return [(ids, score) for score, ids in completed]
+
+
+def beam_search(step_fn, eos_id: int, width: int,
+                max_len: int) -> list[tuple[tuple, float]]:
+    """`beam_search_rows` with a step for one hypothesis at a time:
+    step_fn(prev_symbol_or_None, state_or_None) -> (log-prob vector,
+    state)."""
+    def step_rows(prev, states):
+        outs = [step_fn(sym, st) for sym, st in zip(prev, states)]
+        return np.array([logp for logp, _ in outs]), [st for _, st in outs]
+
+    return beam_search_rows(
+        step_rows, lambda states, rows: [states[r] for r in rows], [None],
+        eos_id, width, max_len)
 
 
 def choose_rhyme(candidates: list[tuple[str, float]], lm_dist: np.ndarray,

@@ -140,23 +140,34 @@ def test_poemlm_step_makes_one_step_call_per_layer(table, monkeypatch):
 
 
 def test_rhymer_decoder_steps_through_rhymer_lstm_step(monkeypatch):
+    """Each beam step runs all live hypotheses as one batch: one
+    `rhymer.lstm_step` per step, at most MAX_WORD_LEN + 1 steps a call."""
     calls = Counter()
     _count_calls(monkeypatch, net, "lstm_step", calls)
-    _count_calls(monkeypatch, rhymer, "lstm_step", calls)
-    beam_search = rhymer.beam_search
+    rows = []
+    real_step = rhymer.lstm_step
 
-    def counting_beam_search(step_fn, *args, **kwargs):
+    def lstm_step(x, *args):
+        calls["acropoet.rhymer.lstm_step"] += 1
+        rows.append(len(x))
+        return real_step(x, *args)
+
+    monkeypatch.setattr(rhymer, "lstm_step", lstm_step)
+    search = rhymer.beam_search_rows
+
+    def counting_search(step_rows, *args, **kwargs):
         def step(*a):
-            calls["step_fn"] += 1
-            return step_fn(*a)
-        return beam_search(step, *args, **kwargs)
+            calls["step_rows"] += 1
+            return step_rows(*a)
+        return search(step, *args, **kwargs)
 
-    monkeypatch.setattr(rhymer, "beam_search", counting_beam_search)
+    monkeypatch.setattr(rhymer, "beam_search_rows", counting_search)
     model = RhymerModel(RhymerConfig.desk_scale(seed=1))
     model.rhyme_candidates("day", "the sea at night and the", width=3)
-    assert calls["step_fn"] > 0
-    assert calls == Counter({"acropoet.rhymer.lstm_step": calls["step_fn"],
-                             "step_fn": calls["step_fn"]})
+    assert 0 < calls["step_rows"] <= rhymer.MAX_WORD_LEN + 1
+    assert calls == Counter({"acropoet.rhymer.lstm_step": calls["step_rows"],
+                             "step_rows": calls["step_rows"]})
+    assert rows[0] == 1 and max(rows) == 3
 
 
 # `net.load_checkpoint` spans give `net.checkpoint_bytes` through the

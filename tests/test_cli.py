@@ -409,6 +409,22 @@ def test_unknown_generate_config_key_is_usage_error(workdir, tmp_path):
     assert "'bogus'" in result.output and "'generate'" in result.output
 
 
+@pytest.mark.parametrize("section", [
+    {"temperature": float("inf")}, {"m1": float("nan"), "m2": 0.3}])
+def test_non_finite_generate_config_is_clean_error(workdir, tmp_path,
+                                                   section):
+    """json reads Infinity and NaN; they are errors, not weights."""
+    root, _ = workdir
+    result = _run_with_config(
+        tmp_path, {"generate": section}, "generate", "glow",
+        "--lm", root / "lm.ckpt", "--no-rh",
+        "--embeddings", root / "vectors.txt", "--dim", DIM)
+    assert result.exit_code == 1
+    assert "Traceback" not in result.output
+    assert result.output.startswith("error:")
+    assert "must be a finite number" in result.output
+
+
 def _train_topics_args(root, tmp_path):
     return ["train", "topics", "--train", root / "train.jsonl",
             "--dev", root / "dev.jsonl", "--embeddings", root / "vectors.txt",

@@ -14,7 +14,9 @@ from acropoet.decode import (
 )
 from acropoet.embed import knn_with_initial
 from acropoet.net import child_rng
-from acropoet.poemlm import LmConfig, LmVariant, PoemLM, build_embedding_matrix
+from acropoet.poemlm import (
+    LmConfig, LmVariant, PoemLM, build_embedding_matrix, train_lm,
+)
 from acropoet.rhymer import RhymerConfig, RhymerModel
 
 
@@ -68,10 +70,54 @@ def test_config_temperature_must_be_positive(temperature):
     with pytest.raises(DecodeError, match="temperature"):
         GenerationConfig(temperature=temperature)
 
+INF, NAN = float("inf"), float("nan")
+
+# the sum check alone lets inf - inf and nan through
+@pytest.mark.parametrize("kwargs, name", [
+    ({"temperature": INF}, "temperature"),
+    ({"m1": INF, "m2": -INF}, "m1"), ({"m1": NAN, "m2": 0.3}, "m1"),
+    ({"m1": 0.7, "m2": NAN}, "m2"), ({"m1": 0.7, "m2": INF}, "m2"),
+    ({"m1": 10 ** 400, "m2": 0.3}, "m1")])
+def test_config_weights_and_temperature_must_be_finite(kwargs, name):
+    with pytest.raises(DecodeError, match=f"{name} must be a finite"):
+        GenerationConfig(**kwargs)
+
 def test_config_st_off_forces_m2_only():
     cfg = GenerationConfig(st=False)
     assert cfg.m1 == 0.0
     assert cfg.m2 == 1.0
+
+
+# --- sampling ---------------------------------------------------------------
+
+@pytest.mark.parametrize("temperature", [0.01, 1e-3])
+def test_low_temperature_samples_an_allowed_token(temperature):
+    """p ** (1 / T) of a flat V=5000 distribution underflows to zero at
+    these temperatures; in log space every allowed token keeps weight."""
+    probs = np.full(5000, 1 / 5000)
+    allowed = np.arange(3, 5000, 26)[:190]
+    mask = np.zeros(5000)
+    mask[allowed] = 1.0
+    rng = np.random.default_rng(0)
+    drawn = {decode._sample_id(probs, mask, rng, temperature)
+             for _ in range(50)}
+    assert drawn <= set(allowed.tolist())
+    assert len(drawn) > 1
+
+def test_low_temperature_picks_the_likeliest_allowed_token():
+    probs = np.random.default_rng(1).dirichlet(np.ones(40))
+    mask = np.zeros(40)
+    mask[::3] = 1.0
+    best = int(np.argmax(probs * mask))
+    rng = np.random.default_rng(2)
+    assert {decode._sample_id(probs, mask, rng, 1e-3)
+            for _ in range(20)} == {best}
+
+@pytest.mark.parametrize("temperature", [1.0, 0.5, 2.0])
+def test_empty_sampling_mask_is_a_decode_error(temperature):
+    with pytest.raises(DecodeError, match="excludes every token"):
+        decode._sample_id(np.full(4, 0.25), np.zeros(4),
+                          np.random.default_rng(0), temperature)
 
 
 # --- line boundary forcing --------------------------------------------------
@@ -579,6 +625,40 @@ def test_generation_keeps_no_reference_to_its_models():
     del vocab, table, lm, models, result
     gc.collect()
     assert [ref() for ref in dead] == [None, None, None]
+
+
+@pytest.mark.parametrize("work", ["generate", "perplexity", "train"])
+def test_models_are_freed_without_the_cycle_collector(work):
+    """Dropping the last reference frees the models at once: no reference
+    cycle holds one, so a loop that drops a model and loads the next does
+    not wait for the cycle collector."""
+    gc.disable()
+    try:
+        table = make_table(dim=8, seed=0)
+        poems = make_poems(20, seed=5)
+        vocab = build_vocabulary(poems, max_size=100)
+        lm = PoemLM(vocab, LmConfig(n_layers=2, hidden=8, batch_size=8,
+                                    seed=0),
+                    topic_dim=table.dim,
+                    emb_matrix=build_embedding_matrix(vocab, table),
+                    variant=LmVariant.from_name("gold+"))
+        rh = RhymerModel(RhymerConfig.desk_scale(seed=0))
+        models = ModelBundle(lm=lm, table=table, rhymer=rh)
+        if work == "generate":
+            for seed, word in enumerate(["fire", "water", "ember"]):
+                result = generate_poem(word, GenerationConfig(rng_seed=seed),
+                                       models)
+                assert result.rhymer_calls > 0
+        elif work == "perplexity":
+            assert np.isfinite(lm.perplexity(poems[:6], table))
+        else:
+            assert len(train_lm(lm, poems[:16], poems[16:], table,
+                                max_epochs=1)) == 2
+        dead = [weakref.ref(obj) for obj in (vocab, table, lm, rh)]
+        del vocab, table, lm, rh, models
+        assert [ref() for ref in dead] == [None] * 4
+    finally:
+        gc.enable()
 
 
 # --- rendering --------------------------------------------------------------

@@ -5,11 +5,12 @@ import pytest
 from helpers import make_sonnets
 
 from acropoet.corpus import Poem, RawDocument, build_vocabulary
-from acropoet.net import grad_check
+from acropoet.net import CE_EPS, grad_check, lstm_step, pad_ids, softmax
 from acropoet.rhymer import (
-    EOS_ID, RhymeExample, RhymerConfig, RhymerError, RhymerModel,
-    beam_search, choose_rhyme, encode_chars, extract_rhyme_pairs,
-    load_rhymer, save_rhymer, train_rhymer,
+    BOS_ID, EOS_ID, MAX_WORD_LEN, PAD_ID, RhymeExample, RhymerConfig,
+    RhymerError, RhymerModel, beam_search, choose_rhyme, decode_chars,
+    encode_chars, extract_rhyme_pairs, load_rhymer, save_rhymer,
+    train_rhymer,
 )
 
 
@@ -127,6 +128,59 @@ def test_overfit_recovers_target_in_top2(tiny_rhymer):
     model, _ = tiny_rhymer
     cands = model.rhyme_candidates("cat", "the fat cat sat on a", width=5)
     assert "hat" in [w for w, _ in cands[:2]]
+
+def _per_hypothesis_candidates(model, a, b, width):
+    """rhyme_candidates as the `beam_search` adapter drives it: one
+    decoder step per hypothesis on the full, unprojected decoder input."""
+    a_enc, b_enc = model._encode_inputs(a, b)
+    (a_ids, a_len), (b_ids, b_len) = (pad_ids([a_enc], PAD_ID),
+                                      pad_ids([b_enc], PAD_ID))
+    enc_a, _, enc_b, _ = model._encoders_forward(a_ids, a_len, b_ids, b_len)
+    cond = np.concatenate([enc_a[0], enc_b[0]])
+    Wx, Wh, bias = model.decoder._weights()
+    W_out, b_out = model.store["rh.out.W"], model.store["rh.out.b"]
+    H = model.cfg.decoder_hidden
+
+    def step_fn(prev, state):
+        h, c = state if state is not None else (np.zeros(H), np.zeros(H))
+        x = np.concatenate(
+            [model.char_emb[BOS_ID if prev is None else prev], cond])
+        h, c = lstm_step(x, h, c, Wx, Wh, bias)
+        logp = np.log(np.clip(softmax(h @ W_out + b_out), CE_EPS, None))
+        logp[[PAD_ID, BOS_ID]] = -np.inf
+        return logp, (h, c)
+
+    out = []
+    for ids, score in beam_search(step_fn, EOS_ID, width, MAX_WORD_LEN):
+        word = decode_chars(ids)
+        if word and word not in dict(out):
+            out.append((word, score))
+        if len(out) == width:
+            break
+    return out
+
+BEAM_INPUTS = [("cat", "the fat cat sat on a", 5), ("day", "", 3),
+               ("", "no partner word here", 5), ("seashore", "q", 1),
+               ("night", "a long context " * 40, 5), ("free", "wild and", 8)]
+
+def _assert_same_candidates(model):
+    for a, b, width in BEAM_INPUTS:
+        got = model.rhyme_candidates(a, b, width=width)
+        want = _per_hypothesis_candidates(model, a, b, width)
+        for (w1, s1), (w2, s2) in zip(got, want):
+            assert s1 == pytest.approx(s2, rel=0, abs=1e-12), (a, b, w1, w2)
+        # a tie that the batched sums broke the other way shows here
+        assert [w for w, _ in got] == [w for w, _ in want], (
+            f"candidate order differs for {(a, b, width)}: batched {got}, "
+            f"per hypothesis {want}")
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_beam_equals_per_hypothesis_beam(seed):
+    _assert_same_candidates(RhymerModel(RhymerConfig.desk_scale(seed=seed)))
+
+def test_batched_beam_equals_per_hypothesis_beam_trained(tiny_rhymer):
+    model, _ = tiny_rhymer
+    _assert_same_candidates(model)
 
 def test_training_requires_data():
     model = RhymerModel(RhymerConfig.desk_scale())
