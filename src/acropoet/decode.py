@@ -18,9 +18,12 @@ import numpy as np
 
 from . import net
 from .corpus import EOL, EOS, AcrosticSpec, Poem, Vocabulary, detokenize
-from .embed import EmbeddingError, EmbeddingTable, knn_with_initial
+from .embed import (
+    EmbeddingError, EmbeddingTable, LetterCandidates, knn_with_initial,
+    letter_candidates,
+)
 from .poemlm import PoemLM
-from .rhymer import WORD_RE, RhymerModel, choose_rhyme
+from .rhymer import WORD_RE, PoemContext, RhymerModel, choose_rhyme
 
 log = logging.getLogger(__name__)
 
@@ -86,17 +89,31 @@ class GenerationConfig:
         if not self.st:
             # the no-steering ablation is defined as m1=0, m2=1
             self.m1, self.m2 = 0.0, 1.0
-        if self.max_tokens_per_line < 1:
-            raise DecodeError("max_tokens_per_line must be positive")
+        for name in ("k", "beam_width", "max_tokens_per_line"):
+            if getattr(self, name) < 1:
+                raise DecodeError(f"{name} must be positive")
         if not self.temperature > 0:
             raise DecodeError("temperature must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelBundle:
+    """The models one generation run uses, and what depends on the pair of
+    the LM's vocabulary and the table: each letter's kNN candidates, made
+    on the letter's first query and dropped with the bundle."""
+
     lm: PoemLM
     table: EmbeddingTable
     rhymer: RhymerModel | None = None
+    _knn: dict[str, LetterCandidates] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def knn_candidates(self, letter: str) -> LetterCandidates:
+        got = self._knn.get(letter)
+        if got is None:
+            got = self._knn[letter] = letter_candidates(
+                self.table, self.lm.vocab, letter)
+        return got
 
 
 @dataclass
@@ -220,19 +237,25 @@ def _sample_id(probs: np.ndarray, mask: np.ndarray,
 def first_word(letter: str, topic: str, probs: np.ndarray,
                cfg: GenerationConfig, lm: PoemLM, table: EmbeddingTable,
                coin_rng: np.random.Generator,
-               sample_rng: np.random.Generator) -> tuple[int, str]:
+               sample_rng: np.random.Generator,
+               models: ModelBundle | None = None) -> tuple[int, str]:
     """Pick a line's first token; returns (token id, "knn" or "sample").
 
     With probability m1 the token is the topic's nearest in-vocabulary
     neighbor with the right initial that the LM likes best; otherwise it
     is sampled from the LM restricted to tokens with that initial (or the
-    full vocabulary when the acrostic constraint is off).
+    full vocabulary when the acrostic constraint is off).  `models`, the
+    bundle of `lm` and `table`, keeps the letter's kNN candidates across
+    queries.
     """
     v = lm.vocab
     use_knn = cfg.st and coin_rng.random() < cfg.m1
     if use_knn:
         try:
-            cands = knn_with_initial(topic, letter, table, v, k=cfg.k)
+            cands = knn_with_initial(
+                topic, letter, table, v, k=cfg.k,
+                candidates=None if models is None
+                else models.knn_candidates(letter))
         except EmbeddingError:
             cands = []
         if cands:
@@ -288,9 +311,11 @@ def _last_word_index(line: list[str]) -> int | None:
 def _apply_rhyme(models: ModelBundle, result: GenerationResult,
                  lines: list[list[str]], slot: int,
                  last_word_dist: np.ndarray | None,
-                 cfg: GenerationConfig) -> int | None:
+                 cfg: GenerationConfig,
+                 context: PoemContext | None = None) -> int | None:
     """Substitute the slot line's last word; returns its index in the
-    line if it changed, else None."""
+    line if it changed, else None.  `context` is the poem's rhymer
+    context, shared by its slots."""
     partner = lines[result.scheme.partner(slot) - 1]
     p = _last_word_index(partner)
     line = lines[slot - 1]
@@ -299,7 +324,8 @@ def _apply_rhyme(models: ModelBundle, result: GenerationResult,
     head = " ".join(line) if idx is None else " ".join(line[:idx] + [""])
     text = "\n".join([" ".join(l) for l in lines[:slot - 1]] + [head])
     cands = models.rhymer.rhyme_candidates(
-        "" if p is None else partner[p], text, width=cfg.beam_width)
+        "" if p is None else partner[p], text, width=cfg.beam_width,
+        context=context)
     result.rhymer_calls += 1
     cands = [cand for cand in cands if WORD_RE.fullmatch(cand[0])]
     if idx is None or not cands:
@@ -349,6 +375,10 @@ def generate_poem(word: str, cfg: GenerationConfig,
     sample_rng = net.child_rng(cfg.rng_seed, "generate", word, "sample")
 
     lm_cursor = _LmCursor(lm, cond)
+    # a substitution rewrites only the slot line's last word, which the
+    # slot's own context stops before, so each slot's context extends the
+    # one before it
+    rhymer_context = PoemContext()
     base, first = _sampling_masks(v)
     rule = _LineRule(n_lines, cfg.max_tokens_per_line)
     lines: list[list[str]] = []
@@ -357,7 +387,7 @@ def generate_poem(word: str, cfg: GenerationConfig,
         line: list[str] = []
         probs = lm_cursor.probs
         tid, path = first_word(word[line_no - 1], word, probs, cfg, lm,
-                               table, coin_rng, sample_rng)
+                               table, coin_rng, sample_rng, models)
         result.first_word_paths.append(path)
         last_word_dist = probs.copy()
         # a nearest-neighbor first word may not end the line alone
@@ -378,7 +408,7 @@ def generate_poem(word: str, cfg: GenerationConfig,
         changed_from = None
         if cfg.rh and line_no in slots:
             changed_from = _apply_rhyme(models, result, lines, line_no,
-                                        last_word_dist, cfg)
+                                        last_word_dist, cfg, rhymer_context)
         if end == EOL:
             lm_cursor.end_line(line, changed_from)
 

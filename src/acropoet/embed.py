@@ -7,6 +7,9 @@ token followed by `dim` decimals, single-space separated.
 from __future__ import annotations
 
 import logging
+import math
+from collections.abc import Mapping
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,42 +23,72 @@ class EmbeddingError(ValueError):
 
 
 class EmbeddingTable:
-    """Read-only token -> vector map with cosine kNN queries."""
+    """Read-only token -> vector map with cosine kNN queries: one (N, dim)
+    matrix, its row norms and the row of each token."""
 
-    def __init__(self, dim: int, vectors: dict[str, np.ndarray]):
-        self.dim = dim
-        self._vectors = vectors
+    def __init__(self, dim: int, vectors: Mapping[str, np.ndarray]):
+        matrix = np.zeros((len(vectors), dim))
+        for row, vec in zip(matrix, vectors.values()):
+            row[:] = vec
+        self._init(matrix, dict(zip(vectors, range(len(vectors)))))
+
+    @classmethod
+    def from_matrix(cls, matrix: np.ndarray,
+                    rows: dict[str, int]) -> EmbeddingTable:
+        """The table over `matrix` (kept, not copied) whose token t is
+        row rows[t]."""
+        table = cls.__new__(cls)
+        table._init(matrix, rows)
+        return table
+
+    def _init(self, matrix: np.ndarray, rows: dict[str, int]) -> None:
+        self.dim = matrix.shape[1]
+        self.matrix = matrix
+        self.norms = np.linalg.norm(matrix, axis=1)
+        for array in (self.matrix, self.norms):
+            array.setflags(write=False)
+        self._rows = rows
 
     def __len__(self) -> int:
-        return len(self._vectors)
+        return len(self._rows)
 
     def __contains__(self, token: str) -> bool:
-        return token.lower() in self._vectors
+        return token.lower() in self._rows
+
+    def row(self, token: str) -> int | None:
+        """The matrix row of the token's vector, or None."""
+        return self._rows.get(token.lower())
 
     def vector(self, token: str) -> np.ndarray:
-        try:
-            return self._vectors[token.lower()]
-        except KeyError:
+        row = self.row(token)
+        if row is None:
             raise EmbeddingError(f"token {token!r} not in embedding table")
+        return self.matrix[row]
 
     def tokens(self):
-        return self._vectors.keys()
+        return self._rows.keys()
 
 
 def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
     """Parse a word-vector text file, failing hard on any malformed line."""
-    vectors: dict[str, np.ndarray] = {}
     try:
-        _read_vectors(path, expected_dim, vectors)
+        table = _read_vectors(path, expected_dim)
     except UnicodeDecodeError as exc:
         raise EmbeddingError(bad_utf8_message(path, exc)) from None
     log.info("loaded %d embeddings of dim %d from %s",
-             len(vectors), expected_dim, path)
-    return EmbeddingTable(dim=expected_dim, vectors=vectors)
+             len(table), expected_dim, path)
+    return table
 
 
-def _read_vectors(path, expected_dim: int,
-                  vectors: dict[str, np.ndarray]) -> None:
+def _read_vectors(path, expected_dim: int) -> EmbeddingTable:
+    """Each line's values go straight into a row of a matrix sized by a
+    first pass that counts the lines; a duplicate token overwrites the
+    row of its first occurrence."""
+    with open(path, "rb") as fh:
+        n_lines = 1 + sum(chunk.count(b"\n")
+                          for chunk in iter(lambda: fh.read(1 << 20), b""))
+    matrix = np.empty((n_lines, expected_dim))
+    rows: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -68,15 +101,18 @@ def _read_vectors(path, expected_dim: int,
                     f"got {len(parts) - 1}"
                 )
             token = parts[0].lower()
-            try:
-                vec = np.array([float(x) for x in parts[1:]])
-            except ValueError as exc:
-                raise EmbeddingError(f"{path}:{lineno}: bad float ({exc})")
-            if token in vectors:
+            row = rows.get(token)
+            if row is not None:
                 log.warning("duplicate embedding for %r at line %d, "
                             "keeping the later one", token, lineno)
-            vec.setflags(write=False)
-            vectors[token] = vec
+            else:
+                row = len(rows)
+            try:
+                matrix[row] = parts[1:]  # each parsed as float() does
+            except ValueError as exc:
+                raise EmbeddingError(f"{path}:{lineno}: bad float ({exc})")
+            rows[token] = row
+    return EmbeddingTable.from_matrix(matrix[:len(rows)], rows)
 
 
 def cosine(x: str, u: str, table: EmbeddingTable) -> float:
@@ -96,24 +132,50 @@ def cosine(x: str, u: str, table: EmbeddingTable) -> float:
 SHORTLIST_SLACK = 1e-9
 
 
-def _shortlist(tokens: list[str], rows: np.ndarray, topic_vec: np.ndarray,
-               k: int) -> list[str]:
-    """The tokens that can be in the exact top k by cosine to topic_vec,
-    given their vectors as rows: every one whose matvec cosine is within
+class LetterCandidates(NamedTuple):
+    """A letter's kNN candidates in one vocabulary and table, read-only:
+    their vocabulary ids, their table rows and the rows' norms (None when
+    some norm is zero or not finite)."""
+
+    ids: np.ndarray
+    rows: np.ndarray
+    norms: np.ndarray | None
+
+
+def letter_candidates(table: EmbeddingTable, vocab: Vocabulary,
+                      letter: str) -> LetterCandidates:
+    """The vocabulary's tokens that start with `letter` and have a nonzero
+    vector in the table (tokens without one cannot be scored), in
+    `Vocabulary.by_initial` order."""
+    ids = vocab.by_initial.get(letter)
+    tids = [] if ids is None else ids.tolist()
+    found = [(tid, row) for tid, tok in zip(tids, vocab.decode(tids))
+             if (row := table.row(tok)) is not None]
+    ids, rows = np.array(found, dtype=int).reshape(-1, 2).T
+    keep = table.matrix[rows].any(axis=1)
+    ids, rows = ids[keep], rows[keep]
+    norms = table.norms[rows]
+    for array in (ids, rows, norms):
+        array.setflags(write=False)
+    if not np.all(np.isfinite(norms) & (norms > 0)):
+        norms = None
+    return LetterCandidates(ids, rows, norms)
+
+
+def _shortlist(table: EmbeddingTable, candidates: LetterCandidates,
+               topic: str, k: int):
+    """Positions in `candidates` of those that can be in the exact top k
+    by cosine to the topic: every one whose matvec cosine is within
     SHORTLIST_SLACK of the k-th best.  All of them when some norm is zero
     or not finite, so that only the exact scan reproduces what `cosine`
     does with it."""
-    if not 0 < k < len(tokens):
-        return tokens
-    norm = np.linalg.norm(topic_vec)
-    norms = np.linalg.norm(rows, axis=1)
-    if not (np.isfinite(norm) and norm > 0
-            and np.all(np.isfinite(norms) & (norms > 0))):
-        return tokens
-    approx = (rows @ (topic_vec / norm)) / norms
+    _, rows, norms = candidates
+    norm = float(table.norms[table.row(topic)])
+    if not (0 < k < len(rows) and norms is not None and 0 < norm < math.inf):
+        return slice(None)
+    approx = (table.matrix[rows] @ table.vector(topic)) / (norms * norm)
     kth = np.partition(approx, -k)[-k]
-    keep = np.flatnonzero(approx >= kth - SHORTLIST_SLACK)
-    return [tokens[i] for i in keep]
+    return np.flatnonzero(approx >= kth - SHORTLIST_SLACK)
 
 
 def knn_with_initial(
@@ -122,28 +184,21 @@ def knn_with_initial(
     table: EmbeddingTable,
     restrict_to: Vocabulary,
     k: int = 5,
+    candidates: LetterCandidates | None = None,
 ) -> list[str]:
     """Top-k vocabulary tokens starting with `letter`, by cosine to `topic`.
 
-    Candidates are the vocabulary's tokens with that initial that have a
-    nonzero vector in the table (tokens without one cannot be scored).
-    Ties break lexicographically.  One matvec over the candidates picks a
-    shortlist; `cosine` ranks it, so the order is exactly that of scoring
-    every candidate with `cosine`.
+    Candidates are those of `letter_candidates`; pass them as
+    `candidates` to reuse them across queries, or leave it None to make
+    them here.  Ties break lexicographically.  One matvec over the
+    candidates picks a shortlist; `cosine` ranks it, so the order is
+    exactly that of scoring every candidate with `cosine`.
     """
     if topic not in table:
         raise EmbeddingError(f"topic {topic!r} not in embedding table")
-    ids = restrict_to.by_initial.get(letter)
-    found = [] if ids is None else [
-        (tok, vec) for tok in restrict_to.decode(ids.tolist())
-        if (vec := table._vectors.get(tok.lower())) is not None]
-    if not found:
-        return []
-    tokens, vecs = zip(*found)
-    rows = np.array(vecs, dtype=float)
-    nonzero = rows.any(axis=1)
-    tokens = [tok for tok, keep in zip(tokens, nonzero) if keep]
-    scored = sorted((-cosine(tok, topic, table), tok)
-                    for tok in _shortlist(tokens, rows[nonzero],
-                                          table.vector(topic), k))
+    if candidates is None:
+        candidates = letter_candidates(table, restrict_to, letter)
+    keep = _shortlist(table, candidates, topic, k)
+    scored = sorted((-cosine(tok, topic, table), tok) for tok in
+                    restrict_to.decode(candidates.ids[keep].tolist()))
     return [tok for _, tok in scored[:k]]

@@ -224,12 +224,14 @@ class LstmLayer:
         s = self.store
         return s[f"{self.name}.Wx"], s[f"{self.name}.Wh"], s[f"{self.name}.b"]
 
-    def forward(self, X: np.ndarray, const: np.ndarray | None = None):
+    def forward(self, X: np.ndarray, const: np.ndarray | None = None,
+                state: tuple[np.ndarray, np.ndarray] | None = None):
         """Run the full sequence.
 
         const, if given, is a (B, Dc) input that every step sees after
         X[t]: it meets the last Dc rows of Wx once, as a per-column bias,
-        instead of being copied into every step's input.
+        instead of being copied into every step's input.  state, if
+        given, is the (h, c) to start from, each (B, H); zeros otherwise.
         Returns (H_out (T,B,H), cache).
         """
         Wx, Wh, b = self._weights()
@@ -244,6 +246,8 @@ class LstmLayer:
         # row t holds the state before step t, row t + 1 the state after
         Hs = np.zeros((T + 1, B, H))
         Cs = np.zeros((T + 1, B, H))
+        if state is not None:
+            Hs[0], Cs[0] = state
         gates = []
         for t in range(T):
             (Hs[t + 1], Cs[t + 1]), cell = _cell(XW[t] + Hs[t] @ Wh + bias,
@@ -370,7 +374,9 @@ class Linear:
 
     def forward(self, X: np.ndarray):
         W, b = self.store[f"{self.name}.W"], self.store[f"{self.name}.b"]
-        return X @ W + b, X
+        Y = X @ W
+        Y += b
+        return Y, X
 
     def backward(self, dY: np.ndarray, X: np.ndarray,
                  grads: dict[str, np.ndarray]) -> np.ndarray:
@@ -404,9 +410,11 @@ def dropout_backward(dY: np.ndarray, mask) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, in one new buffer; logits are kept."""
+    e = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def softmax_masked(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -478,11 +486,21 @@ def adam_update(store: ParameterStore, grads: dict[str, np.ndarray],
     for name, g in grads.items():
         m = store.m[name]
         v = store.v[name]
+        # in two scratch arrays, the operations and their order of
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so the bits match
+        s, u = np.empty_like(g), np.empty_like(g)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += np.multiply(1.0 - beta1, g, out=s)
         v *= beta2
-        v += (1.0 - beta2) * g * g
-        store.params[name] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        np.multiply(1.0 - beta2, g, out=u)
+        v += np.multiply(u, g, out=u)
+        np.divide(m, bc1, out=s)
+        s *= lr
+        np.divide(v, bc2, out=u)
+        np.sqrt(u, out=u)
+        u += eps
+        s /= u
+        store.params[name] -= s
 
 
 @dataclass

@@ -108,14 +108,16 @@ def _fallback_vector(token: str, dim: int) -> np.ndarray:
 
 def build_embedding_matrix(vocab: Vocabulary,
                            table: EmbeddingTable) -> np.ndarray:
+    """Row i is token i's table vector, or its `_fallback_vector` when the
+    table has none; <pad>'s row is zero."""
     mat = np.zeros((len(vocab), table.dim))
-    for i, tok in enumerate(vocab.id_to_token):
-        if i == vocab.pad_id:
-            continue
-        if tok in table:
-            mat[i] = table.vector(tok)
-        else:
-            mat[i] = _fallback_vector(tok, table.dim)
+    rows = {i: table.row(tok) for i, tok in enumerate(vocab.id_to_token)
+            if i != vocab.pad_id}
+    found = [i for i, row in rows.items() if row is not None]
+    mat[found] = table.matrix[[rows[i] for i in found]]
+    for i, row in rows.items():
+        if row is None:
+            mat[i] = _fallback_vector(vocab.id_to_token[i], table.dim)
     return mat
 
 
@@ -374,7 +376,8 @@ def train_lm(model: PoemLM, train_poems: list[Poem], dev_poems: list[Poem],
             loss, dlogits, wsum, caches = model.target_xent(
                 *batch, train=True, rng=rng)
             grads = model.store.zero_grads()
-            model.backward_batch(dlogits / max(wsum, 1.0), caches, grads)
+            dlogits /= max(wsum, 1.0)
+            model.backward_batch(dlogits, caches, grads)
             clip_global_norm(grads)
             adam_update(model.store, grads, lr=cfg.lr)
             total += loss

@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import re
 import string
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -130,6 +130,16 @@ class RhymerConfig:
         return cls(**base)
 
 
+@dataclass
+class PoemContext:
+    """One poem's rhymer context between its rhyme slots: the char ids
+    the poem encoder has read and its final (h, c) after them.  Made per
+    poem and per model; it keeps no reference to the model."""
+
+    ids: list[int] = field(default_factory=list)
+    state: tuple[np.ndarray, np.ndarray] | None = None
+
+
 class RhymerModel:
     """`params`, if given, are the arrays to build from (a checkpoint's)."""
 
@@ -237,20 +247,38 @@ class RhymerModel:
 
     # -- beam search ----------------------------------------------------------
 
-    def rhyme_candidates(self, a: str, b: str,
-                         width: int = 5) -> list[tuple[str, float]]:
+    def _encode_context(self, ids: list[int], context: PoemContext):
+        """The poem encoder's final h over `ids`, run only over what
+        follows the ids `context` encoded last when those are a prefix;
+        `context` then holds `ids` and the final state."""
+        n = len(context.ids)
+        if 0 < n <= len(ids) and ids[:n] == context.ids:
+            ids_new, state = ids[n:], context.state
+        else:
+            ids_new, state = ids, None
+        X = self.char_emb[np.array(ids_new, dtype=int)[:, None]]
+        _, (_, _, Hs, Cs, _) = self.poem_enc.forward(X, state=state)
+        context.ids, context.state = ids, (Hs[-1].copy(), Cs[-1].copy())
+        return Hs[-1, 0]
+
+    def rhyme_candidates(self, a: str, b: str, width: int = 5,
+                         context: PoemContext | None = None
+                         ) -> list[tuple[str, float]]:
         """Beam-search the decoder; candidates sorted by log prob descending.
 
+        `context` (None: a fresh one) carries the poem encoder's run over
+        `b` to the poem's next call, which reads only the chars that
+        follow when its `b` extends this one.
         The encodings are the decoder's constant input, so they are
         projected into its bias once per call; each beam step then runs
         all live hypotheses as one batch.
         """
         a_enc, b_enc = self._encode_inputs(a, b)
         a_ids, a_len = pad_ids([a_enc], PAD_ID)
-        b_ids, b_len = pad_ids([b_enc], PAD_ID)
-        enc_a, _, enc_b, _ = self._encoders_forward(a_ids, a_len, b_ids,
-                                                    b_len)
-        cond = np.concatenate([enc_a[0], enc_b[0]])
+        enc_a, _ = self.word_enc.forward(self.char_emb[a_ids], a_len)
+        enc_b = self._encode_context(
+            b_enc, PoemContext() if context is None else context)
+        cond = np.concatenate([enc_a[0], enc_b])
         E = self.cfg.char_dim
         Wx, Wh, bias = self.decoder._weights()
         Wx, bias = Wx[:E], bias + cond @ Wx[E:]

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from helpers import make_poems
 
-from acropoet import net, poemlm, rhymer, topics
+from acropoet import decode, embed, net, poemlm, rhymer, topics
 from acropoet.corpus import build_vocabulary
 from acropoet.poemlm import (
     LmConfig, LmVariant, PoemLM, TrainedLm, build_embedding_matrix, train_lm,
@@ -199,3 +199,95 @@ def test_each_loader_reads_its_file_with_one_load_checkpoint_call(
         load(path)
         assert calls == [(path,)], load.__name__
         assert file_bytes(calls[0], None) == path.stat().st_size
+
+
+# `rhymer.decoder_steps` counts `rhymer.lstm_step` spans inside
+# `rhymer.candidates`, and `net.lstm_forward` times the rhymer's encoders:
+# inside generation, a call steps the decoder once per beam step and reads
+# the poem so far through `LstmLayer.forward`, whatever it reuses.
+
+def _desk_models(table):
+    model = _tiny_lm(table, make_poems(20, seed=1))
+    return decode.ModelBundle(
+        lm=model, table=table,
+        rhymer=RhymerModel(RhymerConfig.desk_scale(seed=1)))
+
+
+def test_generation_rhymer_calls_step_once_per_beam_step(table,
+                                                         monkeypatch):
+    calls, current = [], [None]  # a Counter per rhyme_candidates call
+    real_candidates = RhymerModel.rhyme_candidates
+
+    def candidates(*args, **kwargs):
+        current[0] = Counter()
+        calls.append(current[0])
+        try:
+            return real_candidates(*args, **kwargs)
+        finally:
+            current[0] = None
+    monkeypatch.setattr(RhymerModel, "rhyme_candidates", candidates)
+
+    def count(owner, name, key):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            if current[0] is not None:
+                current[0][key(*args)] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    count(rhymer, "lstm_step", lambda *a: "rhymer.lstm_step")
+    count(net, "lstm_step", lambda *a: "net.lstm_step")
+    count(net.LstmLayer, "forward", lambda layer, *a: layer.name)
+    search = rhymer.beam_search_rows
+
+    def counting_search(step_rows, *args, **kwargs):
+        def step(*a):
+            current[0]["beam step"] += 1
+            return step_rows(*a)
+        return search(step, *args, **kwargs)
+    monkeypatch.setattr(rhymer, "beam_search_rows", counting_search)
+
+    models = _desk_models(table)
+    slots = 0
+    for seed, word in enumerate(["fire", "water", "ember", "harbor"]):
+        result = decode.generate_poem(
+            word, decode.GenerationConfig(rng_seed=seed), models)
+        slots += len(result.scheme.substitution_slots)
+    assert len(calls) == slots == 2 + 2 + 2 + 3
+    for c in calls:
+        assert 0 < c["beam step"] <= rhymer.MAX_WORD_LEN + 1
+        assert c == Counter({"rhymer.lstm_step": c["beam step"],
+                             "beam step": c["beam step"], "rh.poem": 1,
+                             "rh.word.fwd": 1, "rh.word.bwd": 1})
+
+
+def test_generation_reaches_knn_only_through_decode_knn_with_initial(
+        table, monkeypatch):
+    inside, calls, outside = [False], Counter(), Counter()
+    real_knn = decode.knn_with_initial
+
+    def knn(*args, **kwargs):
+        inside[0] = True
+        calls["decode.knn_with_initial"] += 1
+        try:
+            return real_knn(*args, **kwargs)
+        finally:
+            inside[0] = False
+    monkeypatch.setattr(decode, "knn_with_initial", knn)
+    for name in ("_shortlist", "cosine"):
+        def watched(*args, _real=getattr(embed, name), _name=name,
+                    **kwargs):
+            if not inside[0]:
+                outside[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(embed, name, watched)
+    models = _desk_models(table)
+    knn_lines = 0
+    for seed, word in enumerate(["fire", "water", "ember", "harbor"]):
+        result = decode.generate_poem(
+            word, decode.GenerationConfig(rng_seed=seed, m1=1.0, m2=0.0),
+            models)
+        knn_lines += result.first_word_paths.count("knn")
+    assert knn_lines > 0
+    assert calls["decode.knn_with_initial"] == 4 + 5 + 5 + 6
+    assert outside == Counter()

@@ -425,6 +425,23 @@ def test_non_finite_generate_config_is_clean_error(workdir, tmp_path,
     assert "must be a finite number" in result.output
 
 
+@pytest.mark.parametrize("section, name", [
+    ({"k": 0}, "k"), ({"beam_width": 0}, "beam_width")])
+def test_out_of_range_generate_config_is_clean_error(workdir, tmp_path,
+                                                     section, name):
+    """k=0 would steer no line and beam_width=0 would fail only at the
+    first rhyme slot; both are refused before any generation (a negative
+    count is already a usage error)."""
+    root, _ = workdir
+    result = _run_with_config(
+        tmp_path, {"generate": section}, "generate", "glow",
+        "--lm", root / "lm.ckpt", "--no-rh",
+        "--embeddings", root / "vectors.txt", "--dim", DIM)
+    assert result.exit_code == 1
+    assert "Traceback" not in result.output
+    assert result.output == f"error: {name} must be positive\n"
+
+
 def _train_topics_args(root, tmp_path):
     return ["train", "topics", "--train", root / "train.jsonl",
             "--dev", root / "dev.jsonl", "--embeddings", root / "vectors.txt",

@@ -18,6 +18,7 @@ from acropoet.poemlm import (
     LmConfig, LmVariant, PoemLM, build_embedding_matrix, train_lm,
 )
 from acropoet.rhymer import RhymerConfig, RhymerModel
+from test_embed import knn_oracle
 
 
 # --- rhyme schemes ----------------------------------------------------------
@@ -81,6 +82,12 @@ INF, NAN = float("inf"), float("nan")
 def test_config_weights_and_temperature_must_be_finite(kwargs, name):
     with pytest.raises(DecodeError, match=f"{name} must be a finite"):
         GenerationConfig(**kwargs)
+
+@pytest.mark.parametrize("name", ["k", "beam_width", "max_tokens_per_line"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_config_counts_must_be_positive(name, value):
+    with pytest.raises(DecodeError, match=f"{name} must be positive"):
+        GenerationConfig(**{name: value})
 
 def test_config_st_off_forces_m2_only():
     cfg = GenerationConfig(st=False)
@@ -253,6 +260,41 @@ def test_first_word_missing_letter_errors(table):
                    lm, table, child_rng(0, "c"), child_rng(0, "s"))
 
 
+def test_bundle_knn_equals_oracle_for_every_letter(bundle, monkeypatch):
+    """The bundle makes each letter's candidates on its first query, keeps
+    them, and its queries equal the exhaustive oracle."""
+    made = []
+    real = decode.letter_candidates
+    monkeypatch.setattr(decode, "letter_candidates",
+                        lambda *a: made.append(a[2]) or real(*a))
+    lm, table = bundle.lm, bundle.table
+    models = ModelBundle(lm=lm, table=table)
+    assert made == []
+    letters = "abcdefghijklmnopqrstuvwxyz.,'"
+    for topic in ("fire", "water"):
+        for letter in letters:
+            for k in (1, 5, 40):
+                got = knn_with_initial(topic, letter, table, lm.vocab, k=k,
+                                       candidates=models.knn_candidates(
+                                           letter))
+                assert got == knn_oracle(topic, letter, table, lm.vocab, k)
+    assert made == list(letters)
+    with pytest.raises(AttributeError):
+        models.table = None
+
+def test_first_word_with_the_bundle_matches_without(bundle):
+    lm, table = bundle.lm, bundle.table
+    cfg = GenerationConfig(m1=1.0, m2=0.0)
+    rng = np.random.default_rng(4)
+    for letter in "abcdefghijklmnopqrstuvwxyz":
+        probs = rng.random(len(lm.vocab))
+        probs /= probs.sum()
+        picks = [first_word(letter, "water", probs, cfg, lm, table,
+                            child_rng(0, "c"), child_rng(0, "s"), models)
+                 for models in (None, bundle)]
+        assert picks[0] == picks[1]
+
+
 # --- poem generation --------------------------------------------------------
 
 class CountingRhymer:
@@ -260,9 +302,10 @@ class CountingRhymer:
         self.inner = inner
         self.calls = 0
 
-    def rhyme_candidates(self, a, b, width=5):
+    def rhyme_candidates(self, a, b, width=5, context=None):
         self.calls += 1
-        return self.inner.rhyme_candidates(a, b, width=width)
+        return self.inner.rhyme_candidates(a, b, width=width,
+                                           context=context)
 
 def test_generate_poet_spells_word(bundle):
     result = generate_poem("poet", GenerationConfig(rng_seed=0), bundle)
@@ -540,7 +583,7 @@ class StubRhymer:
     def __init__(self, words):
         self.words = words
 
-    def rhyme_candidates(self, a, b, width=5):
+    def rhyme_candidates(self, a, b, width=5, context=None):
         return [(w, -float(i)) for i, w in enumerate(self.words)]
 
 def test_non_word_rhyme_candidates_are_never_substituted(bundle):
@@ -568,7 +611,7 @@ def test_non_word_rhyme_candidates_are_never_substituted(bundle):
 
 
 class RecordingRhymer(StubRhymer):
-    def rhyme_candidates(self, a, b, width=5):
+    def rhyme_candidates(self, a, b, width=5, context=None):
         self.asked = (a, b)
         return super().rhyme_candidates(a, b, width)
 

@@ -58,6 +58,32 @@ def test_load_non_utf8_names_path_and_line(tmp_path):
         load_embeddings(p, expected_dim=2)
 
 
+def test_loaded_table_is_one_read_only_matrix(tmp_path, caplog):
+    p = tmp_path / "emb.txt"
+    p.write_text("Cat 1 2\n\ndog 3 4\ncat 5 6\nemu 0 0")
+    with caplog.at_level("WARNING"):
+        t = load_embeddings(p, expected_dim=2)
+    assert "duplicate" in caplog.text
+    assert len(t) == 3 and list(t.tokens()) == ["cat", "dog", "emu"]
+    assert t.matrix.shape == (3, 2) and not t.matrix.flags.writeable
+    assert np.array_equal(t.matrix, [[5, 6], [3, 4], [0, 0]])
+    assert np.array_equal(t.norms, np.linalg.norm(t.matrix, axis=1))
+    assert not t.norms.flags.writeable
+    assert [t.row(tok) for tok in ("CAT", "dog", "emu", "eel")] == [
+        0, 1, 2, None]
+    assert np.shares_memory(t.vector("dog"), t.matrix)
+    with pytest.raises(ValueError):
+        t.vector("dog")[0] = 1.0
+
+def test_table_from_a_mapping_copies_into_one_matrix():
+    vecs = {"aa": np.array([1.0, 2.0]), "bb": np.array([3.0, 4.0])}
+    t = EmbeddingTable(dim=2, vectors=vecs)
+    vecs["aa"][0] = 9.0
+    assert np.array_equal(t.vector("aa"), [1.0, 2.0])
+    assert np.array_equal(t.matrix, [[1, 2], [3, 4]])
+    assert "AA" in t and "cc" not in t and len(t) == 2
+
+
 # --- cosine -----------------------------------------------------------------
 
 def test_cosine_identical():
@@ -222,6 +248,48 @@ def test_knn_index_released_with_its_vocabulary():
     gc.collect()
     assert dead() is None
     assert knn_with_initial("top", "a", t, _vocab(["ab"]), k=1) == ["ab"]
+
+
+def test_letter_candidates_are_in_table_nonzero_in_vocabulary_order():
+    t = table_from([("top", [1, 0]), ("ab", [1, 1]), ("aa", [0, 0]),
+                    ("ac", [2, 1]), ("b1", [1, 1])], 2)
+    v = _vocab(["ac", "zz", "ad", "aa", "ab", "b1"])
+    ids, rows, norms = embed.letter_candidates(t, v, "a")
+    assert v.decode(ids.tolist()) == [tok for tok in v.non_special_tokens()
+                                      if tok in ("ac", "ab")]
+    assert rows.tolist() == [t.row(tok) for tok in v.decode(ids.tolist())]
+    assert np.array_equal(norms, t.norms[rows])
+    assert not any(a.flags.writeable for a in (ids, rows, norms))
+    none = embed.letter_candidates(t, v, "q")
+    assert len(none.ids) == len(none.rows) == len(none.norms) == 0
+    for letter in "abqz":
+        cands = embed.letter_candidates(t, v, letter)
+        for k in (1, 2, 5):
+            assert knn_with_initial("top", letter, t, v, k=k,
+                                    candidates=cands) == \
+                knn_oracle("top", letter, t, v, k)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("odd", [[1e-200, 0.0], [np.inf, 1.0],
+                                 [np.nan, 1.0]])
+def test_knn_with_an_odd_norm_candidate_scans_like_the_oracle(odd):
+    """A candidate whose norm underflows to zero or is not finite leaves
+    the letter without norms, so its queries score every candidate."""
+    rng = np.random.default_rng(2)
+    entries = [("top", [1.0, 0.5])] + [
+        (f"a{i}", rng.normal(size=2)) for i in range(8)] + [("a9", odd)]
+    t = table_from(entries, 2)
+    v = _vocab([tok for tok, _ in entries[1:]])
+    assert embed.letter_candidates(t, v, "a").norms is None
+
+    def outcome(knn, k):
+        try:
+            return knn("top", "a", t, v, k)
+        except EmbeddingError as exc:
+            return str(exc)
+    for k in (1, 3, 9, 12):
+        assert outcome(knn_with_initial, k) == outcome(knn_oracle, k)
 
 
 # --- char one-hot -----------------------------------------------------------

@@ -565,3 +565,63 @@ def test_store_built_from_source_stops_at_a_missing_array():
     del source["l.Wh"]
     with pytest.raises(NetError, match="missing 'l.Wh'"):
         _layer_store(source)
+
+
+@pytest.mark.parametrize("with_const", [False, True])
+def test_forward_from_a_state_continues_the_sequence(with_const):
+    """Running X[:s] and then X[s:] from the state it ended in gives the
+    states of one run over X, for every split (an empty tail included)."""
+    store, layer, X, const, _ = _const_case(4, single_column=True)
+    const = const if with_const else None
+    if const is None:
+        layer = LstmLayer(store, "plain", X.shape[2], layer.hidden,
+                          np.random.default_rng(0))
+    T = X.shape[0]
+    whole, (_, _, Hs, Cs, _) = layer.forward(X, const=const)
+    for s in range(T + 1):
+        _, (_, _, Hs0, Cs0, _) = layer.forward(X[:s], const=const)
+        tail, (_, _, Hs1, Cs1, _) = layer.forward(
+            X[s:], const=const, state=(Hs0[-1], Cs0[-1]))
+        assert np.allclose(tail, whole[s:], rtol=0, atol=1e-12), s
+        assert np.allclose(Hs1[-1], Hs[-1], rtol=0, atol=1e-12), s
+        assert np.allclose(Cs1[-1], Cs[-1], rtol=0, atol=1e-12), s
+
+
+def _adam_reference(params, m, v, g, step, lr, beta1=0.9, beta2=0.999,
+                    eps=1e-8):
+    """Adam written as plain expressions, one temporary per operation."""
+    bc1, bc2 = 1.0 - beta1 ** step, 1.0 - beta2 ** step
+    m[:] = beta1 * m + (1.0 - beta1) * g
+    v[:] = beta2 * v + (1.0 - beta2) * g * g
+    params -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+def test_adam_in_place_matches_the_expression_form_bit_for_bit():
+    rng = np.random.default_rng(3)
+    store = ParameterStore()
+    store.add("w", rng.normal(size=(5, 7)))
+    ref = store["w"].copy()
+    m, v = np.zeros_like(ref), np.zeros_like(ref)
+    for step in range(1, 5):
+        g = rng.normal(size=ref.shape) * 10.0 ** rng.integers(-6, 3)
+        adam_update(store, {"w": g.copy()}, lr=0.01)
+        _adam_reference(ref, m, v, g, step, lr=0.01)
+        assert np.array_equal(store["w"], ref)
+        assert np.array_equal(store.m["w"], m)
+        assert np.array_equal(store.v["w"], v)
+
+
+def test_softmax_and_linear_keep_their_inputs():
+    rng = np.random.default_rng(1)
+    logits = rng.normal(size=(4, 6)) * 30
+    kept = logits.copy()
+    probs = net.softmax(logits)
+    assert np.array_equal(logits, kept)
+    z = kept - kept.max(axis=-1, keepdims=True)
+    assert np.array_equal(probs, np.exp(z) / np.exp(z).sum(-1, keepdims=True))
+    store = ParameterStore()
+    layer = Linear(store, "lin", 6, 3, rng)
+    store["lin.b"][:] = rng.normal(size=3)
+    Y, X = layer.forward(kept)
+    assert X is kept and np.array_equal(kept, logits)
+    assert np.array_equal(Y, kept @ store["lin.W"] + store["lin.b"])

@@ -7,7 +7,8 @@ from helpers import make_sonnets
 from acropoet.corpus import Poem, RawDocument, build_vocabulary
 from acropoet.net import CE_EPS, grad_check, lstm_step, pad_ids, softmax
 from acropoet.rhymer import (
-    BOS_ID, EOS_ID, MAX_WORD_LEN, PAD_ID, RhymeExample, RhymerConfig,
+    BOS_ID, EOS_ID, MAX_WORD_LEN, PAD_ID, PoemContext, RhymeExample,
+    RhymerConfig,
     RhymerError, RhymerModel, beam_search, choose_rhyme, decode_chars,
     encode_chars, extract_rhyme_pairs, load_rhymer, save_rhymer,
     train_rhymer,
@@ -312,3 +313,68 @@ def test_encode_chars_drops_unknown():
     assert EOS_ID not in ids
     from acropoet.rhymer import decode_chars
     assert decode_chars(ids) == "abc 1!"
+
+
+# --- one poem's context, carried across its rhyme slots -----------------
+
+def _fresh_encoding(model, b):
+    _, b_enc = model._encode_inputs("", b)
+    b_ids, b_len = pad_ids([b_enc], PAD_ID)
+    _, _, enc_b, _ = model._encoders_forward(*pad_ids([[EOS_ID]], PAD_ID),
+                                             b_ids, b_len)
+    return enc_b[0]
+
+def _poem_steps(monkeypatch, model):
+    """Records the length of every poem-encoder run."""
+    steps = []
+    real = type(model.poem_enc).forward
+
+    def forward(layer, X, *args, **kwargs):
+        if layer is model.poem_enc:
+            steps.append(X.shape[0])
+        return real(layer, X, *args, **kwargs)
+    monkeypatch.setattr(type(model.poem_enc), "forward", forward)
+    return steps
+
+POEM = "the sea at night\nand the wind on the "
+
+def test_context_encoding_equals_fresh_for_every_suffix_length(monkeypatch):
+    model = RhymerModel(RhymerConfig.desk_scale(seed=2))
+    ids = encode_chars(POEM)
+    steps = _poem_steps(monkeypatch, model)
+    for n in (1, 9, len(ids) - 1):
+        for end in range(n + 1, len(ids) + 1):
+            context = PoemContext()
+            model._encode_context(ids[:n], context)
+            steps.clear()
+            got = model._encode_context(ids[:end], context)
+            assert steps == [end - n]  # only the new chars are read
+            assert context.ids == ids[:end]
+            want = _fresh_encoding(model, POEM[:end])
+            assert np.allclose(got, want, rtol=0, atol=1e-12), (n, end)
+
+def test_context_gives_fresh_candidates_across_slots_and_a_slide(
+        monkeypatch):
+    """Slot contexts that extend each other reuse the encoding; a context
+    cut by max_context_chars, a shorter one, an empty one and another
+    poem's are encoded from the start.  Every call's candidates equal a
+    call with no context."""
+    model = RhymerModel(RhymerConfig.desk_scale(seed=3, max_context_chars=30))
+    texts = ["the sea", "the sea at night\nand", "the sea at night\nand a",
+             POEM, POEM + "cold\nwhere ", "", "x", "the sea"]
+    context = PoemContext()
+    steps = _poem_steps(monkeypatch, model)
+    read = []
+    for text in texts:
+        ids = model._encode_inputs("", text)[1]
+        steps.clear()
+        got = model.rhyme_candidates("light", text, width=4, context=context)
+        want = model.rhyme_candidates("light", text, width=4)
+        assert [w for w, _ in got] == [w for w, _ in want], text
+        for (_, s1), (_, s2) in zip(got, want):
+            assert s1 == pytest.approx(s2, rel=0, abs=1e-12), text
+        assert context.ids == ids
+        assert steps[1] == len(ids)
+        read.append(steps[0])
+    # POEM is 37 chars, so from it on the window slides
+    assert read == [7, 13, 2, 30, 30, 1, 1, 7]
