@@ -186,6 +186,10 @@ def _read_pretrain(path: str) -> list[list[str]]:
 def train(obj, model, variant, train_path, dev_path, emb_path, dim,
           silver_path, pretrain_path, out_path):
     """Train one model and write its checkpoint plus a JSON log."""
+    threads = net.blas_threads()
+    log.info("BLAS reports %s thread(s); large products and softmaxes may "
+             "use %d row block(s)", "unknown" if threads is None else threads,
+             net.max_row_blocks())
     try:
         out = _outpath(out_path)
         if model != "rhymer":

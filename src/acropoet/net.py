@@ -4,19 +4,23 @@ Everything here is float64 with hand-written backward passes: LSTM cells
 and stacks (uni/bidirectional), linear + softmax output, cross-entropy,
 Adam with bias correction, the early-stopped training loop, and a
 central-finite-difference gradient checker used to validate the backprop
-code.
+code.  Large products and softmaxes run as row blocks on a small thread
+pool when numpy's BLAS runs one thread (`matmul`, `softmax`).
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import hashlib
 import json
 import logging
 import math
 import os
+import threading
 import time
 from collections.abc import Mapping
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -161,6 +165,121 @@ def init_uniform(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Row blocks: large row-wise work split over the CPUs, one block each
+# ---------------------------------------------------------------------------
+
+ROW_BLOCK_MACS = 1 << 21     # a product gets one block per this many MACs
+BLOCK_COLUMNS = 8            # products split only when N is a multiple
+SOFTMAX_BLOCK_MIN = 1 << 20  # entries of the smallest softmax split up
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+@functools.cache
+def blas_threads() -> int | None:
+    """The thread count numpy's BLAS reports, read once; None when it
+    reports none (a BLAS other than OpenBLAS)."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    try:
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except OSError:
+        return None
+    for name in ("scipy_openblas_get_num_threads64_",
+                 "openblas_get_num_threads"):
+        get = getattr(lib, name, None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            return get()
+    return None
+
+
+@functools.cache
+def max_row_blocks() -> int:
+    """How many row blocks large work may use: one per CPU this process
+    may run on when numpy's BLAS runs one thread, else 1, since a BLAS
+    with threads of its own already uses the other CPUs."""
+    if blas_threads() != 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _forget_pool() -> None:
+    global _pool
+    _pool = None  # a forked child has none of its parent's threads
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _worker_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(1, max_row_blocks() - 1),
+                                       thread_name_prefix="acropoet-rows")
+        return _pool
+
+
+def run_row_blocks(fn, rows: int, blocks: int) -> None:
+    """Call fn(lo, hi) once per block of `blocks` contiguous, near-equal
+    row ranges that cover range(rows).
+
+    The pool's threads take all blocks but the last, which the caller's
+    thread computes.  Returns once every block has finished; an exception
+    from any block is raised then, and not before.  Each block must write
+    only its own rows, so the blocks need no lock.
+    """
+    if blocks <= 1:
+        fn(0, rows)
+        return
+    bounds = [rows * k // blocks for k in range(blocks + 1)]
+    pool = _worker_pool()
+    futures = [pool.submit(fn, bounds[k], bounds[k + 1])
+               for k in range(blocks - 1)]
+    try:
+        fn(bounds[-2], bounds[-1])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
+def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B; a large product of 2-D A and B runs as row blocks of A.
+
+    Each block multiplies its rows of A by all of B into its rows of one
+    output, so the bits equal A @ B's at every block count: OpenBLAS on
+    one thread computes each row of a product from that row of A alone
+    when B's column count is a multiple of BLOCK_COLUMNS and every block
+    has two rows or more (a one-row block takes numpy's GEMV path).
+    Other products run whole, as do stacked ones, whose bits are not
+    those of one 2-D product.  Column blocks are never used: their bits
+    changed at unaligned splits.
+    """
+    blocks = 1
+    if A.ndim == B.ndim == 2 and B.shape[1] % BLOCK_COLUMNS == 0:
+        (M, K), N = A.shape, B.shape[1]
+        macs = M * K * N
+        if macs >= 2 * ROW_BLOCK_MACS:  # small products skip the rest
+            blocks = min(max_row_blocks(), M // 2, macs // ROW_BLOCK_MACS)
+    if blocks <= 1:
+        return A @ B
+    out = np.empty((M, N), dtype=np.result_type(A, B))
+
+    def block(lo, hi):
+        np.matmul(A[lo:hi], B, out=out[lo:hi])
+    run_row_blocks(block, M, blocks)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # LSTM cell
 # ---------------------------------------------------------------------------
 
@@ -241,7 +360,7 @@ class LstmLayer:
             raise NetError(f"{self.name}: input width {D} plus constant "
                            f"width {Dc} is not {self.in_dim}")
         H = self.hidden
-        XW = (X.reshape(T * B, D) @ Wx[:D]).reshape(T, B, 4 * H)
+        XW = matmul(X.reshape(T * B, D), Wx[:D]).reshape(T, B, 4 * H)
         bias = b if const is None else const @ Wx[D:] + b
         # row t holds the state before step t, row t + 1 the state after
         Hs = np.zeros((T + 1, B, H))
@@ -250,8 +369,8 @@ class LstmLayer:
             Hs[0], Cs[0] = state
         gates = []
         for t in range(T):
-            (Hs[t + 1], Cs[t + 1]), cell = _cell(XW[t] + Hs[t] @ Wh + bias,
-                                                 Cs[t])
+            (Hs[t + 1], Cs[t + 1]), cell = _cell(
+                XW[t] + matmul(Hs[t], Wh) + bias, Cs[t])
             gates.append(cell)
         return Hs[1:], (X, const, Hs, Cs, gates)
 
@@ -280,19 +399,19 @@ class LstmLayer:
             da[:, H:2 * H] = dc * Cs[t] * f * (1.0 - f)
             da[:, 2 * H:3 * H] = dc * i * (1.0 - g * g)
             da[:, 3 * H:] = do * o * (1.0 - o)
-            dh_next = da @ Wh.T
+            dh_next = matmul(da, Wh.T)
             dc_next = dc * f
         flat = dA.reshape(T * B, 4 * H)
         dWx = grads[f"{self.name}.Wx"]
-        dWx[:D] += X.reshape(T * B, D).T @ flat
-        grads[f"{self.name}.Wh"] += Hs[:-1].reshape(T * B, H).T @ flat
+        dWx[:D] += matmul(X.reshape(T * B, D).T, flat)
+        grads[f"{self.name}.Wh"] += matmul(Hs[:-1].reshape(T * B, H).T, flat)
         grads[f"{self.name}.b"] += flat.sum(axis=0)
         if const is not None:
             dA_sum = dA.sum(axis=0)
             dWx[D:] += const.T @ dA_sum
         if not input_grad:
             return None, None
-        dX = (flat @ Wx[:D].T).reshape(T, B, D)
+        dX = matmul(flat, Wx[:D].T).reshape(T, B, D)
         return dX, None if const is None else dA_sum @ Wx[D:].T
 
 
@@ -374,7 +493,7 @@ class Linear:
 
     def forward(self, X: np.ndarray):
         W, b = self.store[f"{self.name}.W"], self.store[f"{self.name}.b"]
-        Y = X @ W
+        Y = matmul(X, W)
         Y += b
         return Y, X
 
@@ -383,9 +502,9 @@ class Linear:
         W = self.store[f"{self.name}.W"]
         flatX = X.reshape(-1, X.shape[-1])
         flatdY = dY.reshape(-1, dY.shape[-1])
-        grads[f"{self.name}.W"] += flatX.T @ flatdY
+        grads[f"{self.name}.W"] += matmul(flatX.T, flatdY)
         grads[f"{self.name}.b"] += flatdY.sum(axis=0)
-        return dY @ W.T
+        return matmul(dY, W.T)
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +529,24 @@ def dropout_backward(dY: np.ndarray, mask) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, in one new buffer; logits are kept."""
-    e = logits - logits.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+    """Softmax over the last axis, in one new buffer; logits are kept.
+
+    2-D logits of SOFTMAX_BLOCK_MIN entries or more run as row blocks;
+    rows are independent, so the bits are the same.
+    """
+    blocks = 1
+    if logits.ndim == 2 and logits.size >= SOFTMAX_BLOCK_MIN:
+        blocks = min(max_row_blocks(), len(logits))
+    out = np.empty_like(logits)
+    run_row_blocks(lambda lo, hi: _softmax_rows(logits[lo:hi], out[lo:hi]),
+                   len(logits), blocks)
+    return out
+
+
+def _softmax_rows(logits: np.ndarray, out: np.ndarray) -> None:
+    np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
 
 
 def softmax_masked(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -505,7 +637,11 @@ def adam_update(store: ParameterStore, grads: dict[str, np.ndarray],
 
 @dataclass
 class EarlyStopper:
-    """Stop after `patience` epochs without improvement; lower is better."""
+    """Stop after `patience` epochs without improvement; lower is better.
+
+    The best parameters are kept as copies of the trainable arrays only:
+    training never changes the store's fixed ones.
+    """
 
     patience: int
     best_metric: float = np.inf
@@ -516,7 +652,8 @@ class EarlyStopper:
         if metric < self.best_metric:
             self.best_metric = metric
             self.epochs_since_best = 0
-            self.best_params = store.copy_params()
+            self.best_params = {k: p.copy() for k, p in store.params.items()
+                                if k not in store.fixed}
             return True
         self.epochs_since_best += 1
         return False

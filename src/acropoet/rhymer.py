@@ -121,6 +121,11 @@ class RhymerConfig:
     max_context_chars: int = 400
     seed: int = 0
 
+    def __post_init__(self):
+        # a cut of [-0:] would keep the whole poem, not none of it
+        if self.max_context_chars < 1:
+            raise RhymerError("max_context_chars must be at least 1")
+
     @classmethod
     def desk_scale(cls, **overrides) -> "RhymerConfig":
         base = dict(word_hidden=16, poem_hidden=24, decoder_hidden=24,
@@ -446,5 +451,9 @@ def load_rhymer(path) -> RhymerModel:
     problem = net.meta_problem(meta, "rhymer", RhymerConfig)
     if problem:
         raise RhymerError(f"{path}: {problem}")
-    return net.build_from_checkpoint(path, lambda: RhymerModel(
-        RhymerConfig(**meta["config"]), params=params))
+    try:
+        cfg = RhymerConfig(**meta["config"])
+    except RhymerError as exc:
+        raise RhymerError(f"{path}: checkpoint meta 'config': {exc}") from None
+    return net.build_from_checkpoint(
+        path, lambda: RhymerModel(cfg, params=params))

@@ -1,6 +1,10 @@
 """Synthetic fixture builders shared by the test modules."""
 
+import contextlib
+import ctypes
+
 import numpy as np
+import pytest
 
 from acropoet.corpus import Poem, RawDocument
 from acropoet.embed import EmbeddingTable
@@ -118,3 +122,33 @@ def make_sonnets(n, seed=0):
             lines.append(" ".join(words) + " " + ends[letter][idx] + ",")
         docs.append(RawDocument(lines=lines, source_tag="sonnet"))
     return docs
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """numpy's OpenBLAS on one thread inside the block, as it was after.
+
+    Row blocks give the bits of the whole product only on a
+    single-threaded BLAS; skips the test when the BLAS has no thread
+    control.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    lib = ctypes.CDLL(_multiarray_umath.__file__)
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+        get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+        put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+        if get is not None and put is not None:
+            break
+    else:
+        pytest.skip("numpy's BLAS has no OpenBLAS thread control")
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)

@@ -10,11 +10,12 @@ These tests catch that in seconds.
 import importlib.util
 import inspect
 import math
+import threading
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
-from helpers import make_poems
+from helpers import make_poems, one_blas_thread
 
 from acropoet import decode, embed, net, poemlm, rhymer, topics
 from acropoet.corpus import build_vocabulary
@@ -291,3 +292,53 @@ def test_generation_reaches_knn_only_through_decode_knn_with_initial(
     assert knn_lines > 0
     assert calls["decode.knn_with_initial"] == 4 + 5 + 5 + 6
     assert outside == Counter()
+
+
+# The tracer keeps one span stack, read and written by the thread that
+# calls a wrapped name; the row blocks must run only unwrapped numpy work
+# on the pool's threads, or the traced run's span parents break.
+
+def test_pooled_lm_training_calls_every_wrapped_name_on_the_main_thread(
+        table, monkeypatch):
+    layers = _bench_layers()
+    off_main = Counter()
+
+    def on_main():
+        return threading.current_thread() is threading.main_thread()
+
+    for owner, attr, name, _ in layers.WRAPS:
+        def watched(*args, _real=getattr(owner, attr), _name=name,
+                    **kwargs):
+            if not on_main():
+                off_main[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, watched)
+    for owner, attr, name in layers.GENERATOR_WRAPS:
+        def watched_gen(*args, _real=getattr(owner, attr), _name=name,
+                        **kwargs):
+            if not on_main():
+                off_main[_name] += 1
+            yield from _real(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, watched_gen)
+    pooled_blocks = Counter()
+    real_blocks = net.run_row_blocks
+
+    def run_row_blocks(fn, rows, blocks):
+        def block(lo, hi):
+            pooled_blocks[on_main()] += 1
+            return fn(lo, hi)
+        return real_blocks(block, rows, blocks)
+    monkeypatch.setattr(net, "run_row_blocks", run_row_blocks)
+    monkeypatch.setattr(net, "max_row_blocks", lambda: 2)
+    train = make_poems(32, seed=1)
+    vocab = build_vocabulary(train, max_size=200)
+    cfg = LmConfig(n_layers=2, hidden=256, dropout=0.0, lr=0.01,
+                   batch_size=32, patience=1, max_epochs=1, seed=0)
+    model = PoemLM(vocab, cfg, topic_dim=table.dim,
+                   emb_matrix=build_embedding_matrix(vocab, table),
+                   variant=LmVariant.from_name("gold+"))
+    with one_blas_thread():
+        train_lm(model, train, make_poems(4, seed=2), table, max_epochs=1)
+        model.perplexity(make_poems(4, seed=3), table)
+    assert pooled_blocks[False] > 0  # the pool did take blocks
+    assert off_main == Counter()

@@ -1,6 +1,8 @@
 import json
+import logging
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -725,3 +727,56 @@ def test_fuzzed_jsonl_for_prepare_exits_cleanly(workdir, tmp_path, lines):
     path.write_bytes(b"\n".join(lines))
     _assert_clean_exit(run("prepare", "--input", path,
                            "--output", tmp_path / "out.jsonl"))
+
+
+# --- a rhymer context of no characters ----------------------------------------
+
+def test_rhymer_config_of_no_context_chars_is_clean_error(workdir, tmp_path):
+    root, _ = workdir
+    result = _run_with_config(
+        tmp_path, {"rhymer": {"max_context_chars": 0}}, "train", "rhymer",
+        "--train", root / "sonnets_train.jsonl",
+        "--dev", root / "sonnets_dev.jsonl", "--out", tmp_path / "r.ckpt")
+    assert "max_context_chars" in _assert_one_error_line(result)
+    assert not (tmp_path / "r.ckpt").exists()
+
+
+def test_rhymer_checkpoint_of_no_context_chars_fails_to_load(workdir,
+                                                             tmp_path):
+    root, run = workdir
+    store, meta = load_checkpoint(root / "rhymer.ckpt")
+    meta["config"]["max_context_chars"] = 0
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, store, meta)
+    result = _load_model(run, root, tmp_path, "rhymer", bad)
+    line = _assert_one_error_line(result)
+    assert "bad.ckpt" in line and "max_context_chars" in line
+
+
+# --- the BLAS line of the train log -------------------------------------------
+
+def test_train_logs_the_blas_threads_outside_its_artifacts(workdir, tmp_path,
+                                                           caplog):
+    """The INFO line names the thread count and the row blocks; neither
+    the checkpoint nor the JSON train log changes with -v."""
+    root, _ = workdir
+    caplog.set_level(logging.INFO, logger="acropoet.cli")
+    written = {}
+    for flags in ([], ["-v"]):
+        out = tmp_path / f"lm{len(flags)}.ckpt"
+        caplog.clear()
+        result = CliRunner().invoke(main, [
+            "--config", str(root / "config.json"), "--seed", "0", *flags,
+            "train", "lm", "--variant", "gold+",
+            "--train", str(root / "train.jsonl"),
+            "--dev", str(root / "dev.jsonl"),
+            "--embeddings", str(root / "vectors.txt"), "--dim", str(DIM),
+            "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        blas = [r.getMessage() for r in caplog.records
+                if r.name == "acropoet.cli" and "BLAS" in r.getMessage()]
+        assert len(blas) == 1 and "row block" in blas[0]
+        written[len(flags)] = (out.read_bytes(),
+                               Path(f"{out}.json").read_bytes())
+    assert written[0] == written[1]
+    assert b"BLAS" not in written[0][0] and b"BLAS" not in written[0][1]

@@ -1,7 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import one_blas_thread
 
 from acropoet import net
 from acropoet.net import (
@@ -625,3 +632,288 @@ def test_softmax_and_linear_keep_their_inputs():
     Y, X = layer.forward(kept)
     assert X is kept and np.array_equal(kept, logits)
     assert np.array_equal(Y, kept @ store["lin.W"] + store["lin.b"])
+
+
+# --- row blocks -------------------------------------------------------------
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+def _block_counts(monkeypatch, max_blocks):
+    """Patch the CPU count row blocks may use; returns the list of block
+    counts each run_row_blocks call then gets."""
+    counts = []
+    real = net.run_row_blocks
+
+    def counted(fn, rows, blocks):
+        counts.append(blocks)
+        return real(fn, rows, blocks)
+    monkeypatch.setattr(net, "max_row_blocks", lambda: max_blocks)
+    monkeypatch.setattr(net, "run_row_blocks", counted)
+    return counts
+
+
+def _operand(rng, shape, transposed):
+    """A (rows, cols) operand, or the transposed view of a C array."""
+    if transposed:
+        return rng.normal(size=shape[::-1]).T
+    return rng.normal(size=shape)
+
+
+# (M, K, N, A transposed, B transposed): the LM's product classes at
+# T*B = 263 positions, H = 256, V = 1000, embedding width 100
+MATMUL_CASES = {
+    "input projection X @ Wx": (263, 100, 1024, False, False),
+    "step h @ Wh": (32, 256, 1024, False, False),
+    "step da @ Wh.T": (32, 1024, 256, False, True),
+    "dWx X.T @ dA": (100, 263, 1024, True, False),
+    "dWh Hs.T @ dA": (256, 263, 1024, True, False),
+    "dX dA @ Wx.T": (263, 1024, 256, False, True),
+    "Linear X @ W": (263, 256, 1000, False, False),
+    "Linear dW X.T @ dY": (256, 263, 1000, True, False),
+    "Linear dX dY @ W.T": (263, 1000, 256, False, True),
+    "odd rows": (77, 333, 1024, False, False),
+    "fewer rows than blocks": (5, 2048, 1024, False, False),
+    "too few rows to split": (3, 4096, 1024, False, False),
+}
+
+
+@pytest.mark.parametrize("case", MATMUL_CASES)
+@pytest.mark.parametrize("max_blocks", [1, 2, 3, 4])
+def test_matmul_equals_the_plain_product_bit_for_bit(monkeypatch, case,
+                                                     max_blocks):
+    M, K, N, ta, tb = MATMUL_CASES[case]
+    rng = np.random.default_rng(M * K + N)
+    A = _operand(rng, (M, K), ta)
+    B = _operand(rng, (K, N), tb)
+    with one_blas_thread():
+        want = A @ B
+        counts = _block_counts(monkeypatch, max_blocks)
+        got = net.matmul(A, B)
+    assert _same_bits(got, want)
+    # every block has two rows or more; one row would take numpy's GEMV
+    blocks = min(max_blocks, M // 2, M * K * N // net.ROW_BLOCK_MACS)
+    assert counts == ([blocks] if blocks > 1 else [])
+
+
+@pytest.mark.parametrize("N", [999, 1004, 4999])
+def test_matmul_runs_whole_when_columns_are_not_a_multiple_of_8(
+        monkeypatch, N):
+    """Row blocks of such products changed bits on OpenBLAS."""
+    rng = np.random.default_rng(N)
+    A, B = rng.normal(size=(263, 256)), rng.normal(size=(256, N))
+    counts = _block_counts(monkeypatch, 4)
+    assert _same_bits(net.matmul(A, B), A @ B)
+    assert counts == []
+
+
+def test_matmul_runs_a_stacked_product_whole(monkeypatch):
+    """numpy computes (T, B, K) @ (K, N) per stack; flattening it to one
+    2-D product would change bits, so it is not split."""
+    rng = np.random.default_rng(5)
+    X, W = rng.normal(size=(40, 16, 256)), rng.normal(size=(256, 1024))
+    counts = _block_counts(monkeypatch, 4)
+    assert _same_bits(net.matmul(X, W), X @ W)
+    assert counts == []
+
+
+def _plain_softmax(logits):
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("shape, split", [
+    ((263, 4001), True), ((3, 1 << 19), True), ((255, 4000), False)])
+@pytest.mark.parametrize("max_blocks", [1, 2, 3, 4])
+def test_softmax_equals_the_plain_computation_bit_for_bit(
+        monkeypatch, shape, split, max_blocks):
+    """2-D logits of 2^20 entries or more split into row blocks, fewer
+    rows than blocks included; smaller ones run whole."""
+    logits = np.random.default_rng(max_blocks).normal(size=shape) * 20
+    kept = logits.copy()
+    counts = _block_counts(monkeypatch, max_blocks)
+    probs = net.softmax(logits)
+    assert _same_bits(probs, _plain_softmax(kept))
+    assert _same_bits(logits, kept)
+    blocks = min(max_blocks, shape[0]) if split else 1
+    assert counts == [blocks]
+
+
+@pytest.mark.parametrize("failing", [0, 3])
+def test_a_block_error_reaches_the_caller_after_every_block(failing):
+    """Block 0 runs on the pool, block 3 on the caller's thread; either
+    one's exception is raised only once the other blocks have finished."""
+    finished = []
+
+    def block(lo, hi):
+        if lo == 2 * failing:
+            raise ValueError(f"block {failing}")
+        time.sleep(0.05)
+        finished.append(lo)
+    with pytest.raises(ValueError, match=f"block {failing}"):
+        net.run_row_blocks(block, 8, 4)
+    assert sorted(finished) == sorted({0, 2, 4, 6} - {2 * failing})
+
+
+def test_concurrent_callers_share_the_pool_without_mixing_rows(
+        monkeypatch):
+    """More callers than CPUs, each splitting products into 4 blocks on
+    the one pool, with frequent thread switches: every product keeps the
+    bits of A @ B."""
+    rng = np.random.default_rng(7)
+    A, B = rng.normal(size=(96, 256)), rng.normal(size=(256, 1024))
+    want = A @ B
+    monkeypatch.setattr(net, "max_row_blocks", lambda: 4)
+    wrong = []
+
+    def caller(k):
+        for _ in range(10):
+            got = net.matmul(A[k:], B)
+            if not _same_bits(got, want[k:]):
+                wrong.append(k)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with one_blas_thread():
+            threads = [threading.Thread(target=caller, args=(2 * k,))
+                       for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+_FORK_SCRIPT = """
+import os, signal, sys
+sys.path[:0] = sys.argv[1:]
+from acropoet import net
+rows = []
+net.run_row_blocks(lambda lo, hi: rows.append(lo), 4, 2)
+pid = os.fork()
+if pid == 0:
+    signal.alarm(20)  # a child that waits on its parent's threads dies
+    net.run_row_blocks(lambda lo, hi: rows.append(lo), 4, 2)
+    os._exit(0 if sorted(rows) == [0, 0, 2, 2] else 1)
+_, status = os.waitpid(pid, 0)
+print(os.waitstatus_to_exitcode(status))
+"""
+
+
+def test_a_forked_child_makes_a_pool_of_its_own():
+    """A forked child has none of the pool's threads; its blocks run on
+    a new pool instead of waiting forever."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", _FORK_SCRIPT, str(src)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+
+
+def test_row_blocks_cover_every_row_once():
+    seen = []
+    net.run_row_blocks(lambda lo, hi: seen.append((lo, hi)), 7, 3)
+    assert sorted(seen) == [(0, 2), (2, 4), (4, 7)]
+
+
+# One train_lm epoch at B=32, H=256 in a child process whose BLAS thread
+# count is set before numpy loads; prints what the row blocks did.
+_EPOCH_SCRIPT = """
+import hashlib, json, os, sys
+sys.path[:0] = sys.argv[1:]
+from helpers import make_poems, make_table
+from acropoet import net
+from acropoet.corpus import build_vocabulary
+from acropoet.poemlm import (
+    LmConfig, LmVariant, PoemLM, build_embedding_matrix, train_lm)
+
+counts = []
+real = net.run_row_blocks
+def counted(fn, rows, blocks):
+    counts.append(blocks)
+    return real(fn, rows, blocks)
+net.run_row_blocks = counted
+
+def epoch():
+    table = make_table(dim=8, seed=0)
+    train, dev = make_poems(32, seed=1), make_poems(4, seed=2)
+    vocab = build_vocabulary(train, max_size=200)
+    cfg = LmConfig(n_layers=2, hidden=256, dropout=0.1, lr=0.01,
+                   batch_size=32, patience=1, max_epochs=1, seed=0)
+    model = PoemLM(vocab, cfg, topic_dim=table.dim,
+                   emb_matrix=build_embedding_matrix(vocab, table),
+                   variant=LmVariant.from_name("gold+"))
+    no_pool_at_load = net._pool is None
+    train_lm(model, train, dev, table)
+    digest = hashlib.sha256()
+    for name in sorted(model.store):
+        digest.update(model.store[name].tobytes())
+    return digest.hexdigest(), no_pool_at_load
+
+pooled, no_pool_at_load = epoch()
+blocks = max(counts, default=1)
+net.max_row_blocks = lambda: 1
+counts.clear()
+whole, _ = epoch()
+print(json.dumps({"blas_threads": net.blas_threads(), "blocks": blocks,
+                  "patched_blocks": max(counts, default=1),
+                  "same_bits": pooled == whole,
+                  "no_pool_at_load": no_pool_at_load}))
+"""
+
+
+def _epoch_in_child(blas_threads):
+    if net.blas_threads() is None:
+        pytest.skip("numpy's BLAS reports no thread count")
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("row blocks need two CPUs")
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    proc = subprocess.run(
+        [sys.executable, "-c", _EPOCH_SCRIPT, str(tests),
+         str(tests.parent / "src")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_training_on_one_blas_thread_uses_row_blocks_with_the_same_bits():
+    out = _epoch_in_child(1)
+    assert out["blas_threads"] == 1
+    assert out["blocks"] > 1
+    assert out["same_bits"]
+    assert out["patched_blocks"] == 1
+    assert out["no_pool_at_load"]
+
+
+def test_training_on_two_blas_threads_runs_one_block():
+    out = _epoch_in_child(2)
+    assert out["blas_threads"] == 2
+    assert out["blocks"] == 1
+    assert out["same_bits"]
+
+
+def test_early_stopper_keeps_and_restores_trainable_arrays_only():
+    """Fixed arrays never change in training, so the snapshot skips them;
+    a restore brings back the best trainable values."""
+    s = ParameterStore()
+    s.add("w", np.array([1.0, 2.0]))
+    s.add("emb", np.arange(6.0).reshape(3, 2))
+    s.fixed.add("emb")
+    emb = s["emb"]
+    stopper = EarlyStopper(patience=1)
+    stopper.update(1.0, s)
+    assert set(stopper.best_params) == {"w"}
+    assert not np.shares_memory(stopper.best_params["w"], s["w"])
+    s.params["w"][:] = 9.0
+    stopper.update(2.0, s)
+    stopper.restore_best(s)
+    assert np.array_equal(s["w"], [1.0, 2.0])
+    assert s["emb"] is emb
+    assert np.array_equal(emb, np.arange(6.0).reshape(3, 2))

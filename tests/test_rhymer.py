@@ -378,3 +378,13 @@ def test_context_gives_fresh_candidates_across_slots_and_a_slide(
         read.append(steps[0])
     # POEM is 37 chars, so from it on the window slides
     assert read == [7, 13, 2, 30, 30, 1, 1, 7]
+
+
+@pytest.mark.parametrize("chars", [0, -1])
+def test_config_rejects_a_context_of_no_chars(chars):
+    """A cut of [-0:] would read the whole poem, not none of it."""
+    with pytest.raises(RhymerError, match="max_context_chars"):
+        RhymerConfig(max_context_chars=chars)
+    with pytest.raises(RhymerError, match="max_context_chars"):
+        RhymerConfig.desk_scale(max_context_chars=chars)
+    assert RhymerConfig(max_context_chars=1).max_context_chars == 1
