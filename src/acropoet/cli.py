@@ -322,13 +322,14 @@ def gradient_suite(n_seeds: int = 10, hidden: int = 4,
 
     Per seed: a unidirectional LSTM chain with a linear head and weighted
     cross-entropy, a bidirectional encoder with variable lengths, and the
-    masked-softmax cross-entropy head.  Returns one report per seed.
+    poem LM's conditioned head on a padded batch.  Returns one report per
+    seed.
     """
     return [{
         "seed": seed,
         "lstm_chain": _check_lstm_chain(seed, hidden, seq_len),
         "bi_encoder": _check_bi_encoder(seed, hidden, seq_len),
-        "masked_softmax": _check_masked_softmax(seed),
+        "lm_head": _check_lm_head(seed, hidden, seq_len),
     } for seed in range(n_seeds)]
 
 
@@ -384,27 +385,35 @@ def _check_bi_encoder(seed, hidden, seq_len):
                           max_entries_per_param=15)
 
 
-def _check_masked_softmax(seed):
-    rng = net.child_rng(seed, "gc", "mask")
+def _check_lm_head(seed, hidden, seq_len):
+    """The path `PoemLM.target_xent` trains: an LSTM with a constant
+    input, logits only at the nonzero-weight positions of a padded batch,
+    and their gradient scattered back to every step."""
+    rng = net.child_rng(seed, "gc", "lm")
     store = net.ParameterStore()
-    in_dim, n_out = 3, 7
-    head = net.Linear(store, "out", in_dim, n_out, rng)
-    x = rng.normal(size=(1, in_dim))
-    mask = (rng.random(n_out) < 0.6).astype(float)
-    mask[rng.integers(0, n_out)] = 1.0
-    allowed = np.flatnonzero(mask)
-    target = int(allowed[rng.integers(0, len(allowed))])
+    in_dim, const_dim, n_out, B = 3, 2, 6, 3
+    layer = net.LstmLayer(store, "l0", in_dim + const_dim, hidden, rng)
+    head = net.Linear(store, "out", hidden, n_out, rng)
+    X = rng.normal(size=(seq_len, B, in_dim))
+    const = rng.normal(size=(B, const_dim))
+    lengths = rng.integers(1, seq_len + 1, size=B)
+    lengths[0] = seq_len
+    weights = net.length_mask(lengths, seq_len).reshape(-1)
+    positions = np.flatnonzero(weights > 0)
+    targets = rng.integers(0, n_out, size=len(positions))
 
     def loss_and_grads():
-        logits, cache = head.forward(x)
-        probs = net.softmax_masked(logits[0], mask)
-        loss = net.cross_entropy(probs, target)
-        dlogits = probs.copy()
-        dlogits[target] -= 1.0
-        dlogits *= mask  # masked entries get no gradient
+        Hs, cache = layer.forward(X, const=const)
+        logits, head_cache = head.forward(
+            Hs.reshape(-1, hidden)[positions])
+        loss, dlogits, wsum = net.softmax_xent_batch(logits, targets,
+                                                     weights[positions])
         grads = store.zero_grads()
-        head.backward(dlogits[None, :], cache, grads)
-        return loss, grads
+        dH = np.zeros((seq_len * B, hidden))
+        dH[positions] = head.backward(dlogits / wsum, head_cache, grads)
+        layer.backward(dH.reshape(seq_len, B, hidden), cache, grads,
+                       input_grad=False)
+        return loss / wsum, grads
 
     _, grads = loss_and_grads()
     return net.grad_check(lambda: loss_and_grads()[0], store, grads,

@@ -230,32 +230,33 @@ def _sample_id(probs: np.ndarray, mask: np.ndarray,
     if total <= 0:
         raise DecodeError("sampling mask excludes every token")
     cdf = np.cumsum(p / total)
-    return int(min(np.searchsorted(cdf, rng.random(), side="right"),
-                   len(p) - 1))
+    idx = int(np.searchsorted(cdf, rng.random(), side="right"))
+    if idx == len(p):
+        # the cdf can end just below 1, and a draw above its end falls
+        # past the last token; take the last one the mask allows
+        idx = int(np.flatnonzero(p)[-1])
+    return idx
 
 
 def first_word(letter: str, topic: str, probs: np.ndarray,
-               cfg: GenerationConfig, lm: PoemLM, table: EmbeddingTable,
+               cfg: GenerationConfig, models: ModelBundle,
                coin_rng: np.random.Generator,
-               sample_rng: np.random.Generator,
-               models: ModelBundle | None = None) -> tuple[int, str]:
+               sample_rng: np.random.Generator) -> tuple[int, str]:
     """Pick a line's first token; returns (token id, "knn" or "sample").
 
     With probability m1 the token is the topic's nearest in-vocabulary
     neighbor with the right initial that the LM likes best; otherwise it
     is sampled from the LM restricted to tokens with that initial (or the
-    full vocabulary when the acrostic constraint is off).  `models`, the
-    bundle of `lm` and `table`, keeps the letter's kNN candidates across
-    queries.
+    full vocabulary when the acrostic constraint is off).  The kNN
+    candidates are the bundle's, kept across queries.
     """
-    v = lm.vocab
+    v = models.lm.vocab
     use_knn = cfg.st and coin_rng.random() < cfg.m1
     if use_knn:
         try:
             cands = knn_with_initial(
-                topic, letter, table, v, k=cfg.k,
-                candidates=None if models is None
-                else models.knn_candidates(letter))
+                topic, letter, models.table, v, k=cfg.k,
+                candidates=models.knn_candidates(letter))
         except EmbeddingError:
             cands = []
         if cands:
@@ -386,8 +387,8 @@ def generate_poem(word: str, cfg: GenerationConfig,
     for line_no in range(1, n_lines + 1):
         line: list[str] = []
         probs = lm_cursor.probs
-        tid, path = first_word(word[line_no - 1], word, probs, cfg, lm,
-                               table, coin_rng, sample_rng, models)
+        tid, path = first_word(word[line_no - 1], word, probs, cfg, models,
+                               coin_rng, sample_rng)
         result.first_word_paths.append(path)
         last_word_dist = probs.copy()
         # a nearest-neighbor first word may not end the line alone

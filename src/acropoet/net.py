@@ -343,25 +343,38 @@ class LstmLayer:
         s = self.store
         return s[f"{self.name}.Wx"], s[f"{self.name}.Wh"], s[f"{self.name}.b"]
 
+    def step_weights(self, const: np.ndarray | None = None):
+        """(Wx, Wh, b) for `lstm_step` on inputs that end with `const`.
+
+        const, if given, is a (Dc,) or (B, Dc) input that every step sees
+        after its own: it meets the last Dc rows of Wx once, as a bias
+        b + const @ Wx[D:], and the returned Wx is the first D rows only,
+        for the per-step input.
+        """
+        Wx, Wh, b = self._weights()
+        if const is None:
+            return Wx, Wh, b
+        D = self.in_dim - const.shape[-1]
+        return Wx[:D], Wh, b + const @ Wx[D:]
+
     def forward(self, X: np.ndarray, const: np.ndarray | None = None,
                 state: tuple[np.ndarray, np.ndarray] | None = None):
         """Run the full sequence.
 
         const, if given, is a (B, Dc) input that every step sees after
-        X[t]: it meets the last Dc rows of Wx once, as a per-column bias,
-        instead of being copied into every step's input.  state, if
-        given, is the (h, c) to start from, each (B, H); zeros otherwise.
-        Returns (H_out (T,B,H), cache).
+        X[t], projected once by `step_weights` instead of being copied
+        into every step's input.  state, if given, is the (h, c) to start
+        from, each (B, H); zeros otherwise.  Returns (H_out (T,B,H),
+        cache).
         """
-        Wx, Wh, b = self._weights()
         T, B, D = X.shape
         Dc = 0 if const is None else const.shape[1]
         if D + Dc != self.in_dim:
             raise NetError(f"{self.name}: input width {D} plus constant "
                            f"width {Dc} is not {self.in_dim}")
+        Wx, Wh, bias = self.step_weights(const)
         H = self.hidden
-        XW = matmul(X.reshape(T * B, D), Wx[:D]).reshape(T, B, 4 * H)
-        bias = b if const is None else const @ Wx[D:] + b
+        XW = matmul(X.reshape(T * B, D), Wx).reshape(T, B, 4 * H)
         # row t holds the state before step t, row t + 1 the state after
         Hs = np.zeros((T + 1, B, H))
         Cs = np.zeros((T + 1, B, H))
@@ -547,29 +560,6 @@ def _softmax_rows(logits: np.ndarray, out: np.ndarray) -> None:
     np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
-
-
-def softmax_masked(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Softmax with masked entries forced to exactly zero probability."""
-    mask = np.asarray(mask)
-    if not np.any(mask):
-        raise NetError("softmax_masked: mask excludes every entry")
-    neg = np.where(mask > 0, 0.0, -np.inf)
-    with np.errstate(invalid="ignore"):
-        z = logits + neg
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.where(mask > 0, np.exp(z), 0.0)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def cross_entropy(probs: np.ndarray, target_id: int) -> float:
-    """Negative log likelihood of one target under a distribution."""
-    p = probs[target_id]
-    if p <= 0.0:
-        log.warning("cross_entropy: zero probability for target %d, "
-                    "clamping", target_id)
-        p = CE_EPS
-    return float(-np.log(p))
 
 
 def softmax_xent_batch(logits: np.ndarray, targets: np.ndarray,
@@ -828,6 +818,18 @@ def field_problem(values: dict, cls) -> str | None:
     return None
 
 
+def config_problem(cfg, sizes) -> str | None:
+    """What is out of range in a model config: a field named in `sizes`
+    below 1, or an `lr` that is not a finite number above 0; None when
+    nothing is."""
+    for name in sizes:
+        if getattr(cfg, name) < 1:
+            return f"{name} must be at least 1"
+    if not 0 < cfg.lr < math.inf:  # also false for NaN
+        return "lr must be a finite number above 0"
+    return None
+
+
 def meta_problem(meta: dict, kind: str, config_cls, **required) -> str | None:
     """What is wrong with the meta of a checkpoint of `kind`: another kind,
     a required key (`config`, a dict of config_cls fields, plus each
@@ -855,7 +857,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
                            f"{hlen} bytes runs past the end of the file")
         try:
             header = json.loads(fh.read(hlen))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
+            # RecursionError: a header nested too deep
             raise NetError(f"{path}: corrupt checkpoint header ({exc})")
         if not _header_ok(header):
             raise NetError(f"{path}: corrupt checkpoint header (not the "

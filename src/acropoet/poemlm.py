@@ -54,6 +54,14 @@ class LmConfig:
     max_epochs: int = 200
     seed: int = 0
 
+    def __post_init__(self):
+        problem = net.config_problem(self, ("n_layers", "hidden",
+                                            "batch_size"))
+        if problem:
+            raise PoemLmError(problem)
+        if not 0 <= self.dropout < 1:
+            raise PoemLmError("dropout must be at least 0 and below 1")
+
     @classmethod
     def desk_scale(cls, **overrides) -> "LmConfig":
         base = dict(n_layers=2, hidden=64, dropout=0.1, batch_size=16,
@@ -122,10 +130,10 @@ def build_embedding_matrix(vocab: Vocabulary,
 
 
 class StepCondition(NamedTuple):
-    """A condition vector projected into layer 0's bias, made once for
-    the steps of one poem by `PoemLM.project_condition`."""
+    """Every layer's `LstmLayer.step_weights` under one condition vector,
+    made once for the steps of one poem by `PoemLM.project_condition`."""
 
-    bias: np.ndarray
+    layers: tuple
 
 
 class PoemLM:
@@ -260,15 +268,6 @@ class PoemLM:
                                        positions=np.array([len(ids) - 1]))
         return softmax(logits[0])
 
-    def poem_log_prob(self, poem: Poem, cond: np.ndarray) -> float:
-        ids = self.vocab.encode_poem(poem)
-        inputs = np.asarray(ids[:-1])[:, None]
-        targets = np.asarray(ids[1:])
-        logits, _ = self.forward_batch(inputs, cond[None, :], train=False)
-        probs = softmax(logits[:, 0, :])
-        p = np.clip(probs[np.arange(len(targets)), targets], net.CE_EPS, None)
-        return float(np.log(p).sum())
-
     def perplexity(self, poems: list[Poem],
                    table: Optional[EmbeddingTable],
                    zero_cond: bool = False) -> float:
@@ -291,29 +290,21 @@ class PoemLM:
         return [(np.zeros(H), np.zeros(H)) for _ in self.layers]
 
     def project_condition(self, cond: np.ndarray) -> StepCondition:
-        """Layer 0's bias under a constant condition: b + cond @ Wx[E:]."""
-        Wx, _, b = self.layers[0]._weights()
-        return StepCondition(b + cond @ Wx[self.embed_dim:])
+        """The step weights of every layer under a condition vector, which
+        is layer 0's constant input."""
+        first, *rest = self.layers
+        return StepCondition((first.step_weights(cond),)
+                             + tuple(layer.step_weights() for layer in rest))
 
-    def step(self, state, token_id: int, cond) -> np.ndarray:
-        """Advance one token; mutates state, returns next-token probs.
-
-        `cond` is a condition vector, or its `project_condition` for a run
-        of steps under one condition; either way layer 0 multiplies only
-        the token's embedding.
-        """
+    def step(self, state, token_id: int, cond: StepCondition) -> np.ndarray:
+        """Advance one token under `project_condition(cond)`; mutates
+        state, returns next-token probs."""
         if not 0 <= token_id < len(self.vocab):
             raise PoemLmError(f"token id {token_id} out of range")
-        if not isinstance(cond, StepCondition):
-            cond = self.project_condition(cond)
         x = self.emb[token_id]
-        for l, layer in enumerate(self.layers):
-            Wx, Wh, b = layer._weights()
-            if l == 0:
-                Wx, b = Wx[:self.embed_dim], cond.bias
-            h, c = net.lstm_step(x, state[l][0], state[l][1], Wx, Wh, b)
-            state[l] = (h, c)
-            x = h
+        for l, weights in enumerate(cond.layers):
+            state[l] = net.lstm_step(x, *state[l], *weights)
+            x = state[l][0]
         W = self.store["lm.out.W"]
         bias = self.store["lm.out.b"]
         return softmax(x @ W + bias)
@@ -466,10 +457,14 @@ def load_lm(path) -> TrainedLm:
         vocab = Vocabulary(meta["vocab"])
     except CorpusError as exc:
         raise PoemLmError(f"{path}: checkpoint meta 'vocab': {exc}") from None
+    try:
+        cfg = LmConfig(**meta["config"])
+    except PoemLmError as exc:
+        raise PoemLmError(f"{path}: checkpoint meta 'config': {exc}") from None
     # a zero-stride stand-in: the checkpoint supplies the values
     emb = np.broadcast_to(0.0, (len(vocab), meta["topic_dim"]))
     model = net.build_from_checkpoint(path, lambda: PoemLM(
-        vocab, LmConfig(**meta["config"]), topic_dim=meta["topic_dim"],
+        vocab, cfg, topic_dim=meta["topic_dim"],
         emb_matrix=emb, variant=LmVariant.from_name(meta["variant"]),
         params=params))
     return TrainedLm(model=model, history=meta.get("history", []))

@@ -122,9 +122,13 @@ class RhymerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # a cut of [-0:] would keep the whole poem, not none of it
-        if self.max_context_chars < 1:
-            raise RhymerError("max_context_chars must be at least 1")
+        # max_context_chars: a cut of [-0:] would keep the whole poem, not
+        # none of it
+        problem = net.config_problem(self, (
+            "word_hidden", "poem_hidden", "decoder_hidden", "char_dim",
+            "batch_size", "max_context_chars"))
+        if problem:
+            raise RhymerError(problem)
 
     @classmethod
     def desk_scale(cls, **overrides) -> "RhymerConfig":
@@ -283,10 +287,8 @@ class RhymerModel:
         enc_a, _ = self.word_enc.forward(self.char_emb[a_ids], a_len)
         enc_b = self._encode_context(
             b_enc, PoemContext() if context is None else context)
-        cond = np.concatenate([enc_a[0], enc_b])
-        E = self.cfg.char_dim
-        Wx, Wh, bias = self.decoder._weights()
-        Wx, bias = Wx[:E], bias + cond @ Wx[E:]
+        Wx, Wh, bias = self.decoder.step_weights(
+            np.concatenate([enc_a[0], enc_b]))
         W_out = self.store["rh.out.W"]
         b_out = self.store["rh.out.b"]
         H = self.cfg.decoder_hidden

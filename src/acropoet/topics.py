@@ -39,6 +39,12 @@ class TopicConfig:
     vocab_size: int = 50000
     seed: int = 0
 
+    def __post_init__(self):
+        problem = net.config_problem(self, ("hidden", "batch_size",
+                                            "vocab_size"))
+        if problem:
+            raise TopicError(problem)
+
     @classmethod
     def desk_scale(cls, **overrides) -> "TopicConfig":
         base = dict(hidden=24, lr=0.01, batch_size=16, patience=5,
@@ -193,8 +199,12 @@ def load_topics(path) -> TopicClassifier:
         vocab = Vocabulary(meta["vocab"])
     except CorpusError as exc:
         raise TopicError(f"{path}: checkpoint meta 'vocab': {exc}") from None
+    try:
+        cfg = TopicConfig(**meta["config"])
+    except TopicError as exc:
+        raise TopicError(f"{path}: checkpoint meta 'config': {exc}") from None
     # a zero-stride stand-in: the checkpoint supplies the values
     emb = np.broadcast_to(0.0, (len(vocab), meta["embed_dim"]))
     return net.build_from_checkpoint(path, lambda: TopicClassifier(
-        vocab, meta["labels"], TopicConfig(**meta["config"]),
+        vocab, meta["labels"], cfg,
         emb_matrix=emb, params=params))

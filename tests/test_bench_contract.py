@@ -134,7 +134,8 @@ def test_poemlm_step_makes_one_step_call_per_layer(table, monkeypatch):
     _count_calls(monkeypatch, net, "lstm_step", calls)
     model = _tiny_lm(table, make_poems(20, seed=1), n_layers=3)
     state = model.init_state()
-    cond = np.zeros(model.in_dim - model.embed_dim)
+    cond = model.project_condition(
+        np.zeros(model.in_dim - model.embed_dim))
     for tid in (model.vocab.bos_id, model.vocab.token_to_id["ash"]):
         model.step(state, tid, cond)
     assert calls == Counter({"acropoet.net.lstm_step": 2 * 3})

@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -64,22 +65,22 @@ def workdir(tmp_path_factory):
             main, ["--config", str(root / "config.json"), "--seed", "0",
                    *[str(a) for a in args]])
 
-    for args in (
-        ["train", "lm", "--variant", "gold+",
-         "--train", root / "train.jsonl", "--dev", root / "dev.jsonl",
-         "--embeddings", root / "vectors.txt", "--dim", DIM,
-         "--out", root / "lm.ckpt"],
-        ["train", "rhymer", "--train", root / "sonnets_train.jsonl",
-         "--dev", root / "sonnets_dev.jsonl",
-         "--out", root / "rhymer.ckpt"],
-        ["train", "topics", "--train", root / "train.jsonl",
-         "--dev", root / "dev.jsonl",
-         "--embeddings", root / "vectors.txt", "--dim", DIM,
-         "--out", root / "topics.ckpt"],
-    ):
-        result = run(*args)
+    for kind in ("lm", "rhymer", "topics"):
+        result = run(*_train_args(root, kind, root / f"{kind}.ckpt"))
         assert result.exit_code == 0, result.output
     return root, run
+
+
+def _train_args(root, kind, out):
+    """The `train` command line for a `kind` model on workdir's files."""
+    if kind == "rhymer":
+        return ["train", "rhymer", "--train", root / "sonnets_train.jsonl",
+                "--dev", root / "sonnets_dev.jsonl", "--out", out]
+    variant = ["--variant", "gold+"] if kind == "lm" else []
+    return ["train", kind, *variant,
+            "--train", root / "train.jsonl", "--dev", root / "dev.jsonl",
+            "--embeddings", root / "vectors.txt", "--dim", DIM,
+            "--out", out]
 
 
 # --- prepare ------------------------------------------------------------------
@@ -329,6 +330,8 @@ def test_gradcheck_command(workdir):
     result = run("gradcheck", "--seeds", "2")
     assert result.exit_code == 0, result.output
     assert "max relative error" in result.output
+    for check in ("lstm_chain", "bi_encoder", "lm_head"):
+        assert f"{check}=" in result.output
 
 
 def test_non_utf8_pretrain_file_is_clean_error(workdir, tmp_path):
@@ -379,6 +382,25 @@ def test_generate_bad_checkpoint_header_is_clean_error(workdir, tmp_path):
                  "--no-rh", "--embeddings", root / "vectors.txt",
                  "--dim", DIM)
     assert "corrupt checkpoint header" in _assert_one_error_line(result)
+
+
+@pytest.mark.parametrize("command", ["generate", "eval-ppl"])
+def test_deeply_nested_checkpoint_header_is_clean_error(workdir, tmp_path,
+                                                        command):
+    root, run = workdir
+    data = (root / "lm.ckpt").read_bytes()
+    hlen = int.from_bytes(data[6:14], "little")
+    header = b"[" * 200_000
+    (tmp_path / "deep.ckpt").write_bytes(
+        data[:6] + len(header).to_bytes(8, "little") + header
+        + data[14 + hlen:])
+    args = (["generate", "glow", "--lm", tmp_path / "deep.ckpt", "--no-rh",
+             "--embeddings", root / "vectors.txt", "--dim", DIM]
+            if command == "generate" else
+            ["eval-ppl", "--checkpoint", tmp_path / "deep.ckpt",
+             "--test", root / "dev.jsonl"])
+    line = _assert_one_error_line(run(*args))
+    assert "deep.ckpt: corrupt checkpoint header" in line
 
 
 def _run_with_config(tmp_path, config, *args):
@@ -729,7 +751,7 @@ def test_fuzzed_jsonl_for_prepare_exits_cleanly(workdir, tmp_path, lines):
                            "--output", tmp_path / "out.jsonl"))
 
 
-# --- a rhymer context of no characters ----------------------------------------
+# --- config values out of range -----------------------------------------------
 
 def test_rhymer_config_of_no_context_chars_is_clean_error(workdir, tmp_path):
     root, _ = workdir
@@ -751,6 +773,42 @@ def test_rhymer_checkpoint_of_no_context_chars_fails_to_load(workdir,
     result = _load_model(run, root, tmp_path, "rhymer", bad)
     line = _assert_one_error_line(result)
     assert "bad.ckpt" in line and "max_context_chars" in line
+
+
+OUT_OF_RANGE = [
+    ("lm", "batch_size", 0), ("topics", "batch_size", 0),
+    ("rhymer", "batch_size", 0), ("lm", "n_layers", 0), ("lm", "hidden", 0),
+    ("topics", "hidden", 0), ("rhymer", "char_dim", 0),
+    ("rhymer", "word_hidden", 0), ("topics", "vocab_size", 0),
+    ("lm", "dropout", 1.5), ("lm", "dropout", 1.0), ("lm", "dropout", -0.1),
+    ("lm", "lr", 0.0), ("topics", "lr", -0.01), ("rhymer", "lr", math.nan),
+    ("rhymer", "lr", math.inf),
+]
+
+
+@pytest.mark.parametrize("kind,key,value", OUT_OF_RANGE)
+def test_config_value_out_of_range_is_clean_error(workdir, tmp_path, kind,
+                                                  key, value):
+    root, _ = workdir
+    config = json.loads((root / "config.json").read_text())
+    config[kind][key] = value
+    out = tmp_path / "m.ckpt"
+    result = _run_with_config(tmp_path, config,
+                              *_train_args(root, kind, out))
+    assert key in _assert_one_error_line(result)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,key,value", OUT_OF_RANGE)
+def test_checkpoint_config_out_of_range_fails_to_load(workdir, tmp_path,
+                                                      kind, key, value):
+    root, run = workdir
+    store, meta = load_checkpoint(root / f"{kind}.ckpt")
+    meta["config"][key] = value
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, store, meta)
+    line = _assert_one_error_line(_load_model(run, root, tmp_path, kind, bad))
+    assert line.startswith(f"error: {bad}: checkpoint meta 'config': {key}")
 
 
 # --- the BLAS line of the train log -------------------------------------------

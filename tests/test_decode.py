@@ -120,6 +120,27 @@ def test_low_temperature_picks_the_likeliest_allowed_token():
     assert {decode._sample_id(probs, mask, rng, 1e-3)
             for _ in range(20)} == {best}
 
+class _FixedDraw:
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+def test_a_draw_past_the_cdf_end_picks_an_allowed_token():
+    """The cdf of the masked probabilities can end just below 1; a draw
+    in [cdf[-1], 1) takes the last allowed token, not the masked last
+    one."""
+    probs = np.random.default_rng(2).dirichlet(np.ones(105))
+    mask = np.ones(105)
+    mask[-1] = 0.0
+    p = probs * mask
+    end = np.cumsum(p / p.sum())[-1]
+    assert end < 1.0  # the case this test is about
+    assert decode._sample_id(probs, mask, _FixedDraw(end), 1.0) == 103
+    below = np.nextafter(end, 0.0)
+    assert decode._sample_id(probs, mask, _FixedDraw(below), 1.0) == 103
+
 @pytest.mark.parametrize("temperature", [1.0, 0.5, 2.0])
 def test_empty_sampling_mask_is_a_decode_error(temperature):
     with pytest.raises(DecodeError, match="excludes every token"):
@@ -210,7 +231,7 @@ def test_first_word_knn_matches_scoring_oracle(bundle):
     for letter in "bcdefg":
         probs = rng.random(len(lm.vocab))
         probs /= probs.sum()
-        tid, path = first_word(letter, "fire", probs, cfg, lm, table,
+        tid, path = first_word(letter, "fire", probs, cfg, bundle,
                                child_rng(0, "coin"), child_rng(0, "s"))
         assert path == "knn"
         cands = knn_with_initial("fire", letter, table, lm.vocab, k=cfg.k)
@@ -221,29 +242,29 @@ def test_first_word_single_knn_candidate_deterministic(bundle):
     lm, table = bundle.lm, bundle.table
     cfg = GenerationConfig(m1=1.0, m2=0.0, k=1)
     for trial in range(5):
-        tid, path = first_word("g", "fire", _uniform_probs(lm), cfg, lm,
-                               table, child_rng(trial, "c"),
+        tid, path = first_word("g", "fire", _uniform_probs(lm), cfg,
+                               bundle, child_rng(trial, "c"),
                                child_rng(trial, "s"))
         assert path == "knn"
         only = knn_with_initial("fire", "g", table, lm.vocab, k=1)[0]
         assert lm.vocab.id_to_token[tid] == only
 
 def test_first_word_mask_property_m1_zero(bundle):
-    lm, table = bundle.lm, bundle.table
+    lm = bundle.lm
     cfg = GenerationConfig(m1=0.0, m2=1.0)
     probs = _uniform_probs(lm)
     rng = child_rng(0, "mask")
     for _ in range(1000):
-        tid, path = first_word("s", "fire", probs, cfg, lm, table,
+        tid, path = first_word("s", "fire", probs, cfg, bundle,
                                child_rng(0, "c"), rng)
         assert path == "sample"
         assert lm.vocab.id_to_token[tid].startswith("s")
 
 def test_first_word_unknown_topic_falls_back_to_sampling(bundle):
-    lm, table = bundle.lm, bundle.table
+    lm = bundle.lm
     cfg = GenerationConfig(m1=1.0, m2=0.0)
-    tid, path = first_word("s", "zzzunknown", _uniform_probs(lm), cfg, lm,
-                           table, child_rng(0, "c"), child_rng(0, "s"))
+    tid, path = first_word("s", "zzzunknown", _uniform_probs(lm), cfg,
+                           bundle, child_rng(0, "c"), child_rng(0, "s"))
     assert path == "sample"
     assert lm.vocab.id_to_token[tid].startswith("s")
 
@@ -257,7 +278,8 @@ def test_first_word_missing_letter_errors(table):
     cfg = GenerationConfig(m1=0.0, m2=1.0)
     with pytest.raises(DecodeError, match="'z'"):
         first_word("z", "fire", np.full(len(vocab), 1 / len(vocab)), cfg,
-                   lm, table, child_rng(0, "c"), child_rng(0, "s"))
+                   ModelBundle(lm=lm, table=table), child_rng(0, "c"),
+                   child_rng(0, "s"))
 
 
 def test_bundle_knn_equals_oracle_for_every_letter(bundle, monkeypatch):
@@ -281,19 +303,6 @@ def test_bundle_knn_equals_oracle_for_every_letter(bundle, monkeypatch):
     assert made == list(letters)
     with pytest.raises(AttributeError):
         models.table = None
-
-def test_first_word_with_the_bundle_matches_without(bundle):
-    lm, table = bundle.lm, bundle.table
-    cfg = GenerationConfig(m1=1.0, m2=0.0)
-    rng = np.random.default_rng(4)
-    for letter in "abcdefghijklmnopqrstuvwxyz":
-        probs = rng.random(len(lm.vocab))
-        probs /= probs.sum()
-        picks = [first_word(letter, "water", probs, cfg, lm, table,
-                            child_rng(0, "c"), child_rng(0, "s"), models)
-                 for models in (None, bundle)]
-        assert picks[0] == picks[1]
-
 
 # --- poem generation --------------------------------------------------------
 
@@ -404,10 +413,10 @@ def _fire_condition(lm, table):
                                4)
 
 def _state_from_bos(lm, token_ids, cond):
-    state = lm.init_state()
+    state, step_cond = lm.init_state(), lm.project_condition(cond)
     probs = None
     for tid in token_ids:
-        probs = lm.step(state, tid, cond)
+        probs = lm.step(state, tid, step_cond)
     return state, probs
 
 def test_resume_equals_full_prefix_from_bos(bundle):

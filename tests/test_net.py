@@ -13,9 +13,9 @@ from helpers import one_blas_thread
 from acropoet import net
 from acropoet.net import (
     BiLstmEncoder, EarlyStopper, Linear, LstmLayer, NetError,
-    ParameterStore, adam_update, child_rng, clip_global_norm, cross_entropy,
+    ParameterStore, adam_update, child_rng, clip_global_norm,
     dropout_forward, grad_check, load_checkpoint, lstm_step,
-    save_checkpoint, softmax_masked,
+    save_checkpoint,
 )
 
 
@@ -81,8 +81,35 @@ def test_bilstm_final_states_match_stepwise_cells(seed):
                                     slice(H, 2 * H))):
             h, c = np.zeros(H), np.zeros(H)
             for t in steps:
-                h, c = lstm_step(X[t, j], h, c, *layer._weights())
+                h, c = lstm_step(X[t, j], h, c, *layer.step_weights())
             assert np.allclose(encoded[j, half], h, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("with_const", [False, True])
+def test_forward_equals_lstm_step_on_the_step_weights(B, with_const):
+    """LstmLayer.forward is lstm_step run over the steps on
+    step_weights(const), from the given state."""
+    rng = np.random.default_rng(B)
+    T, D, Dc, H = 5, 3, 2 if with_const else 0, 4
+    layer = LstmLayer(ParameterStore(), "l", D + Dc, H, rng)
+    X = rng.normal(size=(T, B, D))
+    const = rng.normal(size=(B, Dc)) if with_const else None
+    h, c = rng.normal(size=(B, H)), rng.normal(size=(B, H))
+    Hs, _ = layer.forward(X, const, (h, c))
+    weights = layer.step_weights(const)
+    assert weights[0].shape == (D, 4 * H)
+    for t in range(T):
+        h, c = lstm_step(X[t], h, c, *weights)
+        assert np.allclose(Hs[t], h, rtol=0, atol=1e-12)
+
+
+def test_only_net_reads_the_lstm_weights_whole():
+    """Every other module takes an LSTM's weights from step_weights."""
+    src = Path(net.__file__).parent
+    readers = sorted(p.name for p in src.glob("*.py")
+                     if "._weights(" in p.read_text(encoding="utf-8"))
+    assert readers == ["net.py"]
 
 
 def test_reverse_padded_reverses_within_each_length():
@@ -93,41 +120,6 @@ def test_reverse_padded_reverses_within_each_length():
         assert np.array_equal(Y[:L, j], X[L - 1::-1, j])
         assert np.array_equal(Y[L:, j], X[L:, j])
     assert np.array_equal(net.reverse_padded(Y, lengths), X)
-
-
-# --- masked softmax / cross entropy -----------------------------------------
-
-def test_softmax_masked_all_ones_is_softmax():
-    logits = np.array([1.0, 2.0, 3.0])
-    p = softmax_masked(logits, np.ones(3))
-    e = np.exp(logits - 3.0)
-    assert np.allclose(p, e / e.sum())
-
-def test_softmax_masked_symmetry():
-    p = softmax_masked(np.zeros(3), np.array([1, 0, 1]))
-    assert np.allclose(p, [0.5, 0.0, 0.5])
-    assert p[1] == 0.0
-
-def test_softmax_masked_two_way():
-    p = softmax_masked(np.array([1.0, 2.0, 3.0]), np.array([0, 1, 1]))
-    assert p[0] == 0.0
-    assert p[1] == pytest.approx(0.26894, abs=1e-5)
-    assert p[2] == pytest.approx(0.73106, abs=1e-5)
-    assert p.sum() == pytest.approx(1.0, abs=1e-9)
-
-def test_softmax_masked_empty_mask_errors():
-    with pytest.raises(NetError):
-        softmax_masked(np.zeros(3), np.zeros(3))
-
-def test_cross_entropy_values(caplog):
-    assert cross_entropy(np.full(50, 1 / 50), 7) == pytest.approx(np.log(50))
-    assert cross_entropy(np.array([0.0, 1.0]), 1) == 0.0
-    assert cross_entropy(np.array([0.25, 0.75]), 0) == pytest.approx(1.38629,
-                                                                    abs=1e-5)
-    with caplog.at_level("WARNING"):
-        val = cross_entropy(np.array([0.0, 1.0]), 0)
-    assert val == pytest.approx(-np.log(1e-12))
-    assert "clamping" in caplog.text
 
 
 # --- adam -------------------------------------------------------------------
@@ -456,6 +448,12 @@ def _with_header(path, data, header: bytes):
     hlen = int.from_bytes(data[6:14], "little")
     path.write_bytes(data[:6] + len(header).to_bytes(8, "little") + header
                      + data[14 + hlen:])
+
+def test_checkpoint_header_nested_too_deep(tmp_path):
+    path, data = _small_checkpoint(tmp_path)
+    _with_header(path, data, b"[" * 200_000)
+    with pytest.raises(NetError, match="corrupt checkpoint header"):
+        load_checkpoint(path)
 
 _GOOD_ENTRY = {"name": "b", "shape": [4]}
 

@@ -75,27 +75,34 @@ def test_lm_forward_deterministic(table):
     assert np.array_equal(a, b)
 
 
-def test_poem_log_prob_matches_stepwise_oracle(table):
+def test_target_xent_matches_stepwise_oracle(table):
+    """target_xent's loss over a padded batch is the summed next-token
+    NLL that lm_forward gives one prefix at a time."""
     model, poems = fresh_model(table)
-    poem = poems[0]
-    cond = model.poem_condition(poem, table)
-    got = model.poem_log_prob(poem, cond)
+    batch = poems[:3]
+    (inputs, targets, weights, cond), = model.batches(batch, table,
+                                                      batch_size=3)
+    assert weights.min() == 0  # the batch is padded
+    loss, _, wsum, _ = model.target_xent(inputs, targets, weights, cond)
     # oracle: accumulate lm_forward one prefix at a time
-    ids = model.vocab.encode_poem(poem)
-    total = 0.0
-    for i in range(1, len(ids)):
-        probs = model.lm_forward(ids[:i], cond)
-        total += np.log(probs[ids[i]])
-    assert got == pytest.approx(total, abs=1e-9)
+    total, count = 0.0, 0
+    for poem in batch:
+        ids = model.vocab.encode_poem(poem)
+        poem_cond = model.poem_condition(poem, table)
+        for i in range(1, len(ids)):
+            total -= np.log(model.lm_forward(ids[:i], poem_cond)[ids[i]])
+            count += 1
+    assert wsum == count
+    assert loss == pytest.approx(total, abs=1e-9)
 
 
 def test_step_state_matches_full_forward(table):
     model, poems = fresh_model(table)
     cond = model.poem_condition(poems[1], table)
     ids = model.vocab.encode_poem(poems[1])[:6]
-    state = model.init_state()
+    state, step_cond = model.init_state(), model.project_condition(cond)
     for i, tok in enumerate(ids):
-        probs_inc = model.step(state, tok, cond)
+        probs_inc = model.step(state, tok, step_cond)
         probs_full = model.lm_forward(ids[:i + 1], cond)
         assert np.allclose(probs_inc, probs_full, atol=1e-12)
 

@@ -138,7 +138,7 @@ def _per_hypothesis_candidates(model, a, b, width):
                                       pad_ids([b_enc], PAD_ID))
     enc_a, _, enc_b, _ = model._encoders_forward(a_ids, a_len, b_ids, b_len)
     cond = np.concatenate([enc_a[0], enc_b[0]])
-    Wx, Wh, bias = model.decoder._weights()
+    Wx, Wh, bias = model.decoder.step_weights()
     W_out, b_out = model.store["rh.out.W"], model.store["rh.out.b"]
     H = model.cfg.decoder_hidden
 
