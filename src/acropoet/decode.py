@@ -311,8 +311,7 @@ def _last_word_index(line: list[str]) -> int | None:
 
 def _apply_rhyme(models: ModelBundle, result: GenerationResult,
                  lines: list[list[str]], slot: int,
-                 last_word_dist: np.ndarray | None,
-                 cfg: GenerationConfig,
+                 last_word_dist: np.ndarray, cfg: GenerationConfig,
                  context: PoemContext | None = None) -> int | None:
     """Substitute the slot line's last word; returns its index in the
     line if it changed, else None.  `context` is the poem's rhymer
@@ -332,10 +331,7 @@ def _apply_rhyme(models: ModelBundle, result: GenerationResult,
     if idx is None or not cands:
         return None
     original = line[idx]
-    if last_word_dist is not None:
-        chosen = choose_rhyme(cands, last_word_dist, models.lm.vocab)
-    else:
-        chosen = cands[0][0]
+    chosen = choose_rhyme(cands, last_word_dist, models.lm.vocab)
     if chosen == original:
         return None
     if idx == 0 and cfg.ac and chosen[:1] != result.word[slot - 1]:
@@ -390,7 +386,7 @@ def generate_poem(word: str, cfg: GenerationConfig,
         tid, path = first_word(word[line_no - 1], word, probs, cfg, models,
                                coin_rng, sample_rng)
         result.first_word_paths.append(path)
-        last_word_dist = probs.copy()
+        last_word_dist = probs
         # a nearest-neighbor first word may not end the line alone
         mask = first if path == "knn" else base
         while True:
@@ -403,7 +399,7 @@ def generate_poem(word: str, cfg: GenerationConfig,
             tid = _sample_id(probs, mask, sample_rng, cfg.temperature)
             mask = base
             if WORD_RE.fullmatch(v.id_to_token[tid]):
-                last_word_dist = probs.copy()
+                last_word_dist = probs
 
         lines.append(line)
         changed_from = None

@@ -21,7 +21,7 @@ import threading
 import time
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -145,19 +145,6 @@ class ParameterStore(Mapping):
 
 def _mismatch(problems: list[str]) -> str:
     return "arrays do not match the model: " + "; ".join(problems)
-
-
-def build_from_checkpoint(path, build):
-    """The model build() makes from the arrays of the checkpoint at `path`,
-    which build passes to the model's constructor as its store's source.
-    Raises NetError naming `path` when the arrays are not the ones the
-    model needs, allocating none the file does not hold."""
-    try:
-        model = build()
-        model.store.check_source()
-    except NetError as exc:
-        raise NetError(f"{path}: {exc}") from None
-    return model
 
 
 def init_uniform(rng: np.random.Generator, shape) -> np.ndarray:
@@ -830,19 +817,6 @@ def config_problem(cfg, sizes) -> str | None:
     return None
 
 
-def meta_problem(meta: dict, kind: str, config_cls, **required) -> str | None:
-    """What is wrong with the meta of a checkpoint of `kind`: another kind,
-    a required key (`config`, a dict of config_cls fields, plus each
-    keyword's key) missing or of the wrong type; None when it is sound."""
-    if meta.get("kind") != kind:
-        return f"not a {kind} checkpoint"
-    for key, want in {"config": dict, **required}.items():
-        if not _json_is(meta.get(key), want):
-            return f"checkpoint meta {key!r} is missing or of the wrong type"
-    problem = field_problem(meta["config"], config_cls)
-    return problem and f"checkpoint meta 'config': {problem}"
-
-
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """The arrays of a checkpoint by name, each read from the file into
     an array of its own, and its meta.  Raises NetError on a file that is
@@ -880,3 +854,55 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             raise NetError(f"{path}: corrupt checkpoint: {left} bytes after "
                            f"the last array")
     return params, header["meta"]
+
+
+def save_model(path, kind: str, model, **meta) -> None:
+    """Save `model`'s parameters (`model.store`) as a checkpoint whose
+    meta is its `kind`, its config (`model.cfg`, a dataclass) and the
+    keyword arguments."""
+    save_checkpoint(path, model.store,
+                    {"kind": kind, "config": asdict(model.cfg), **meta})
+
+
+def meta_value(meta: dict, key: str, parse):
+    """parse(meta[key]); a ValueError it raises is raised again as its
+    own type, naming the key."""
+    try:
+        return parse(meta[key])
+    except ValueError as exc:
+        raise type(exc)(f"checkpoint meta {key!r}: {exc}") from None
+
+
+def _config(config_cls, values: dict):
+    problem = field_problem(values, config_cls)
+    if problem:
+        raise NetError(problem)
+    return config_cls(**values)
+
+
+def load_model(path, kind: str, config_cls, build, **required):
+    """The model that save_model wrote to `path` for `kind`, and the
+    checkpoint's meta.
+
+    The meta must hold a `config` of config_cls fields and each keyword's
+    key, with a value of the keyword's type.  build(cfg, meta, arrays)
+    makes the model with the arrays as its store's source, parsing what
+    its own meta adds with `meta_value`; the model must then have asked
+    for every array.  An error raised on the way (the library's errors
+    are ValueErrors) is raised again as its own type, naming `path`.
+    """
+    arrays, meta = load_checkpoint(path)
+    try:
+        if meta.get("kind") != kind:
+            raise NetError(f"not a {kind} checkpoint")
+        for key, want in {"config": dict, **required}.items():
+            if not _json_is(meta.get(key), want):
+                raise NetError(f"checkpoint meta {key!r} is missing or of "
+                               f"the wrong type")
+        cfg = meta_value(meta, "config",
+                         lambda values: _config(config_cls, values))
+        model = build(cfg, meta, arrays)
+        model.store.check_source()
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+    return model, meta

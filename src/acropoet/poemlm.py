@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import net
 from .corpus import (
-    N_LETTER_COLS, N_LETTER_ROWS, CorpusError, Poem, Vocabulary,
+    N_LETTER_COLS, N_LETTER_ROWS, Poem, Vocabulary,
     derive_training_condition, tokenize,
 )
 from .embed import EmbeddingTable
@@ -74,9 +74,10 @@ class LmConfig:
 class LmVariant:
     """One of the six training regimes GOLD+/-, PRED/GOLD+/-, WIKI+/-."""
 
-    pretrain: str = "none"            # none | plain_text
-    finetune_corpus: str = "gold_only"  # gold_only | gold_plus_silver
-    topic_channel: bool = True
+    name: str             # a key of NAMES
+    pretrain: str         # none | plain_text
+    finetune_corpus: str  # gold_only | gold_plus_silver
+    topic_channel: bool
 
     NAMES = {
         "gold+": ("none", "gold_only", True),
@@ -94,16 +95,7 @@ class LmVariant:
             raise PoemLmError(
                 f"unknown variant {name!r}; expected one of "
                 f"{sorted(cls.NAMES)}")
-        pre, corp, topic = cls.NAMES[key]
-        return cls(pretrain=pre, finetune_corpus=corp, topic_channel=topic)
-
-    @property
-    def name(self) -> str:
-        for key, val in self.NAMES.items():
-            if val == (self.pretrain, self.finetune_corpus,
-                       self.topic_channel):
-                return key
-        raise PoemLmError("unnamed variant")
+        return cls(key, *cls.NAMES[key])
 
 
 def _fallback_vector(token: str, dim: int) -> np.ndarray:
@@ -436,35 +428,22 @@ def train_variant(variant: LmVariant, gold_train: list[Poem],
 
 def save_lm(path, trained: TrainedLm) -> None:
     model = trained.model
-    meta = {
-        "kind": "poemlm",
-        "config": asdict(model.cfg),
-        "variant": model.variant.name,
-        "topic_dim": model.topic_dim,
-        "vocab": model.vocab.non_special_tokens(),
-        "history": trained.history,
-    }
-    net.save_checkpoint(path, model.store, meta)
+    net.save_model(path, "poemlm", model, variant=model.variant.name,
+                   topic_dim=model.topic_dim,
+                   vocab=model.vocab.non_special_tokens(),
+                   history=trained.history)
+
+
+def _build_lm(cfg: LmConfig, meta: dict, arrays) -> PoemLM:
+    vocab = net.meta_value(meta, "vocab", Vocabulary)
+    variant = net.meta_value(meta, "variant", LmVariant.from_name)
+    # a zero-stride stand-in: the checkpoint supplies the values
+    emb = np.broadcast_to(0.0, (len(vocab), meta["topic_dim"]))
+    return PoemLM(vocab, cfg, topic_dim=meta["topic_dim"], emb_matrix=emb,
+                  variant=variant, params=arrays)
 
 
 def load_lm(path) -> TrainedLm:
-    params, meta = net.load_checkpoint(path)
-    problem = net.meta_problem(meta, "poemlm", LmConfig, variant=str,
-                               topic_dim=int, vocab=list[str])
-    if problem:
-        raise PoemLmError(f"{path}: {problem}")
-    try:
-        vocab = Vocabulary(meta["vocab"])
-    except CorpusError as exc:
-        raise PoemLmError(f"{path}: checkpoint meta 'vocab': {exc}") from None
-    try:
-        cfg = LmConfig(**meta["config"])
-    except PoemLmError as exc:
-        raise PoemLmError(f"{path}: checkpoint meta 'config': {exc}") from None
-    # a zero-stride stand-in: the checkpoint supplies the values
-    emb = np.broadcast_to(0.0, (len(vocab), meta["topic_dim"]))
-    model = net.build_from_checkpoint(path, lambda: PoemLM(
-        vocab, cfg, topic_dim=meta["topic_dim"],
-        emb_matrix=emb, variant=LmVariant.from_name(meta["variant"]),
-        params=params))
+    model, meta = net.load_model(path, "poemlm", LmConfig, _build_lm,
+                                 variant=str, topic_dim=int, vocab=list[str])
     return TrainedLm(model=model, history=meta.get("history", []))

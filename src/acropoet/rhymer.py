@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import re
 import string
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -443,19 +443,10 @@ def train_rhymer(model: RhymerModel, train_ex: list[RhymeExample],
 
 
 def save_rhymer(path, model: RhymerModel, history: list[dict]) -> None:
-    net.save_checkpoint(path, model.store, {
-        "kind": "rhymer", "config": asdict(model.cfg),
-        "history": history})
+    net.save_model(path, "rhymer", model, history=history)
 
 
 def load_rhymer(path) -> RhymerModel:
-    params, meta = net.load_checkpoint(path)
-    problem = net.meta_problem(meta, "rhymer", RhymerConfig)
-    if problem:
-        raise RhymerError(f"{path}: {problem}")
-    try:
-        cfg = RhymerConfig(**meta["config"])
-    except RhymerError as exc:
-        raise RhymerError(f"{path}: checkpoint meta 'config': {exc}") from None
-    return net.build_from_checkpoint(
-        path, lambda: RhymerModel(cfg, params=params))
+    return net.load_model(
+        path, "rhymer", RhymerConfig,
+        lambda cfg, meta, arrays: RhymerModel(cfg, params=arrays))[0]

@@ -9,12 +9,12 @@ so they can serve as additional language-model training data.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import net
-from .corpus import CorpusError, Poem, Vocabulary, build_vocabulary
+from .corpus import Poem, Vocabulary, build_vocabulary
 from .embed import EmbeddingTable
 from .net import (
     BiLstmEncoder, Linear, ParameterStore, adam_update, clip_global_norm,
@@ -178,33 +178,20 @@ def train_topic_model(gold_train: list[Poem], gold_dev: list[Poem],
 
 
 def save_topics(path, model: TopicClassifier, history: list[dict]) -> None:
-    net.save_checkpoint(path, model.store, {
-        "kind": "topics",
-        "config": asdict(model.cfg),
-        "labels": model.labels,
-        "embed_dim": model.embed_dim,
-        "vocab": model.vocab.non_special_tokens(),
-        "history": history,
-    })
+    net.save_model(path, "topics", model, labels=model.labels,
+                   embed_dim=model.embed_dim,
+                   vocab=model.vocab.non_special_tokens(), history=history)
+
+
+def _build_topics(cfg: TopicConfig, meta: dict, arrays) -> TopicClassifier:
+    vocab = net.meta_value(meta, "vocab", Vocabulary)
+    # a zero-stride stand-in: the checkpoint supplies the values
+    emb = np.broadcast_to(0.0, (len(vocab), meta["embed_dim"]))
+    return TopicClassifier(vocab, meta["labels"], cfg, emb_matrix=emb,
+                           params=arrays)
 
 
 def load_topics(path) -> TopicClassifier:
-    params, meta = net.load_checkpoint(path)
-    problem = net.meta_problem(meta, "topics", TopicConfig,
-                               labels=list[str], embed_dim=int,
-                               vocab=list[str])
-    if problem:
-        raise TopicError(f"{path}: {problem}")
-    try:
-        vocab = Vocabulary(meta["vocab"])
-    except CorpusError as exc:
-        raise TopicError(f"{path}: checkpoint meta 'vocab': {exc}") from None
-    try:
-        cfg = TopicConfig(**meta["config"])
-    except TopicError as exc:
-        raise TopicError(f"{path}: checkpoint meta 'config': {exc}") from None
-    # a zero-stride stand-in: the checkpoint supplies the values
-    emb = np.broadcast_to(0.0, (len(vocab), meta["embed_dim"]))
-    return net.build_from_checkpoint(path, lambda: TopicClassifier(
-        vocab, meta["labels"], cfg,
-        emb_matrix=emb, params=params))
+    return net.load_model(path, "topics", TopicConfig, _build_topics,
+                          labels=list[str], embed_dim=int,
+                          vocab=list[str])[0]

@@ -520,6 +520,10 @@ META_CASES = [
     ("topics", lambda m: m["config"].update(bogus=1), "'bogus'"),
     ("lm", lambda m: m["vocab"].__setitem__(3, ""), "empty token"),
     ("topics", lambda m: m["vocab"].__setitem__(3, ""), "empty token"),
+    ("lm", lambda m: m.update(variant="bogus"), "'bogus'"),
+    ("rhymer", lambda m: m.update(kind="topics"), "not a rhymer"),
+    ("topics", lambda m: m.update(kind="rhymer"), "not a topics"),
+    ("topics", lambda m: m["labels"].reverse(), "must be sorted"),
 ]
 
 

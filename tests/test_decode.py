@@ -634,7 +634,8 @@ def test_rhyme_slot_word_skips_contraction_tokens(bundle, partner_end):
              ["to", "the", "bat", "'s", "."]]
     result = decode.GenerationResult(poem=None, word="mist",
                                      scheme=RhymeScheme("ABAB"), seed=0)
-    idx = decode._apply_rhyme(models, result, lines, 3, None,
+    V = len(bundle.lm.vocab)
+    idx = decode._apply_rhyme(models, result, lines, 3, np.full(V, 1 / V),
                               GenerationConfig())
     assert idx == 2
     assert rhymer.asked == (
