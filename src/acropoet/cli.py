@@ -346,8 +346,9 @@ def _check_lstm_chain(seed, hidden, seq_len):
     def loss_and_grads():
         Hs, cache = layer.forward(X)
         logits, head_cache = head.forward(Hs.reshape(-1, hidden))
-        loss, dlogits, wsum = net.softmax_xent_batch(logits, targets,
-                                                     weights)
+        loss, probs, wsum = net.softmax_xent_batch(logits, targets,
+                                                   weights)
+        dlogits = net.xent_grad(probs, targets, weights)
         grads = store.zero_grads()
         dH = head.backward(dlogits / wsum, head_cache, grads)
         layer.backward(dH.reshape(seq_len, B, hidden), cache, grads)
@@ -373,8 +374,9 @@ def _check_bi_encoder(seed, hidden, seq_len):
     def loss_and_grads():
         encoded, cache = enc.forward(X, lengths)
         logits, head_cache = head.forward(encoded)
-        loss, dlogits, wsum = net.softmax_xent_batch(logits, targets,
-                                                     weights)
+        loss, probs, wsum = net.softmax_xent_batch(logits, targets,
+                                                   weights)
+        dlogits = net.xent_grad(probs, targets, weights)
         grads = store.zero_grads()
         d_enc = head.backward(dlogits / wsum, head_cache, grads)
         enc.backward(d_enc, cache, grads)
@@ -406,8 +408,9 @@ def _check_lm_head(seed, hidden, seq_len):
         Hs, cache = layer.forward(X, const=const)
         logits, head_cache = head.forward(
             Hs.reshape(-1, hidden)[positions])
-        loss, dlogits, wsum = net.softmax_xent_batch(logits, targets,
-                                                     weights[positions])
+        loss, probs, wsum = net.softmax_xent_batch(logits, targets,
+                                                   weights[positions])
+        dlogits = net.xent_grad(probs, targets, weights[positions])
         grads = store.zero_grads()
         dH = np.zeros((seq_len * B, hidden))
         dH[positions] = head.backward(dlogits / wsum, head_cache, grads)

@@ -83,12 +83,14 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
 def _read_vectors(path, expected_dim: int) -> EmbeddingTable:
     """Each line's values go straight into a row of a matrix sized by a
     first pass that counts the lines; a duplicate token overwrites the
-    row of its first occurrence."""
+    row of its first occurrence.  One check after the read rejects a
+    non-finite value (nan, inf), naming the first line that holds one."""
     with open(path, "rb") as fh:
         n_lines = 1 + sum(chunk.count(b"\n")
                           for chunk in iter(lambda: fh.read(1 << 20), b""))
     matrix = np.empty((n_lines, expected_dim))
     rows: dict[str, int] = {}
+    line_of = [0] * n_lines  # the line each row was read from
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -112,7 +114,16 @@ def _read_vectors(path, expected_dim: int) -> EmbeddingTable:
             except ValueError as exc:
                 raise EmbeddingError(f"{path}:{lineno}: bad float ({exc})")
             rows[token] = row
-    return EmbeddingTable.from_matrix(matrix[:len(rows)], rows)
+            line_of[row] = lineno
+    matrix = matrix[:len(rows)]
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        row = min(np.flatnonzero(~finite.all(axis=1)),
+                  key=line_of.__getitem__)
+        value = matrix[row, np.argmin(finite[row])]
+        raise EmbeddingError(f"{path}:{line_of[row]}: non-finite value "
+                             f"{value}")
+    return EmbeddingTable.from_matrix(matrix, rows)
 
 
 def cosine(x: str, u: str, table: EmbeddingTable) -> float:

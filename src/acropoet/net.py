@@ -158,6 +158,7 @@ def init_uniform(rng: np.random.Generator, shape) -> np.ndarray:
 ROW_BLOCK_MACS = 1 << 21     # a product gets one block per this many MACs
 BLOCK_COLUMNS = 8            # products split only when N is a multiple
 SOFTMAX_BLOCK_MIN = 1 << 20  # entries of the smallest softmax split up
+ADAM_CHUNK = 1 << 16         # elements Adam updates at a time, in L2
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
@@ -238,6 +239,18 @@ def run_row_blocks(fn, rows: int, blocks: int) -> None:
         future.result()
 
 
+def product_blocks(M: int, K: int, N: int) -> int:
+    """How many row blocks a product of an (M, K) by a (K, N) matrix runs
+    as: one per ROW_BLOCK_MACS multiply-adds, capped by max_row_blocks()
+    and by two rows a block, and 1 unless N is a multiple of
+    BLOCK_COLUMNS.  Such blocks give the bits of the whole product (see
+    `matmul`)."""
+    macs = M * K * N
+    if N % BLOCK_COLUMNS or macs < 2 * ROW_BLOCK_MACS:
+        return 1  # small products skip the rest
+    return max(1, min(max_row_blocks(), M // 2, macs // ROW_BLOCK_MACS))
+
+
 def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A @ B; a large product of 2-D A and B runs as row blocks of A.
 
@@ -246,16 +259,16 @@ def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     one thread computes each row of a product from that row of A alone
     when B's column count is a multiple of BLOCK_COLUMNS and every block
     has two rows or more (a one-row block takes numpy's GEMV path).
-    Other products run whole, as do stacked ones, whose bits are not
-    those of one 2-D product.  Column blocks are never used: their bits
-    changed at unaligned splits.
+    `product_blocks` sets the count.  Other products run whole, as do
+    stacked ones, whose bits are not those of one 2-D product.  Column
+    blocks are never used: their bits changed at unaligned splits.  The
+    LSTM time loops do not come here per step: `LstmLayer` splits each
+    whole loop by the same rule.
     """
-    blocks = 1
-    if A.ndim == B.ndim == 2 and B.shape[1] % BLOCK_COLUMNS == 0:
-        (M, K), N = A.shape, B.shape[1]
-        macs = M * K * N
-        if macs >= 2 * ROW_BLOCK_MACS:  # small products skip the rest
-            blocks = min(max_row_blocks(), M // 2, macs // ROW_BLOCK_MACS)
+    if A.ndim != 2 or B.ndim != 2:
+        return A @ B
+    (M, K), N = A.shape, B.shape[1]
+    blocks = product_blocks(M, K, N)
     if blocks <= 1:
         return A @ B
     out = np.empty((M, N), dtype=np.result_type(A, B))
@@ -270,22 +283,29 @@ def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 # LSTM cell
 # ---------------------------------------------------------------------------
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-def _cell(a, c_prev):
+def _cell(a, c_prev, h, c, tanh_c):
     """LSTM cell on the pre-activation a = x @ Wx + h_prev @ Wh + b, gates
-    in order input, forget, cell, output; returns ((h, c), (i, f, g, o,
-    tanh(c))), the second part for backprop."""
+    in order input, forget, cell, output, computed in place: a's four
+    quarters become i, f, g and o, kept with tanh(c) for backprop; h and
+    c get the new state.
+
+    Each sigmoid runs -x, exp, + 1 and 1 / in a's buffer, the operations
+    of 1 / (1 + exp(-x)), so the bits are those of that expression.  a is
+    (..., 4H) and c_prev, h, c and tanh_c (..., H); the outputs must not
+    overlap the inputs.
+    """
     H = c_prev.shape[-1]
-    i = _sigmoid(a[..., :H])
-    f = _sigmoid(a[..., H:2 * H])
-    g = np.tanh(a[..., 2 * H:3 * H])
-    o = _sigmoid(a[..., 3 * H:])
-    c = f * c_prev + i * g
-    tc = np.tanh(c)
-    return (o * tc, c), (i, f, g, o, tc)
+    g = a[..., 2 * H:3 * H]
+    np.tanh(g, out=g)
+    for gates in (a[..., :2 * H], a[..., 3 * H:]):  # i and f, then o
+        np.negative(gates, out=gates)
+        np.exp(gates, out=gates)
+        gates += 1.0
+        np.divide(1.0, gates, out=gates)
+    np.multiply(a[..., H:2 * H], c_prev, out=c)
+    c += np.multiply(a[..., :H], g, out=h)  # h holds i * g until the end
+    np.tanh(c, out=tanh_c)
+    np.multiply(a[..., 3 * H:], tanh_c, out=h)
 
 
 def lstm_step(x, h_prev, c_prev, Wx, Wh, b):
@@ -295,7 +315,9 @@ def lstm_step(x, h_prev, c_prev, Wx, Wh, b):
             f"lstm_step dimension mismatch: x {x.shape}, h {h_prev.shape}, "
             f"Wx {Wx.shape}, Wh {Wh.shape}"
         )
-    return _cell(x @ Wx + h_prev @ Wh + b, c_prev)[0]
+    h, c, tanh_c = np.empty((3,) + c_prev.shape)
+    _cell(x @ Wx + h_prev @ Wh + b, c_prev, h, c, tanh_c)
+    return h, c
 
 
 class LstmLayer:
@@ -303,11 +325,16 @@ class LstmLayer:
     that is constant over time.
 
     The input projection of all T steps is one GEMM before the time loop,
-    so each step multiplies only h @ Wh; backward collects the per-step
-    pre-activation gradients and takes the weight and input gradients as
-    single GEMMs after its loop.  Every column runs all T steps: a caller
-    of right-padded sequences reads each column's state at its length
-    (`final_steps`), and padding steps, which get no gradient, add none.
+    and backward takes the weight and input gradients as single GEMMs
+    after its loop.  The loops themselves run as row blocks over the
+    batch columns, which never interact in the recurrence: each block
+    runs every step for its own columns, h @ Wh and the cell forward,
+    the gate gradients and da @ Wh.T backward, so one pool dispatch
+    carries a whole loop.  The block count is `product_blocks`' for the
+    step product, so the bits are those of the whole batch's loop.
+    Every column runs all T steps: a caller of right-padded sequences
+    reads each column's state at its length (`final_steps`), and padding
+    steps, which get no gradient, add none.
     """
 
     def __init__(self, store: ParameterStore, name: str, in_dim: int,
@@ -361,18 +388,28 @@ class LstmLayer:
                            f"width {Dc} is not {self.in_dim}")
         Wx, Wh, bias = self.step_weights(const)
         H = self.hidden
-        XW = matmul(X.reshape(T * B, D), Wx).reshape(T, B, 4 * H)
+        # each step's input projection; the loop adds h @ Wh and the bias,
+        # and _cell makes the sum i, f, g, o, kept for backward
+        acts = matmul(X.reshape(T * B, D), Wx).reshape(T, B, 4 * H)
+        tanh_c = np.empty((T, B, H))
         # row t holds the state before step t, row t + 1 the state after
         Hs = np.zeros((T + 1, B, H))
         Cs = np.zeros((T + 1, B, H))
         if state is not None:
             Hs[0], Cs[0] = state
-        gates = []
-        for t in range(T):
-            (Hs[t + 1], Cs[t + 1]), cell = _cell(
-                XW[t] + matmul(Hs[t], Wh) + bias, Cs[t])
-            gates.append(cell)
-        return Hs[1:], (X, const, Hs, Cs, gates)
+
+        def columns(lo, hi):
+            b = bias if bias.ndim == 1 else bias[lo:hi]
+            product = np.empty((hi - lo, 4 * H))
+            for t in range(T):
+                a = acts[t, lo:hi]
+                np.matmul(Hs[t, lo:hi], Wh, out=product)
+                np.add(a, product, out=a)
+                a += b
+                _cell(a, Cs[t, lo:hi], Hs[t + 1, lo:hi], Cs[t + 1, lo:hi],
+                      tanh_c[t, lo:hi])
+        run_row_blocks(columns, B, product_blocks(B, H, 4 * H))
+        return Hs[1:], (X, const, Hs, Cs, (acts, tanh_c))
 
     def backward(self, dH: np.ndarray, cache, grads: dict[str, np.ndarray],
                  input_grad: bool = True):
@@ -383,24 +420,32 @@ class LstmLayer:
         no gradient, such as fixed embeddings).
         """
         Wx, Wh, b = self._weights()
-        X, const, Hs, Cs, gates = cache
+        X, const, Hs, Cs, (acts, tanh_c) = cache
         T, B, D = X.shape
         H = self.hidden
         dA = np.empty((T, B, 4 * H))  # gradient of each step's pre-activation
-        dh_next = np.zeros((B, H))
-        dc_next = np.zeros((B, H))
-        for t in range(T - 1, -1, -1):
-            i, f, g, o, tc = gates[t]
-            dh = dH[t] + dh_next
-            do = dh * tc
-            dc = dc_next + dh * o * (1.0 - tc * tc)
-            da = dA[t]
-            da[:, :H] = dc * g * i * (1.0 - i)
-            da[:, H:2 * H] = dc * Cs[t] * f * (1.0 - f)
-            da[:, 2 * H:3 * H] = dc * i * (1.0 - g * g)
-            da[:, 3 * H:] = do * o * (1.0 - o)
-            dh_next = matmul(da, Wh.T)
-            dc_next = dc * f
+
+        def columns(lo, hi):
+            dh_next = np.zeros((hi - lo, H))
+            dc_next = np.zeros((hi - lo, H))
+            # the step's i, f, g and o as contiguous rows, which the
+            # expressions below read faster than acts' strided quarters
+            gates = np.empty((4, hi - lo, H))
+            i, f, g, o = gates
+            for t in range(T - 1, -1, -1):
+                gates[...] = acts[t, lo:hi].reshape(-1, 4, H).swapaxes(0, 1)
+                tc = tanh_c[t, lo:hi]
+                dh = dH[t, lo:hi] + dh_next
+                do = dh * tc
+                dc = dc_next + dh * o * (1.0 - tc * tc)
+                da = dA[t, lo:hi]
+                da[:, :H] = dc * g * i * (1.0 - i)
+                da[:, H:2 * H] = dc * Cs[t, lo:hi] * f * (1.0 - f)
+                da[:, 2 * H:3 * H] = dc * i * (1.0 - g * g)
+                da[:, 3 * H:] = do * o * (1.0 - o)
+                np.matmul(da, Wh.T, out=dh_next)
+                dc_next = dc * f
+        run_row_blocks(columns, B, product_blocks(B, 4 * H, H))
         flat = dA.reshape(T * B, 4 * H)
         dWx = grads[f"{self.name}.Wx"]
         dWx[:D] += matmul(X.reshape(T * B, D).T, flat)
@@ -553,17 +598,26 @@ def softmax_xent_batch(logits: np.ndarray, targets: np.ndarray,
                        weights: np.ndarray):
     """Weighted cross-entropy over (N, V) logits.
 
-    Returns (total loss, dlogits, total weight).  Weight 0 positions
-    (padding) contribute nothing.
+    Returns (total loss, probs, total weight): probs is the softmax of the
+    logits, in a buffer of its own that `xent_grad` turns into the loss's
+    gradient for a caller that trains.  Weight 0 positions (padding)
+    contribute nothing.
     """
     probs = softmax(logits)
-    rows = np.arange(logits.shape[0])
-    p_t = np.clip(probs[rows, targets], CE_EPS, None)
+    p_t = np.clip(probs[np.arange(len(probs)), targets], CE_EPS, None)
     loss = float(-(weights * np.log(p_t)).sum())
-    dlogits = probs  # built in place: the probabilities are not kept
-    dlogits *= weights[:, None]
-    dlogits[rows, targets] -= weights
-    return loss, dlogits, float(weights.sum())
+    return loss, probs, float(weights.sum())
+
+
+def xent_grad(probs: np.ndarray, targets: np.ndarray,
+              weights: np.ndarray) -> np.ndarray:
+    """The gradient of softmax_xent_batch's loss with respect to its
+    logits, built in place of its probs, which are returned.  probs may
+    be reshaped first, to any shape whose last axis is V."""
+    flat = probs.reshape(-1, probs.shape[-1])  # a view: probs is C order
+    flat *= weights[:, None]
+    flat[np.arange(len(flat)), targets] -= weights
+    return probs
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +637,13 @@ def clip_global_norm(grads: dict[str, np.ndarray],
 def adam_update(store: ParameterStore, grads: dict[str, np.ndarray],
                 lr: float, beta1: float = 0.9, beta2: float = 0.999,
                 eps: float = 1e-8) -> None:
-    """Adam with bias correction.  Raises before mutating on bad gradients."""
+    """Adam with bias correction.  Raises before mutating on bad gradients.
+
+    Each array is updated in row blocks of its first axis, one per
+    ADAM_CHUNK elements up to max_row_blocks(); a block works through its
+    rows ADAM_CHUNK elements at a time, in two scratch arrays that size.
+    Every operation is elementwise, so the bits do not depend on either.
+    """
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NetError(f"non-finite gradient for {name!r}")
@@ -593,23 +653,37 @@ def adam_update(store: ParameterStore, grads: dict[str, np.ndarray],
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
     for name, g in grads.items():
-        m = store.m[name]
-        v = store.v[name]
-        # in two scratch arrays, the operations and their order of
-        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so the bits match
-        s, u = np.empty_like(g), np.empty_like(g)
-        m *= beta1
-        m += np.multiply(1.0 - beta1, g, out=s)
-        v *= beta2
-        np.multiply(1.0 - beta2, g, out=u)
-        v += np.multiply(u, g, out=u)
-        np.divide(m, bc1, out=s)
-        s *= lr
-        np.divide(v, bc2, out=u)
-        np.sqrt(u, out=u)
-        u += eps
-        s /= u
-        store.params[name] -= s
+        p, m, v = store.params[name], store.m[name], store.v[name]
+        rows = len(p)
+        step = max(1, ADAM_CHUNK * rows // max(p.size, 1))  # rows a chunk
+
+        def block(lo, hi):
+            s = np.empty((min(step, hi - lo),) + p.shape[1:])
+            u = np.empty_like(s)
+            for r in range(lo, hi, step):
+                e = min(r + step, hi)
+                _adam_chunk(p[r:e], m[r:e], v[r:e], g[r:e], s[:e - r],
+                            u[:e - r], lr, beta1, beta2, eps, bc1, bc2)
+        chunks = -(-p.size // ADAM_CHUNK)
+        run_row_blocks(block, rows, min(max_row_blocks(), rows, chunks))
+
+
+def _adam_chunk(p, m, v, g, s, u, lr, beta1, beta2, eps, bc1, bc2):
+    """Adam on one chunk in scratch arrays s and u: the operations and
+    their order of p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so the
+    bits match."""
+    m *= beta1
+    m += np.multiply(1.0 - beta1, g, out=s)
+    v *= beta2
+    np.multiply(1.0 - beta2, g, out=u)
+    v += np.multiply(u, g, out=u)
+    np.divide(m, bc1, out=s)
+    s *= lr
+    np.divide(v, bc2, out=u)
+    np.sqrt(u, out=u)
+    u += eps
+    s /= u
+    p -= s
 
 
 @dataclass

@@ -29,7 +29,7 @@ from .embed import EmbeddingTable
 from .net import (
     Linear, LstmLayer, ParameterStore, adam_update, clip_global_norm,
     dropout_backward, dropout_forward, length_mask, pad_ids, softmax,
-    softmax_xent_batch,
+    softmax_xent_batch, xent_grad,
 )
 
 log = logging.getLogger(__name__)
@@ -230,23 +230,34 @@ class PoemLM:
         self.layers[0].backward(dH, layer_caches[0][0], grads,
                                 input_grad=False)
 
-    def target_xent(self, inputs: np.ndarray, targets: np.ndarray,
+    def target_loss(self, inputs: np.ndarray, targets: np.ndarray,
                     weights: np.ndarray, cond: np.ndarray,
                     train: bool = False,
                     rng: Optional[np.random.Generator] = None):
         """Cross-entropy of one padded batch from `batches`, with logits
         only at its target positions (weight > 0).
 
-        Returns (summed loss, dlogits at those positions, total weight,
-        caches for backward_batch).
+        Returns (summed loss, total weight, caches for backward_batch,
+        xent): xent is the softmax, targets and weights at those
+        positions, which `net.xent_grad(*xent)` turns into dlogits.
         """
         positions = np.flatnonzero(weights > 0)
         logits, caches = self.forward_batch(inputs, cond, train=train,
                                             rng=rng, positions=positions)
-        loss, dlogits, wsum = softmax_xent_batch(
-            logits, targets.reshape(-1)[positions],
-            weights.reshape(-1)[positions])
-        return loss, dlogits, wsum, caches
+        targets = targets.reshape(-1)[positions]
+        weights = weights.reshape(-1)[positions]
+        loss, probs, wsum = softmax_xent_batch(logits, targets, weights)
+        return loss, wsum, caches, (probs, targets, weights)
+
+    def target_xent(self, inputs: np.ndarray, targets: np.ndarray,
+                    weights: np.ndarray, cond: np.ndarray,
+                    train: bool = False,
+                    rng: Optional[np.random.Generator] = None):
+        """`target_loss` and its gradient: (summed loss, dlogits at the
+        target positions, total weight, caches for backward_batch)."""
+        loss, wsum, caches, xent = self.target_loss(
+            inputs, targets, weights, cond, train=train, rng=rng)
+        return loss, xent_grad(*xent), wsum, caches
 
     # -- scoring --------------------------------------------------------------
 
@@ -270,7 +281,7 @@ class PoemLM:
         for batch in self.batches(poems, table,
                                   batch_size=self.cfg.batch_size,
                                   zero_cond=zero_cond):
-            loss, _, wsum, _ = self.target_xent(*batch)
+            loss, wsum, _, _ = self.target_loss(*batch)
             total_nll += loss
             total_tok += int(wsum)
         return float(np.exp(total_nll / total_tok))

@@ -21,7 +21,7 @@ from .corpus import RawDocument, Vocabulary
 from .net import (
     BiLstmEncoder, Linear, LstmLayer, ParameterStore, adam_update,
     clip_global_norm, final_steps, init_uniform, length_mask, lstm_step,
-    pad_ids, softmax, softmax_xent_batch,
+    pad_ids, softmax, softmax_xent_batch, xent_grad,
 )
 
 log = logging.getLogger(__name__)
@@ -227,28 +227,30 @@ class RhymerModel:
     def _forward_xent(self, examples: list[RhymeExample]):
         """Decoder forward pass and its summed cross-entropy.
 
-        Returns (loss, dlogits shaped like the logits, target count,
-        caches for backward_batch).
+        Returns (loss, target count, caches for backward_batch, xent):
+        xent is the softmax shaped like the logits, and the targets and
+        weights flattened, which `xent_grad(*xent)` turns into dlogits.
         """
         batch = self._encode_batch(examples)
         logits, caches = self.forward_batch(batch)
         (_, _), (_, _), (in_ids, in_len), (tgt_ids, _) = batch
-        weights = length_mask(in_len, len(in_ids))
-        C = logits.shape[-1]
-        loss, dflat, wsum = softmax_xent_batch(
-            logits.reshape(-1, C), tgt_ids.reshape(-1), weights.reshape(-1))
-        return loss, dflat.reshape(logits.shape), wsum, caches
+        weights = length_mask(in_len, len(in_ids)).reshape(-1)
+        targets = tgt_ids.reshape(-1)
+        loss, probs, wsum = softmax_xent_batch(
+            logits.reshape(-1, logits.shape[-1]), targets, weights)
+        return loss, wsum, caches, (probs.reshape(logits.shape), targets,
+                                    weights)
 
     def loss_and_grads(self, examples: list[RhymeExample]):
-        loss, dlogits, wsum, caches = self._forward_xent(examples)
+        loss, wsum, caches, xent = self._forward_xent(examples)
         grads = self.store.zero_grads()
-        self.backward_batch(dlogits / max(wsum, 1.0), caches, grads)
+        self.backward_batch(xent_grad(*xent) / max(wsum, 1.0), caches, grads)
         return loss, wsum, grads
 
     def per_char_nll(self, examples: list[RhymeExample]) -> float:
         total, count = 0.0, 0.0
         for i in range(0, len(examples), self.cfg.batch_size):
-            loss, _, wsum, _ = self._forward_xent(
+            loss, wsum, _, _ = self._forward_xent(
                 examples[i:i + self.cfg.batch_size])
             total += loss
             count += wsum

@@ -18,7 +18,7 @@ from .corpus import Poem, Vocabulary, build_vocabulary
 from .embed import EmbeddingTable
 from .net import (
     BiLstmEncoder, Linear, ParameterStore, adam_update, clip_global_norm,
-    pad_ids, softmax, softmax_xent_batch,
+    pad_ids, softmax, softmax_xent_batch, xent_grad,
 )
 from .poemlm import EMB_NAME, build_embedding_matrix
 
@@ -90,8 +90,9 @@ class TopicClassifier:
     def loss_and_grads(self, poems: list[Poem], targets: np.ndarray):
         logits, (cache, head_cache) = self.forward_batch(poems)
         weights = np.ones(len(poems))
-        loss, dlogits, wsum = softmax_xent_batch(logits, targets, weights)
+        loss, probs, wsum = softmax_xent_batch(logits, targets, weights)
         grads = self.store.zero_grads()
+        dlogits = xent_grad(probs, targets, weights)
         d_enc = self.head.backward(dlogits / wsum, head_cache, grads)
         self.encoder.backward(d_enc, cache, grads, input_grad=False)
         return loss / wsum, grads

@@ -315,6 +315,24 @@ def test_generate_non_utf8_embeddings_is_clean_error(workdir, tmp_path):
     assert "not valid UTF-8" in _assert_one_error_line(result)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_embeddings_are_clean_errors(workdir, tmp_path, value):
+    root, run = workdir
+    bad = tmp_path / "vectors.txt"
+    lines = (root / "vectors.txt").read_text(encoding="utf-8").splitlines()
+    lines[2] = lines[2].rsplit(" ", 1)[0] + f" {value}"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = run("generate", "glow", "--lm", root / "lm.ckpt", "--no-rh",
+                 "--embeddings", bad, "--dim", DIM)
+    assert f"vectors.txt:3: non-finite value {value}" in (
+        _assert_one_error_line(result))
+    result = run("train", "topics", "--train", root / "train.jsonl",
+                 "--dev", root / "dev.jsonl", "--embeddings", bad,
+                 "--dim", DIM, "--out", tmp_path / "topics.ckpt")
+    assert "vectors.txt:3: non-finite" in _assert_one_error_line(result)
+    assert not (tmp_path / "topics.ckpt").exists()
+
+
 @pytest.mark.parametrize("word", ["po3t", "cat", "abcdefghi"])
 def test_generate_invalid_word_usage_error(workdir, word):
     root, run = workdir

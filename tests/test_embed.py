@@ -58,6 +58,28 @@ def test_load_non_utf8_names_path_and_line(tmp_path):
         load_embeddings(p, expected_dim=2)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_load_non_finite_value_names_path_and_line(tmp_path, value):
+    p = tmp_path / "emb.txt"
+    p.write_text(f"cat 1 2\ndog 3 4\nemu 5 {value}\neel 7 8\n")
+    with pytest.raises(EmbeddingError, match=r"emb\.txt:3: non-finite "
+                       r"value -?(nan|inf)$"):
+        load_embeddings(p, expected_dim=2)
+
+
+def test_load_non_finite_names_the_first_line_with_one(tmp_path):
+    """A duplicate's row holds its later line's values, and is named by
+    that line."""
+    p = tmp_path / "emb.txt"
+    p.write_text("cat 1 2\ndog inf 4\nemu 5 6\ncat nan 1\nemu 0 1\n")
+    with pytest.raises(EmbeddingError, match=r"emb\.txt:2: non-finite "
+                       r"value inf$"):
+        load_embeddings(p, expected_dim=2)
+    p.write_text("cat nan 2\ndog 3 4\ncat 1 2\nemu 5 -inf\n")
+    with pytest.raises(EmbeddingError, match=r"emb\.txt:4: non-finite "
+                       r"value -inf$"):
+        load_embeddings(p, expected_dim=2)
+
 def test_loaded_table_is_one_read_only_matrix(tmp_path, caplog):
     p = tmp_path / "emb.txt"
     p.write_text("Cat 1 2\n\ndog 3 4\ncat 5 6\nemu 0 0")

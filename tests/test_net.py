@@ -632,6 +632,27 @@ def test_softmax_and_linear_keep_their_inputs():
     assert np.array_equal(Y, kept @ store["lin.W"] + store["lin.b"])
 
 
+def test_xent_grad_is_the_expression_form_bit_for_bit():
+    """softmax_xent_batch's probabilities, made the loss's gradient in
+    place by xent_grad; reshaped probabilities give the same bits."""
+    rng = np.random.default_rng(2)
+    logits = rng.normal(size=(12, 7)) * 5
+    targets = rng.integers(0, 7, size=12)
+    weights = rng.random(12) * (rng.random(12) > 0.3)
+    loss, probs, wsum = net.softmax_xent_batch(logits, targets, weights)
+    want = _plain_softmax(logits) * weights[:, None]
+    want[np.arange(12), targets] -= weights
+    rows = np.arange(12)
+    p_t = np.clip(_plain_softmax(logits)[rows, targets], net.CE_EPS, None)
+    assert loss == float(-(weights * np.log(p_t)).sum())
+    assert wsum == float(weights.sum())
+    shaped = probs.copy().reshape(3, 4, 7)
+    assert net.xent_grad(probs, targets, weights) is probs
+    assert _same_bits(probs, want)
+    assert _same_bits(net.xent_grad(shaped, targets, weights),
+                      want.reshape(3, 4, 7))
+
+
 # --- row blocks -------------------------------------------------------------
 
 def _same_bits(a, b):
@@ -818,6 +839,129 @@ def test_row_blocks_cover_every_row_once():
     seen = []
     net.run_row_blocks(lambda lo, hi: seen.append((lo, hi)), 7, 3)
     assert sorted(seen) == [(0, 2), (2, 4), (4, 7)]
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def _lstm_reference(layer, X, const, state, dH):
+    """LstmLayer's forward and backward as whole-batch expressions, one
+    step at a time: H_out, the gradients, dX and d_const."""
+    Wx, Wh, bias = layer.step_weights(const)
+    T, B, D = X.shape
+    H = layer.hidden
+    XW = (X.reshape(T * B, D) @ Wx).reshape(T, B, 4 * H)
+    Hs, Cs = np.zeros((T + 1, B, H)), np.zeros((T + 1, B, H))
+    Hs[0], Cs[0] = state
+    gates = []
+    for t in range(T):
+        a = XW[t] + Hs[t] @ Wh + bias
+        i, f, o = (_sigmoid(a[:, k * H:(k + 1) * H]) for k in (0, 1, 3))
+        g = np.tanh(a[:, 2 * H:3 * H])
+        Cs[t + 1] = f * Cs[t] + i * g
+        tc = np.tanh(Cs[t + 1])
+        Hs[t + 1] = o * tc
+        gates.append((i, f, g, o, tc))
+    dA = np.empty((T, B, 4 * H))
+    dh_next, dc_next = np.zeros((B, H)), np.zeros((B, H))
+    for t in range(T - 1, -1, -1):
+        i, f, g, o, tc = gates[t]
+        dh = dH[t] + dh_next
+        do = dh * tc
+        dc = dc_next + dh * o * (1.0 - tc * tc)
+        dA[t] = np.concatenate([dc * g * i * (1.0 - i),
+                                dc * Cs[t] * f * (1.0 - f),
+                                dc * i * (1.0 - g * g),
+                                do * o * (1.0 - o)], axis=1)
+        dh_next = dA[t] @ Wh.T
+        dc_next = dc * f
+    flat = dA.reshape(T * B, 4 * H)
+    grads = {"Wx": np.zeros((layer.in_dim, 4 * H)),
+             "Wh": Hs[:-1].reshape(T * B, H).T @ flat,
+             "b": flat.sum(axis=0)}
+    grads["Wx"][:D] = X.reshape(T * B, D).T @ flat
+    d_const = None
+    if const is not None:
+        dA_sum = dA.sum(axis=0)
+        grads["Wx"][D:] = const.T @ dA_sum
+        d_const = dA_sum @ layer.step_weights()[0][D:].T
+    return Hs[1:], grads, (flat @ Wx.T).reshape(T, B, D), d_const
+
+
+# B -> (hidden, block count at 2-4 CPUs): the step products split only
+# at two rows a block and 2^21 multiply-adds a block
+LSTM_BLOCK_CASES = {1: (512, [1, 1, 1]), 2: (512, [1, 1, 1]),
+                    5: (512, [2, 2, 2]), 32: (256, [2, 3, 4]),
+                    33: (256, [2, 3, 4])}
+
+
+@pytest.mark.parametrize("B", LSTM_BLOCK_CASES)
+@pytest.mark.parametrize("with_const", [False, True])
+@pytest.mark.parametrize("with_state", [False, True])
+def test_lstm_layer_row_blocks_keep_every_bit(monkeypatch, B, with_const,
+                                              with_state):
+    """At 1-4 CPUs, forward and backward give the bits of the step-by-step
+    whole-batch expressions: outputs, every gradient, dX and d_const."""
+    H, splits = LSTM_BLOCK_CASES[B]
+    rng = np.random.default_rng(B)
+    T, D, Dc = 3, 4, 3 if with_const else 0
+    store = ParameterStore()
+    layer = LstmLayer(store, "l", D + Dc, H, rng)
+    store["l.b"][:] = rng.normal(size=4 * H)
+    X = rng.normal(size=(T, B, D))
+    const = rng.normal(size=(B, Dc)) if with_const else None
+    state = (tuple(rng.normal(size=(2, B, H))) if with_state
+             else (np.zeros((B, H)), np.zeros((B, H))))
+    dH = rng.normal(size=(T, B, H))
+    with one_blas_thread():
+        want_H, want, want_dX, want_dc = _lstm_reference(layer, X, const,
+                                                         state, dH)
+        real = net.run_row_blocks
+        for max_blocks, split in zip([1, 2, 3, 4], [1] + splits):
+            loops = []  # block counts of the calls over the B columns
+
+            def counted(fn, rows, blocks):
+                if rows == B:
+                    loops.append(blocks)
+                return real(fn, rows, blocks)
+            monkeypatch.setattr(net, "max_row_blocks", lambda: max_blocks)
+            monkeypatch.setattr(net, "run_row_blocks", counted)
+            Hs, cache = layer.forward(X, const,
+                                      state if with_state else None)
+            grads = store.zero_grads()
+            dX, d_const = layer.backward(dH, cache, grads)
+            assert loops == [split, split]
+            assert _same_bits(Hs, want_H), max_blocks
+            for name in want:
+                assert _same_bits(grads[f"l.{name}"], want[name]), name
+            assert _same_bits(dX, want_dX)
+            assert (d_const is None if const is None
+                    else _same_bits(d_const, want_dc))
+
+
+@pytest.mark.parametrize("shape", [
+    (1000,), (net.ADAM_CHUNK,), (2 * net.ADAM_CHUNK + 5,),
+    (3, net.ADAM_CHUNK // 2 + 7), (257, 1000)])
+@pytest.mark.parametrize("max_blocks", [1, 2, 3, 4])
+def test_adam_row_blocks_keep_every_bit(monkeypatch, shape, max_blocks):
+    """Arrays below, at and across the chunk size, updated in up to four
+    blocks, keep the bits of the expression form in params, m and v."""
+    rng = np.random.default_rng(len(shape) + shape[-1])
+    store = ParameterStore()
+    store.add("w", rng.normal(size=shape))
+    ref = store["w"].copy()
+    m, v = np.zeros_like(ref), np.zeros_like(ref)
+    counts = _block_counts(monkeypatch, max_blocks)
+    for step in (1, 2):
+        g = rng.normal(size=shape)
+        adam_update(store, {"w": g}, lr=0.01)
+        _adam_reference(ref, m, v, g, step, lr=0.01)
+        assert _same_bits(store["w"], ref)
+        assert _same_bits(store.m["w"], m)
+        assert _same_bits(store.v["w"], v)
+    chunks = -(-ref.size // net.ADAM_CHUNK)
+    assert counts == [min(max_blocks, shape[0], chunks)] * 2
 
 
 # One train_lm epoch at B=32, H=256 in a child process whose BLAS thread

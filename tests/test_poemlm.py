@@ -3,7 +3,7 @@ import pytest
 from helpers import make_plain_sentences, make_poems, make_table
 
 from acropoet.corpus import Poem, build_vocabulary
-from acropoet.net import grad_check, softmax, softmax_xent_batch
+from acropoet.net import grad_check, softmax, softmax_xent_batch, xent_grad
 from acropoet.poemlm import (
     ACROSTIC_DIM, EMB_NAME, LmConfig, LmVariant, PoemLM, PoemLmError,
     TrainedLm, build_embedding_matrix, load_lm, save_lm, train_lm,
@@ -179,10 +179,10 @@ def test_gradcheck_full_model(table):
 
     def loss_and_grads():
         logits, caches = model.forward_batch(inputs, cond, train=False)
-        from acropoet.net import softmax_xent_batch
         V = logits.shape[-1]
-        loss, dflat, _ = softmax_xent_batch(
+        loss, probs, _ = softmax_xent_batch(
             logits.reshape(-1, V), targets.reshape(-1), weights.reshape(-1))
+        dflat = xent_grad(probs, targets.reshape(-1), weights.reshape(-1))
         grads = model.store.zero_grads()
         model.backward_batch(dflat.reshape(logits.shape), caches, grads)
         return loss, grads
@@ -199,8 +199,9 @@ def _full_logits_xent(model, inputs, targets, weights, cond, rng):
     included: the reference for the target-position path."""
     logits, caches = model.forward_batch(inputs, cond, train=True, rng=rng)
     V = logits.shape[-1]
-    loss, dflat, wsum = softmax_xent_batch(
+    loss, probs, wsum = softmax_xent_batch(
         logits.reshape(-1, V), targets.reshape(-1), weights.reshape(-1))
+    dflat = xent_grad(probs, targets.reshape(-1), weights.reshape(-1))
     grads = model.store.zero_grads()
     model.backward_batch(dflat.reshape(logits.shape) / wsum, caches, grads)
     return logits, loss, grads
@@ -232,6 +233,30 @@ def test_target_positions_match_full_logits(table):
     gathered, _ = model.forward_batch(inputs, cond, positions=positions)
     assert np.allclose(full.reshape(T * B, -1)[positions], gathered,
                        rtol=0, atol=1e-12)
+
+
+def test_perplexity_takes_the_loss_without_its_gradient(table,
+                                                       monkeypatch):
+    """Scoring never builds dlogits, and its losses are the training
+    path's, bit for bit."""
+    from acropoet import poemlm
+    model, poems = fresh_model(table)
+    grads_built = []
+    real = poemlm.xent_grad
+
+    def counted(*xent):
+        grads_built.append(len(xent[0]))
+        return real(*xent)
+    monkeypatch.setattr(poemlm, "xent_grad", counted)
+    ppl = model.perplexity(poems, table)
+    assert grads_built == []
+    total, count = 0.0, 0
+    for batch in model.batches(poems, table, model.cfg.batch_size):
+        loss, _, wsum, _ = model.target_xent(*batch)
+        total += loss
+        count += int(wsum)
+    assert len(grads_built) == -(-len(poems) // model.cfg.batch_size)
+    assert ppl == float(np.exp(total / count))
 
 
 def test_lm_forward_equals_the_last_row_of_full_logits(table):
