@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import re
 import sys
@@ -20,24 +21,26 @@ import numpy as np
 
 from . import net
 from .corpus import (
-    CorpusError, Poem, bad_utf8_message, line_count_histogram,
-    read_documents, read_poems, split_into_training_poems, tokenize,
-    write_poems,
+    CorpusError, Poem, bad_utf8_message, build_vocabulary,
+    line_count_histogram, read_documents, read_poems,
+    split_into_training_poems, tokenize, write_poems,
 )
 from .decode import (
     DecodeError, GenerationConfig, ModelBundle, generate_poem, render_poem,
 )
-from .embed import EmbeddingError, load_embeddings
+from .embed import EmbeddingError, EmbeddingTable, load_embeddings
 from .net import NetError
 from .poemlm import (
-    LmConfig, LmVariant, PoemLmError, load_lm, save_lm, train_variant,
+    LmConfig, LmVariant, PoemLM, PoemLmError, build_embedding_matrix,
+    load_lm, save_lm, train_variant,
 )
 from .rhymer import (
-    RhymerConfig, RhymerError, RhymerModel, extract_rhyme_pairs,
-    load_rhymer, save_rhymer, train_rhymer,
+    RhymeExample, RhymerConfig, RhymerError, RhymerModel,
+    extract_rhyme_pairs, load_rhymer, save_rhymer, train_rhymer,
 )
 from .topics import (
-    TopicConfig, TopicError, load_topics, save_topics, train_topic_model,
+    TopicClassifier, TopicConfig, TopicError, load_topics, save_topics,
+    train_topic_model,
 )
 
 log = logging.getLogger(__name__)
@@ -81,14 +84,11 @@ def _section(obj: dict, name: str, cls) -> dict:
     return dict(section)
 
 
-def _component_config(obj: dict, name: str, cls, flag_overrides=None):
-    """Profile defaults < config-file section < CLI flags."""
+def _component_config(obj: dict, name: str, cls):
+    """Profile defaults < config-file section; the seed is the root one."""
     base = cls() if obj["profile"] == "paper_scale" else cls.desk_scale()
     vals = asdict(base)
     vals.update(_section(obj, name, cls))
-    for key, value in (flag_overrides or {}).items():
-        if value is not None:
-            vals[key] = value
     vals["seed"] = obj["seed"]
     return cls(**vals)
 
@@ -248,6 +248,17 @@ def label(ckpt_path, input_path, output_path):
         _fail(exc)
 
 
+def _lm_table(emb_path: str, dim: int, lm: PoemLM) -> EmbeddingTable:
+    """The embeddings file's table, which feeds the LM's topic channel
+    and so must be as wide as the LM was trained with."""
+    table = load_embeddings(emb_path, dim)
+    if table.dim != lm.topic_dim:
+        raise EmbeddingError(
+            f"{emb_path}: embeddings are {table.dim} wide, but the LM "
+            f"checkpoint takes {lm.topic_dim}-wide vectors")
+    return table
+
+
 @main.command("eval-ppl")
 @click.option("--checkpoint", "ckpt_path", required=True)
 @click.option("--test", "test_path", required=True)
@@ -266,7 +277,7 @@ def eval_ppl(ckpt_path, test_path, emb_path, dim, json_path):
             if oov > 0.5:
                 _fail(f"vocabulary mismatch: {oov:.0%} of corpus tokens "
                       f"are unknown to the checkpoint")
-        table = load_embeddings(emb_path, dim) if emb_path else None
+        table = _lm_table(emb_path, dim, model) if emb_path else None
         ppl = model.perplexity(poems, table)
         click.echo(f"{model.variant.name}\t{ppl:.3f}")
         payload = {"variant": model.variant.name, "perplexity": ppl,
@@ -296,8 +307,8 @@ def generate(obj, word, lm_path, rhymer_path, emb_path, dim, st, ac, rh,
         raise click.BadParameter(
             f"word must be 4-8 letters a-z, got {word!r}", param_hint="WORD")
     try:
-        table = load_embeddings(emb_path, dim)
         trained = load_lm(lm_path)
+        table = _lm_table(emb_path, dim, trained.model)
         rhymer = load_rhymer(rhymer_path) if rhymer_path else None
         gen_section = _section(obj, "generate", GenerationConfig)
         gen_section.update({"st": st, "ac": ac, "rh": rh, "tp": tp,
@@ -318,114 +329,77 @@ def generate(obj, word, lm_path, rhymer_path, emb_path, dim, st, ac, rh,
 
 def gradient_suite(n_seeds: int = 10, hidden: int = 4,
                    seq_len: int = 4) -> list[dict]:
-    """Finite-difference checks over the recurrent building blocks.
+    """Finite-difference checks of the three models' own `loss_and_grads`
+    over every trainable array.
 
-    Per seed: a unidirectional LSTM chain with a linear head and weighted
-    cross-entropy, a bidirectional encoder with variable lengths, and the
-    poem LM's conditioned head on a padded batch.  Returns one report per
-    seed.
+    Per seed: a two-layer LM, a rhymer and a topic classifier, each
+    `hidden` wide, on seeded synthetic inputs: three 4-line poems of one
+    or two tokens a line, under two topic labels, and three rhyme
+    examples, all made of random lowercase strings up to seq_len letters
+    long.  Returns one report per seed, keyed lm, rhymer and topics.
     """
-    return [{
-        "seed": seed,
-        "lstm_chain": _check_lstm_chain(seed, hidden, seq_len),
-        "bi_encoder": _check_bi_encoder(seed, hidden, seq_len),
-        "lm_head": _check_lm_head(seed, hidden, seq_len),
-    } for seed in range(n_seeds)]
+    return [{"seed": seed, **_check_models(seed, hidden, seq_len)}
+            for seed in range(n_seeds)]
 
 
-def _check_lstm_chain(seed, hidden, seq_len):
-    rng = net.child_rng(seed, "gc", "uni")
-    store = net.ParameterStore()
-    in_dim, n_out, B = 3, 6, 2
-    layer = net.LstmLayer(store, "l0", in_dim, hidden, rng)
-    head = net.Linear(store, "out", hidden, n_out, rng)
-    X = rng.normal(size=(seq_len, B, in_dim))
-    targets = rng.integers(0, n_out, size=seq_len * B)
-    weights = rng.random(seq_len * B)
+def _check_models(seed, hidden, seq_len):
+    rng = net.child_rng(seed, "gc", "data")
+    dim = 3  # word vectors and the rhymer's char embeddings
 
-    def loss_and_grads():
-        Hs, cache = layer.forward(X)
-        logits, head_cache = head.forward(Hs.reshape(-1, hidden))
-        loss, probs, wsum = net.softmax_xent_batch(logits, targets,
-                                                   weights)
-        dlogits = net.xent_grad(probs, targets, weights)
-        grads = store.zero_grads()
-        dH = head.backward(dlogits / wsum, head_cache, grads)
-        layer.backward(dH.reshape(seq_len, B, hidden), cache, grads)
-        return loss / wsum, grads
+    def word():
+        return "".join(chr(97 + c) for c in rng.integers(
+            0, 26, size=rng.integers(1, seq_len + 1)))
 
-    _, grads = loss_and_grads()
-    return net.grad_check(lambda: loss_and_grads()[0], store, grads,
+    pool = set()
+    while len(pool) < 6:
+        pool.add(word())
+    pool = sorted(pool)
+    labels = pool[:2]
+    poems = [Poem(lines=[[pool[j] for j in rng.integers(len(pool), size=n)]
+                         for n in rng.integers(1, 3, size=4)],
+                  topic=labels[i % 2]) for i in range(3)]
+    table = EmbeddingTable(dim, {w: rng.normal(size=dim) for w in pool})
+    vocab = build_vocabulary(poems)
+    emb = build_embedding_matrix(vocab, table)
+    lm = PoemLM(vocab, LmConfig(n_layers=2, hidden=hidden, seed=seed), dim,
+                emb, LmVariant.from_name("gold+"))
+    rhymer = RhymerModel(RhymerConfig(
+        word_hidden=hidden, poem_hidden=hidden, decoder_hidden=hidden,
+        char_dim=dim, seed=seed))
+    topics = TopicClassifier(vocab, labels,
+                             TopicConfig(hidden=hidden, seed=seed), emb)
+    return {
+        "lm": _check_model(lm, next(lm.batches(poems, table, len(poems)))),
+        "rhymer": _check_model(rhymer, [
+            RhymeExample(a=word(), b=word(), c=word()) for _ in range(3)]),
+        "topics": _check_model(topics, (poems, np.array(
+            [topics.label_to_id[p.topic] for p in poems]))),
+    }
+
+
+def _check_model(model, batch):
+    """`model.loss_and_grads(batch)` against finite differences of the
+    mean loss of `model.target_loss(batch)`, the forward pass it runs."""
+    def mean_loss():
+        loss, wsum, _, _ = model.target_loss(batch)
+        return loss / wsum
+
+    _, _, grads = model.loss_and_grads(batch)
+    return net.grad_check(mean_loss, model.store, grads,
                           max_entries_per_param=15)
 
 
-def _check_bi_encoder(seed, hidden, seq_len):
-    rng = net.child_rng(seed, "gc", "bi")
-    store = net.ParameterStore()
-    in_dim, n_out, B = 3, 4, 3
-    enc = net.BiLstmEncoder(store, "enc", in_dim, hidden, rng)
-    head = net.Linear(store, "out", 2 * hidden, n_out, rng)
-    X = rng.normal(size=(seq_len, B, in_dim))
-    lengths = rng.integers(1, seq_len + 1, size=B)
-    lengths[0] = seq_len
-    targets = rng.integers(0, n_out, size=B)
-    weights = np.ones(B)
-
-    def loss_and_grads():
-        encoded, cache = enc.forward(X, lengths)
-        logits, head_cache = head.forward(encoded)
-        loss, probs, wsum = net.softmax_xent_batch(logits, targets,
-                                                   weights)
-        dlogits = net.xent_grad(probs, targets, weights)
-        grads = store.zero_grads()
-        d_enc = head.backward(dlogits / wsum, head_cache, grads)
-        enc.backward(d_enc, cache, grads)
-        return loss / wsum, grads
-
-    _, grads = loss_and_grads()
-    return net.grad_check(lambda: loss_and_grads()[0], store, grads,
-                          max_entries_per_param=15)
-
-
-def _check_lm_head(seed, hidden, seq_len):
-    """The path `PoemLM.target_xent` trains: an LSTM with a constant
-    input, logits only at the nonzero-weight positions of a padded batch,
-    and their gradient scattered back to every step."""
-    rng = net.child_rng(seed, "gc", "lm")
-    store = net.ParameterStore()
-    in_dim, const_dim, n_out, B = 3, 2, 6, 3
-    layer = net.LstmLayer(store, "l0", in_dim + const_dim, hidden, rng)
-    head = net.Linear(store, "out", hidden, n_out, rng)
-    X = rng.normal(size=(seq_len, B, in_dim))
-    const = rng.normal(size=(B, const_dim))
-    lengths = rng.integers(1, seq_len + 1, size=B)
-    lengths[0] = seq_len
-    weights = net.length_mask(lengths, seq_len).reshape(-1)
-    positions = np.flatnonzero(weights > 0)
-    targets = rng.integers(0, n_out, size=len(positions))
-
-    def loss_and_grads():
-        Hs, cache = layer.forward(X, const=const)
-        logits, head_cache = head.forward(
-            Hs.reshape(-1, hidden)[positions])
-        loss, probs, wsum = net.softmax_xent_batch(logits, targets,
-                                                   weights[positions])
-        dlogits = net.xent_grad(probs, targets, weights[positions])
-        grads = store.zero_grads()
-        dH = np.zeros((seq_len * B, hidden))
-        dH[positions] = head.backward(dlogits / wsum, head_cache, grads)
-        layer.backward(dH.reshape(seq_len, B, hidden), cache, grads,
-                       input_grad=False)
-        return loss / wsum, grads
-
-    _, grads = loss_and_grads()
-    return net.grad_check(lambda: loss_and_grads()[0], store, grads,
-                          max_entries_per_param=15)
+def _finite_above_zero(ctx, param, value: float) -> float:
+    if not (math.isfinite(value) and value > 0):
+        raise click.BadParameter(f"must be a finite number above 0, "
+                                 f"got {value}")
+    return value
 
 
 @main.command()
-@click.option("--seeds", "n_seeds", type=int, default=10)
-@click.option("--tolerance", type=float, default=1e-4)
+@click.option("--seeds", "n_seeds", type=click.IntRange(min=1), default=10)
+@click.option("--tolerance", type=float, default=1e-4,
+              callback=_finite_above_zero)
 def gradcheck(n_seeds, tolerance):
     """Run the finite-difference gradient suite."""
     worst = 0.0

@@ -7,7 +7,6 @@ token followed by `dim` decimals, single-space separated.
 from __future__ import annotations
 
 import logging
-import math
 from collections.abc import Mapping
 from typing import NamedTuple
 
@@ -33,18 +32,34 @@ class EmbeddingTable:
         self._init(matrix, dict(zip(vectors, range(len(vectors)))))
 
     @classmethod
-    def from_matrix(cls, matrix: np.ndarray,
-                    rows: dict[str, int]) -> EmbeddingTable:
+    def from_matrix(cls, matrix: np.ndarray, rows: dict[str, int],
+                    where=None) -> EmbeddingTable:
         """The table over `matrix` (kept, not copied) whose token t is
-        row rows[t]."""
+        row rows[t]; `where` is `_init`'s."""
         table = cls.__new__(cls)
-        table._init(matrix, rows)
+        table._init(matrix, rows, where)
         return table
 
-    def _init(self, matrix: np.ndarray, rows: dict[str, int]) -> None:
+    def _init(self, matrix: np.ndarray, rows: dict[str, int],
+              where=None) -> None:
+        """Raises on the first row whose norm is not finite, or is 0
+        while the row is not all zeros: cosines with it cannot be
+        computed.  where(row) names that row in the error; by default it
+        names its token."""
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(matrix, axis=1)
+        bad = np.flatnonzero(~np.isfinite(norms)
+                             | ((norms == 0) & matrix.any(axis=1)))
+        if len(bad):
+            row = bad[0]
+            name = (where(row) if where else "token " + repr(
+                next(tok for tok, r in rows.items() if r == row)))
+            problem = ("underflows to 0" if norms[row] == 0
+                       else f"is {norms[row]}")
+            raise EmbeddingError(f"{name}: vector norm {problem}")
         self.dim = matrix.shape[1]
         self.matrix = matrix
-        self.norms = np.linalg.norm(matrix, axis=1)
+        self.norms = norms
         for array in (self.matrix, self.norms):
             array.setflags(write=False)
         self._rows = rows
@@ -84,7 +99,9 @@ def _read_vectors(path, expected_dim: int) -> EmbeddingTable:
     """Each line's values go straight into a row of a matrix sized by a
     first pass that counts the lines; a duplicate token overwrites the
     row of its first occurrence.  One check after the read rejects a
-    non-finite value (nan, inf), naming the first line that holds one."""
+    non-finite value (nan, inf), naming the first line that holds one;
+    the table then rejects a vector whose norm is not usable, naming its
+    line."""
     with open(path, "rb") as fh:
         n_lines = 1 + sum(chunk.count(b"\n")
                           for chunk in iter(lambda: fh.read(1 << 20), b""))
@@ -123,7 +140,8 @@ def _read_vectors(path, expected_dim: int) -> EmbeddingTable:
         value = matrix[row, np.argmin(finite[row])]
         raise EmbeddingError(f"{path}:{line_of[row]}: non-finite value "
                              f"{value}")
-    return EmbeddingTable.from_matrix(matrix, rows)
+    return EmbeddingTable.from_matrix(
+        matrix, rows, where=lambda row: f"{path}:{line_of[row]}")
 
 
 def cosine(x: str, u: str, table: EmbeddingTable) -> float:
@@ -145,12 +163,11 @@ SHORTLIST_SLACK = 1e-9
 
 class LetterCandidates(NamedTuple):
     """A letter's kNN candidates in one vocabulary and table, read-only:
-    their vocabulary ids, their table rows and the rows' norms (None when
-    some norm is zero or not finite)."""
+    their vocabulary ids, their table rows and the rows' norms."""
 
     ids: np.ndarray
     rows: np.ndarray
-    norms: np.ndarray | None
+    norms: np.ndarray
 
 
 def letter_candidates(table: EmbeddingTable, vocab: Vocabulary,
@@ -168,8 +185,6 @@ def letter_candidates(table: EmbeddingTable, vocab: Vocabulary,
     norms = table.norms[rows]
     for array in (ids, rows, norms):
         array.setflags(write=False)
-    if not np.all(np.isfinite(norms) & (norms > 0)):
-        norms = None
     return LetterCandidates(ids, rows, norms)
 
 
@@ -177,12 +192,11 @@ def _shortlist(table: EmbeddingTable, candidates: LetterCandidates,
                topic: str, k: int):
     """Positions in `candidates` of those that can be in the exact top k
     by cosine to the topic: every one whose matvec cosine is within
-    SHORTLIST_SLACK of the k-th best.  All of them when some norm is zero
-    or not finite, so that only the exact scan reproduces what `cosine`
-    does with it."""
+    SHORTLIST_SLACK of the k-th best.  All of them when the topic's
+    vector is zero, so that the exact scan raises as `cosine` does."""
     _, rows, norms = candidates
     norm = float(table.norms[table.row(topic)])
-    if not (0 < k < len(rows) and norms is not None and 0 < norm < math.inf):
+    if not (0 < k < len(rows) and norm > 0):
         return slice(None)
     approx = (table.matrix[rows] @ table.vector(topic)) / (norms * norm)
     kth = np.partition(approx, -k)[-k]

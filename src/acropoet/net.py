@@ -599,8 +599,8 @@ def softmax_xent_batch(logits: np.ndarray, targets: np.ndarray,
     """Weighted cross-entropy over (N, V) logits.
 
     Returns (total loss, probs, total weight): probs is the softmax of the
-    logits, in a buffer of its own that `xent_grad` turns into the loss's
-    gradient for a caller that trains.  Weight 0 positions (padding)
+    logits, in a buffer of its own that `xent_grad` turns into the mean
+    loss's gradient for a caller that trains.  Weight 0 positions (padding)
     contribute nothing.
     """
     probs = softmax(logits)
@@ -611,12 +611,14 @@ def softmax_xent_batch(logits: np.ndarray, targets: np.ndarray,
 
 def xent_grad(probs: np.ndarray, targets: np.ndarray,
               weights: np.ndarray) -> np.ndarray:
-    """The gradient of softmax_xent_batch's loss with respect to its
-    logits, built in place of its probs, which are returned.  probs may
-    be reshaped first, to any shape whose last axis is V."""
+    """The gradient of softmax_xent_batch's mean loss (its total loss
+    over max(total weight, 1)) with respect to its logits, built in place
+    of its probs, which are returned.  probs may be reshaped first, to
+    any shape whose last axis is V."""
     flat = probs.reshape(-1, probs.shape[-1])  # a view: probs is C order
     flat *= weights[:, None]
     flat[np.arange(len(flat)), targets] -= weights
+    probs /= max(float(weights.sum()), 1.0)
     return probs
 
 
@@ -765,13 +767,15 @@ def grad_check(loss_fn, store: ParameterStore,
     """Central finite differences against analytic gradients.
 
     loss_fn() re-evaluates the loss at the store's current parameters.
-    Returns a report with per-parameter and overall max relative error.
+    Checks the arrays named in param_names, by default every one with an
+    analytic gradient.  Returns a report with per-parameter and overall
+    max relative error.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     report = {"per_param": {}, "max_rel_error": 0.0}
     for name, p in store.params.items():
-        if param_names is not None and name not in param_names:
+        if name not in (analytic if param_names is None else param_names):
             continue
         flat = p.reshape(-1)
         g_flat = analytic[name].reshape(-1)

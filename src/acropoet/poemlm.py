@@ -230,34 +230,35 @@ class PoemLM:
         self.layers[0].backward(dH, layer_caches[0][0], grads,
                                 input_grad=False)
 
-    def target_loss(self, inputs: np.ndarray, targets: np.ndarray,
-                    weights: np.ndarray, cond: np.ndarray,
-                    train: bool = False,
+    def target_loss(self, batch,
                     rng: Optional[np.random.Generator] = None):
         """Cross-entropy of one padded batch from `batches`, with logits
-        only at its target positions (weight > 0).
+        only at its target positions (weight > 0).  Dropout runs, with
+        masks drawn from rng, only when rng is given.
 
         Returns (summed loss, total weight, caches for backward_batch,
         xent): xent is the softmax, targets and weights at those
-        positions, which `net.xent_grad(*xent)` turns into dlogits.
+        positions, which `net.xent_grad(*xent)` turns into the mean
+        loss's dlogits.
         """
+        inputs, targets, weights, cond = batch
         positions = np.flatnonzero(weights > 0)
-        logits, caches = self.forward_batch(inputs, cond, train=train,
-                                            rng=rng, positions=positions)
+        logits, caches = self.forward_batch(inputs, cond,
+                                            train=rng is not None, rng=rng,
+                                            positions=positions)
         targets = targets.reshape(-1)[positions]
         weights = weights.reshape(-1)[positions]
         loss, probs, wsum = softmax_xent_batch(logits, targets, weights)
         return loss, wsum, caches, (probs, targets, weights)
 
-    def target_xent(self, inputs: np.ndarray, targets: np.ndarray,
-                    weights: np.ndarray, cond: np.ndarray,
-                    train: bool = False,
-                    rng: Optional[np.random.Generator] = None):
-        """`target_loss` and its gradient: (summed loss, dlogits at the
-        target positions, total weight, caches for backward_batch)."""
-        loss, wsum, caches, xent = self.target_loss(
-            inputs, targets, weights, cond, train=train, rng=rng)
-        return loss, xent_grad(*xent), wsum, caches
+    def loss_and_grads(self, batch,
+                       rng: Optional[np.random.Generator] = None):
+        """`target_loss` and the gradients of its mean: (summed loss,
+        total weight, gradients)."""
+        loss, wsum, caches, xent = self.target_loss(batch, rng=rng)
+        grads = self.store.zero_grads()
+        self.backward_batch(xent_grad(*xent), caches, grads)
+        return loss, wsum, grads
 
     # -- scoring --------------------------------------------------------------
 
@@ -281,7 +282,7 @@ class PoemLM:
         for batch in self.batches(poems, table,
                                   batch_size=self.cfg.batch_size,
                                   zero_cond=zero_cond):
-            loss, wsum, _, _ = self.target_loss(*batch)
+            loss, wsum, _, _ = self.target_loss(batch)
             total_nll += loss
             total_tok += int(wsum)
         return float(np.exp(total_nll / total_tok))
@@ -367,11 +368,7 @@ def train_lm(model: PoemLM, train_poems: list[Poem], dev_poems: list[Poem],
         total, count = 0.0, 0.0
         for batch in model.batches(train_poems, table, cfg.batch_size,
                                    shuffle_rng=rng, zero_cond=zero_cond):
-            loss, dlogits, wsum, caches = model.target_xent(
-                *batch, train=True, rng=rng)
-            grads = model.store.zero_grads()
-            dlogits /= max(wsum, 1.0)
-            model.backward_batch(dlogits, caches, grads)
+            loss, wsum, grads = model.loss_and_grads(batch, rng=rng)
             clip_global_norm(grads)
             adam_update(model.store, grads, lr=cfg.lr)
             total += loss

@@ -224,12 +224,13 @@ class RhymerModel:
         np.add.at(grads["rh.chars"], b_ids.reshape(-1),
                   dXb.reshape(-1, E))
 
-    def _forward_xent(self, examples: list[RhymeExample]):
+    def target_loss(self, examples: list[RhymeExample]):
         """Decoder forward pass and its summed cross-entropy.
 
         Returns (loss, target count, caches for backward_batch, xent):
         xent is the softmax shaped like the logits, and the targets and
-        weights flattened, which `xent_grad(*xent)` turns into dlogits.
+        weights flattened, which `xent_grad(*xent)` turns into the mean
+        loss's dlogits.
         """
         batch = self._encode_batch(examples)
         logits, caches = self.forward_batch(batch)
@@ -242,15 +243,16 @@ class RhymerModel:
                                     weights)
 
     def loss_and_grads(self, examples: list[RhymeExample]):
-        loss, wsum, caches, xent = self._forward_xent(examples)
+        """(summed loss, target count, gradients of the mean loss)."""
+        loss, wsum, caches, xent = self.target_loss(examples)
         grads = self.store.zero_grads()
-        self.backward_batch(xent_grad(*xent) / max(wsum, 1.0), caches, grads)
+        self.backward_batch(xent_grad(*xent), caches, grads)
         return loss, wsum, grads
 
     def per_char_nll(self, examples: list[RhymeExample]) -> float:
         total, count = 0.0, 0.0
         for i in range(0, len(examples), self.cfg.batch_size):
-            loss, wsum, _, _ = self._forward_xent(
+            loss, wsum, _, _ = self.target_loss(
                 examples[i:i + self.cfg.batch_size])
             total += loss
             count += wsum

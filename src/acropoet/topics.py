@@ -87,15 +87,23 @@ class TopicClassifier:
         logits, head_cache = self.head.forward(enc)
         return logits, (cache, head_cache)
 
-    def loss_and_grads(self, poems: list[Poem], targets: np.ndarray):
-        logits, (cache, head_cache) = self.forward_batch(poems)
+    def target_loss(self, batch: tuple[list[Poem], np.ndarray]):
+        """Cross-entropy of (poems, their label ids): (summed loss, poem
+        count, caches, xent), with xent as `PoemLM.target_loss` has it."""
+        poems, targets = batch
+        logits, caches = self.forward_batch(poems)
         weights = np.ones(len(poems))
         loss, probs, wsum = softmax_xent_batch(logits, targets, weights)
+        return loss, wsum, caches, (probs, targets, weights)
+
+    def loss_and_grads(self, batch: tuple[list[Poem], np.ndarray]):
+        """`target_loss` and the gradients of its mean: (summed loss,
+        poem count, gradients)."""
+        loss, wsum, (cache, head_cache), xent = self.target_loss(batch)
         grads = self.store.zero_grads()
-        dlogits = xent_grad(probs, targets, weights)
-        d_enc = self.head.backward(dlogits / wsum, head_cache, grads)
+        d_enc = self.head.backward(xent_grad(*xent), head_cache, grads)
         self.encoder.backward(d_enc, cache, grads, input_grad=False)
-        return loss / wsum, grads
+        return loss, wsum, grads
 
     def predict_topic(self, poem: Poem) -> np.ndarray:
         """Distribution over the topic inventory for one poem."""
@@ -163,8 +171,8 @@ def train_topic_model(gold_train: list[Poem], gold_dev: list[Poem],
         rng.shuffle(order)
         for i in range(0, len(order), cfg.batch_size):
             sel = order[i:i + cfg.batch_size]
-            chunk = [gold_train[j] for j in sel]
-            _, grads = model.loss_and_grads(chunk, targets_all[sel])
+            _, _, grads = model.loss_and_grads(
+                ([gold_train[j] for j in sel], targets_all[sel]))
             clip_global_norm(grads)
             adam_update(model.store, grads, lr=cfg.lr)
         return {}

@@ -11,12 +11,15 @@ from click.testing import CliRunner
 from helpers import make_documents, make_poems, make_sonnets, make_table
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from acropoet.cli import PIPELINE_ERRORS, main
+from acropoet.cli import PIPELINE_ERRORS, gradient_suite, main
 from acropoet.corpus import (
     Poem, RawDocument, read_poems, split_into_training_poems, write_poems,
 )
 from acropoet.decode import GenerationConfig
 from acropoet.net import load_checkpoint, save_checkpoint
+from acropoet.poemlm import PoemLM
+from acropoet.rhymer import RhymerModel
+from acropoet.topics import TopicClassifier
 
 DIM = 8
 
@@ -241,6 +244,22 @@ def test_eval_ppl_vocabulary_mismatch(workdir, tmp_path):
     assert "vocabulary mismatch" in result.output
 
 
+@pytest.mark.parametrize("command", ["generate", "eval-ppl"])
+def test_embeddings_narrower_than_the_lm_are_clean_error(workdir, tmp_path,
+                                                          command):
+    root, run = workdir
+    narrow = tmp_path / "narrow.txt"
+    write_table(narrow, make_table(dim=DIM - 2, seed=0))
+    args = (["generate", "glow", "--lm", root / "lm.ckpt", "--no-rh"]
+            if command == "generate" else
+            ["eval-ppl", "--checkpoint", root / "lm.ckpt",
+             "--test", root / "dev.jsonl"])
+    result = run(*args, "--embeddings", narrow, "--dim", DIM - 2)
+    assert _assert_one_error_line(result) == (
+        f"error: {narrow}: embeddings are {DIM - 2} wide, but the LM "
+        f"checkpoint takes {DIM}-wide vectors")
+
+
 # --- generate -------------------------------------------------------------------
 
 def test_generate_prints_acrostic_and_json(workdir, tmp_path):
@@ -348,8 +367,38 @@ def test_gradcheck_command(workdir):
     result = run("gradcheck", "--seeds", "2")
     assert result.exit_code == 0, result.output
     assert "max relative error" in result.output
-    for check in ("lstm_chain", "bi_encoder", "lm_head"):
+    for check in ("lm", "rhymer", "topics"):
         assert f"{check}=" in result.output
+
+
+@pytest.mark.parametrize("args", [("--seeds", "0"), ("--seeds", "-3"),
+                                  ("--tolerance", "nan"),
+                                  ("--tolerance", "inf"),
+                                  ("--tolerance", "0"),
+                                  ("--tolerance", "-1e-4")])
+def test_gradcheck_that_cannot_fail_is_usage_error(args):
+    result = CliRunner().invoke(main, ["gradcheck", *args])
+    assert result.exit_code == 2
+    assert "max relative error" not in result.output
+
+
+@pytest.mark.parametrize("owner,key,array", [
+    (PoemLM, "lm", "lm.lstm0.Wh"), (RhymerModel, "rhymer", "rh.chars"),
+    (TopicClassifier, "topics", "tp.enc.bwd.Wx")])
+def test_gradient_suite_flags_a_corrupted_model(monkeypatch, owner, key,
+                                                array):
+    """The suite checks each model's own loss_and_grads: scaling one of
+    its gradient arrays by 1.01 shows in that model's report only."""
+    real = owner.loss_and_grads
+
+    def corrupted(model, *args, **kwargs):
+        loss, wsum, grads = real(model, *args, **kwargs)
+        grads[array] *= 1.01
+        return loss, wsum, grads
+    monkeypatch.setattr(owner, "loss_and_grads", corrupted)
+    report, = gradient_suite(n_seeds=1, hidden=3, seq_len=3)
+    assert {k for k in ("lm", "rhymer", "topics")
+            if report[k]["max_rel_error"] > 1e-4} == {key}
 
 
 def test_non_utf8_pretrain_file_is_clean_error(workdir, tmp_path):

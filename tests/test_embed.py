@@ -292,26 +292,44 @@ def test_letter_candidates_are_in_table_nonzero_in_vocabulary_order():
                 knn_oracle("top", letter, t, v, k)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("odd", [[1e-200, 0.0], [np.inf, 1.0],
-                                 [np.nan, 1.0]])
-def test_knn_with_an_odd_norm_candidate_scans_like_the_oracle(odd):
-    """A candidate whose norm underflows to zero or is not finite leaves
-    the letter without norms, so its queries score every candidate."""
-    rng = np.random.default_rng(2)
-    entries = [("top", [1.0, 0.5])] + [
-        (f"a{i}", rng.normal(size=2)) for i in range(8)] + [("a9", odd)]
-    t = table_from(entries, 2)
-    v = _vocab([tok for tok, _ in entries[1:]])
-    assert embed.letter_candidates(t, v, "a").norms is None
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("odd,problem", [
+    ([1e-200, 0.0], "underflows to 0"), ([1e-200, 1e-200], "underflows to 0"),
+    ([1e200, 1e200], "is inf"), ([np.inf, 1.0], "is inf"),
+    ([np.nan, 1.0], "is nan"),
+], ids=["underflow", "underflow-both", "overflow", "inf", "nan"])
+def test_table_rejects_a_vector_with_an_odd_norm(odd, problem):
+    """A norm that underflows to zero or is not finite has no cosine, so
+    the table refuses it, naming its token, and every letter's candidates
+    keep their norms."""
+    with pytest.raises(EmbeddingError,
+                       match=rf"^token 'a9': vector norm {problem}$"):
+        table_from([("top", [1.0, 0.5]), ("a1", [1.0, 2.0]), ("a9", odd)],
+                   2)
 
-    def outcome(knn, k):
-        try:
-            return knn("top", "a", t, v, k)
-        except EmbeddingError as exc:
-            return str(exc)
-    for k in (1, 3, 9, 12):
-        assert outcome(knn_with_initial, k) == outcome(knn_oracle, k)
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value,problem", [("1e-200", "underflows to 0"),
+                                           ("1e200", "is inf")])
+def test_load_rejects_a_vector_with_an_odd_norm(tmp_path, value, problem):
+    p = tmp_path / "emb.txt"
+    p.write_text(f"aa 1 2\nab 0 0\nac {value} {value}\nad 3 4\n")
+    with pytest.raises(EmbeddingError,
+                       match=rf"emb\.txt:3: vector norm {problem}$"):
+        load_embeddings(p, expected_dim=2)
+
+
+def test_an_all_zero_vector_loads_and_is_no_candidate(tmp_path):
+    p = tmp_path / "emb.txt"
+    p.write_text("top 1 0\naa 0 0\nab 1 1\nac 2e-100 1e-100\n")
+    t = load_embeddings(p, expected_dim=2)
+    v = _vocab(["aa", "ab", "ac"])
+    cands = embed.letter_candidates(t, v, "a")
+    assert v.decode(cands.ids.tolist()) == ["ab", "ac"]
+    assert np.all(cands.norms > 0)
+    for k in (1, 3):
+        assert knn_with_initial("top", "a", t, v, k=k) == \
+            knn_oracle("top", "a", t, v, k) == ["ac", "ab"][:k]
 
 
 # --- char one-hot -----------------------------------------------------------

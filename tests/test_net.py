@@ -213,6 +213,8 @@ def test_gradcheck_linear_exact():
     store = ParameterStore()
     rng = np.random.default_rng(0)
     lin = Linear(store, "lin", 3, 1, rng)
+    store.add("fixed", np.ones(2))
+    store.fixed.add("fixed")
     x = rng.normal(size=(4, 3))
 
     def lg():
@@ -223,6 +225,8 @@ def test_gradcheck_linear_exact():
 
     report = _check(lg, store)
     assert report["max_rel_error"] <= 1e-7
+    # an array without an analytic gradient is not checked
+    assert sorted(report["per_param"]) == ["lin.W", "lin.b"]
 
 @pytest.mark.parametrize("seed", range(3))
 def test_gradcheck_lstm_layer(seed):
@@ -632,25 +636,35 @@ def test_softmax_and_linear_keep_their_inputs():
     assert np.array_equal(Y, kept @ store["lin.W"] + store["lin.b"])
 
 
+def _xent_grad_reference(logits, targets, weights):
+    want = _plain_softmax(logits) * weights[:, None]
+    want[np.arange(len(want)), targets] -= weights
+    return want / max(float(weights.sum()), 1.0)
+
+
 def test_xent_grad_is_the_expression_form_bit_for_bit():
-    """softmax_xent_batch's probabilities, made the loss's gradient in
-    place by xent_grad; reshaped probabilities give the same bits."""
+    """softmax_xent_batch's probabilities, made the mean loss's gradient
+    in place by xent_grad; reshaped probabilities give the same bits."""
     rng = np.random.default_rng(2)
     logits = rng.normal(size=(12, 7)) * 5
     targets = rng.integers(0, 7, size=12)
     weights = rng.random(12) * (rng.random(12) > 0.3)
     loss, probs, wsum = net.softmax_xent_batch(logits, targets, weights)
-    want = _plain_softmax(logits) * weights[:, None]
-    want[np.arange(12), targets] -= weights
+    want = _xent_grad_reference(logits, targets, weights)
     rows = np.arange(12)
     p_t = np.clip(_plain_softmax(logits)[rows, targets], net.CE_EPS, None)
     assert loss == float(-(weights * np.log(p_t)).sum())
-    assert wsum == float(weights.sum())
+    assert wsum == float(weights.sum()) > 1.0
     shaped = probs.copy().reshape(3, 4, 7)
     assert net.xent_grad(probs, targets, weights) is probs
     assert _same_bits(probs, want)
     assert _same_bits(net.xent_grad(shaped, targets, weights),
                       want.reshape(3, 4, 7))
+    # a total weight below 1 divides by 1
+    small = weights / (2.0 * wsum)
+    _, probs, _ = net.softmax_xent_batch(logits, targets, small)
+    assert _same_bits(net.xent_grad(probs, targets, small),
+                      _xent_grad_reference(logits, targets, small))
 
 
 # --- row blocks -------------------------------------------------------------

@@ -75,15 +75,14 @@ def test_lm_forward_deterministic(table):
     assert np.array_equal(a, b)
 
 
-def test_target_xent_matches_stepwise_oracle(table):
-    """target_xent's loss over a padded batch is the summed next-token
+def test_target_loss_matches_stepwise_oracle(table):
+    """target_loss's loss over a padded batch is the summed next-token
     NLL that lm_forward gives one prefix at a time."""
     model, poems = fresh_model(table)
     batch = poems[:3]
-    (inputs, targets, weights, cond), = model.batches(batch, table,
-                                                      batch_size=3)
-    assert weights.min() == 0  # the batch is padded
-    loss, _, wsum, _ = model.target_xent(inputs, targets, weights, cond)
+    padded, = model.batches(batch, table, batch_size=3)
+    assert padded[2].min() == 0  # the batch is padded
+    loss, wsum, _, _ = model.target_loss(padded)
     # oracle: accumulate lm_forward one prefix at a time
     total, count = 0.0, 0
     for poem in batch:
@@ -180,12 +179,12 @@ def test_gradcheck_full_model(table):
     def loss_and_grads():
         logits, caches = model.forward_batch(inputs, cond, train=False)
         V = logits.shape[-1]
-        loss, probs, _ = softmax_xent_batch(
+        loss, probs, wsum = softmax_xent_batch(
             logits.reshape(-1, V), targets.reshape(-1), weights.reshape(-1))
         dflat = xent_grad(probs, targets.reshape(-1), weights.reshape(-1))
         grads = model.store.zero_grads()
         model.backward_batch(dflat.reshape(logits.shape), caches, grads)
-        return loss, grads
+        return loss / wsum, grads
 
     loss, grads = loss_and_grads()
     names = [n for n in model.store.params if n != EMB_NAME]
@@ -199,11 +198,11 @@ def _full_logits_xent(model, inputs, targets, weights, cond, rng):
     included: the reference for the target-position path."""
     logits, caches = model.forward_batch(inputs, cond, train=True, rng=rng)
     V = logits.shape[-1]
-    loss, probs, wsum = softmax_xent_batch(
+    loss, probs, _ = softmax_xent_batch(
         logits.reshape(-1, V), targets.reshape(-1), weights.reshape(-1))
     dflat = xent_grad(probs, targets.reshape(-1), weights.reshape(-1))
     grads = model.store.zero_grads()
-    model.backward_batch(dflat.reshape(logits.shape) / wsum, caches, grads)
+    model.backward_batch(dflat.reshape(logits.shape), caches, grads)
     return logits, loss, grads
 
 
@@ -215,10 +214,8 @@ def test_target_positions_match_full_logits(table):
     assert 0.2 < 1.0 - weights.mean() < 0.8
     logits, loss, grads = _full_logits_xent(
         model, *batch, rng=np.random.default_rng(3))
-    loss_t, dlogits, wsum, caches = model.target_xent(
-        *batch, train=True, rng=np.random.default_rng(3))
-    grads_t = model.store.zero_grads()
-    model.backward_batch(dlogits / wsum, caches, grads_t)
+    loss_t, _, grads_t = model.loss_and_grads(
+        batch, rng=np.random.default_rng(3))
     assert loss_t == pytest.approx(loss, rel=0, abs=1e-12)
     assert sorted(grads_t) == sorted(grads)
     for name in grads:
@@ -252,7 +249,7 @@ def test_perplexity_takes_the_loss_without_its_gradient(table,
     assert grads_built == []
     total, count = 0.0, 0
     for batch in model.batches(poems, table, model.cfg.batch_size):
-        loss, _, wsum, _ = model.target_xent(*batch)
+        loss, wsum, _ = model.loss_and_grads(batch)
         total += loss
         count += int(wsum)
     assert len(grads_built) == -(-len(poems) // model.cfg.batch_size)

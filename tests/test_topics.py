@@ -123,9 +123,11 @@ def test_gradcheck_classifier(table):
     targets = np.array([model.label_to_id[p.topic] for p in poems])
 
     def loss_fn():
-        return model.loss_and_grads(poems, targets)[0]
+        loss, wsum, _ = model.loss_and_grads((poems, targets))
+        return loss / wsum
 
-    _, grads = model.loss_and_grads(poems, targets)
+    _, wsum, grads = model.loss_and_grads((poems, targets))
+    assert wsum == len(poems)
     names = [n for n in model.store.params if n != EMB_NAME]
     report = grad_check(loss_fn, model.store, grads, param_names=names,
                         max_entries_per_param=20)
@@ -149,7 +151,7 @@ def test_encoder_backward_makes_no_input_gradient(table, monkeypatch):
                             TopicConfig(hidden=4, seed=2),
                             build_embedding_matrix(vocab, table))
     model.loss_and_grads(
-        poems, np.array([model.label_to_id[p.topic] for p in poems]))
+        (poems, np.array([model.label_to_id[p.topic] for p in poems])))
     assert input_grads == Counter({("tp.enc.fwd", False, False): 1,
                                    ("tp.enc.bwd", False, False): 1})
 
