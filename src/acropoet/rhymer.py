@@ -9,6 +9,7 @@ Shakespearean scheme ABAB CDCD EFEF GG.
 
 from __future__ import annotations
 
+import heapq
 import logging
 import re
 import string
@@ -332,20 +333,35 @@ def beam_search_rows(step_rows, take_rows, state, eos_id: int, width: int,
     (None for the empty one); `state` starts as the one empty
     hypothesis's, and take_rows(new_state, rows) keeps the given rows of
     a step's state for the hypotheses that extend them.  Each hypothesis
-    is expanded by its top max(width + 1, 8) symbols plus eos_id; -inf
-    expansions are skipped.  A hypothesis completes when it emits eos_id
-    (eos log prob included in its score) or when it reaches max_len
-    symbols.  Returns completed hypotheses as (symbol tuple, score), best
-    first; score ties break on the symbol tuple for determinism.
+    is expanded by its top max(width + 1, 8) symbols plus eos_id, ties at
+    the cut going to the smaller symbol; -inf expansions are skipped.  A
+    hypothesis completes when it emits eos_id (eos log prob included in
+    its score) or when it reaches max_len symbols.
+
+    The search stops once `width` completed non-empty hypotheses each
+    score strictly above the best live one.  The rows must be log
+    probabilities (every entry <= 0), so a score never rises as a
+    hypothesis grows: no later completion can reach those `width`, and
+    the stop is exact (Huang, Zhao & Ma 2017, arXiv 1709.07122).
+
+    Returns the hypotheses completed by then as (symbol tuple, score),
+    best first; score ties break on the symbol tuple for determinism.
+    Its first `width` entries, and its first `width` non-empty ones, are
+    those of a search run until no hypothesis is live.
     """
     if width < 1:
         raise RhymerError("beam width must be >= 1")
+    if max_len < 1:
+        raise RhymerError("beam max_len must be >= 1")
     beams: list[tuple[float, tuple]] = [(0.0, ())]
     completed: list[tuple[float, tuple]] = []
-    for _ in range(max_len + 1):
+    # min-heap of the `width` best scores of completed non-empty hypotheses
+    best_done: list[float] = []
+    for _ in range(max_len):
         logp, state = step_rows([ids[-1] if ids else None
                                  for _, ids in beams], state)
-        tops = np.argsort(logp, axis=1)[:, ::-1][:, :max(width + 1, 8)]
+        tops = np.argsort(-logp, axis=1, kind="stable")[
+            :, :max(width + 1, 8)]
         expansions = []
         for row, (score, ids) in enumerate(beams):
             top = list(tops[row])
@@ -360,13 +376,19 @@ def beam_search_rows(step_rows, take_rows, state, eos_id: int, width: int,
         beams, rows = [], []
         for score, ids, row in expansions:
             if ids[-1] == eos_id:
-                completed.append((score, ids[:-1]))
-            elif len(ids) >= max_len:
-                completed.append((score, ids))
-            elif len(beams) < width:
-                beams.append((score, ids))
-                rows.append(row)
-        if not beams:
+                ids = ids[:-1]
+            elif len(ids) < max_len:
+                if len(beams) < width:
+                    beams.append((score, ids))
+                    rows.append(row)
+                continue
+            completed.append((score, ids))
+            if ids and len(best_done) < width:
+                heapq.heappush(best_done, score)
+            elif ids:
+                heapq.heappushpop(best_done, score)
+        if not beams or (len(best_done) == width
+                         and best_done[0] > beams[0][0]):
             break
         state = take_rows(state, rows)
     if not completed:

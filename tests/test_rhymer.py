@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from helpers import make_sonnets
 
+from acropoet import rhymer
 from acropoet.corpus import Poem, RawDocument, build_vocabulary
 from acropoet.net import CE_EPS, grad_check, lstm_step, pad_ids, softmax
 from acropoet.rhymer import (
@@ -91,6 +92,33 @@ def test_beam_matches_exhaustive(salt):
     assert [ids for ids, _ in got] == [ids for ids, _ in want]
     for (_, s1), (_, s2) in zip(got, want):
         assert s1 == pytest.approx(s2, abs=1e-12)
+
+def _table_step(rows):
+    """A toy step whose log-prob row is rows[history]."""
+    def step_fn(prev, state):
+        history = () if prev is None else state + (prev,)
+        return np.array(rows[history], dtype=float), history
+    return step_fn
+
+def test_top_cut_ties_go_to_the_smaller_symbol():
+    """Symbols 5 and 9 lead and the other content symbols tie; the width-5
+    beam holds the two leaders and the three smallest tied symbols."""
+    eos = 11
+    first = np.full(12, np.log(0.4 / 9))
+    first[[5, 9]] = np.log(0.3)
+    first[eos] = -np.inf
+    stop = np.full(12, -np.inf)
+    stop[eos] = 0.0
+    rows = {(): first, **{(sym,): stop for sym in range(eos)}}
+    got = beam_search(_table_step(rows), eos_id=eos, width=5, max_len=4)
+    assert [ids for ids, _ in got] == [(5,), (9,), (0,), (1,), (2,)]
+
+@pytest.mark.parametrize("max_len", [0, -1])
+def test_beam_rejects_max_len_below_one(max_len):
+    with pytest.raises(RhymerError, match="max_len"):
+        beam_search(make_toy_step(), eos_id=TOY_EOS, width=3,
+                    max_len=max_len)
+    assert beam_search(make_toy_step(), eos_id=TOY_EOS, width=3, max_len=1)
 
 def test_beam_width_one_is_greedy(tiny_rhymer):
     model, _ = tiny_rhymer
@@ -182,6 +210,156 @@ def test_batched_beam_equals_per_hypothesis_beam(seed):
 def test_batched_beam_equals_per_hypothesis_beam_trained(tiny_rhymer):
     model, _ = tiny_rhymer
     _assert_same_candidates(model)
+
+# --- the stop once the best completions are final -----------------------------
+
+def run_to_max_len(step_rows, take_rows, state, eos_id, width, max_len):
+    """`beam_search_rows` without its stop (its top cut's tie rule
+    included): steps until no hypothesis is live.  The reference for the
+    stop's exactness."""
+    beams = [(0.0, ())]
+    completed = []
+    for _ in range(max_len + 1):
+        logp, state = step_rows([ids[-1] if ids else None
+                                 for _, ids in beams], state)
+        tops = np.argsort(-logp, axis=1, kind="stable")[
+            :, :max(width + 1, 8)]
+        expansions = []
+        for row, (score, ids) in enumerate(beams):
+            top = list(tops[row])
+            if eos_id not in top:
+                top.append(eos_id)
+            for sym in top:
+                s = float(logp[row, sym])
+                if s == -np.inf:
+                    continue
+                expansions.append((score + s, ids + (int(sym),), row))
+        expansions.sort(key=lambda e: (-e[0], e[1]))
+        beams, rows = [], []
+        for score, ids, row in expansions:
+            if ids[-1] == eos_id:
+                completed.append((score, ids[:-1]))
+            elif len(ids) >= max_len:
+                completed.append((score, ids))
+            elif len(beams) < width:
+                beams.append((score, ids))
+                rows.append(row)
+        if not beams:
+            break
+        state = take_rows(state, rows)
+    completed.sort(key=lambda e: (-e[0], e[1]))
+    return [(ids, score) for score, ids in completed]
+
+def _leading(hyps, width):
+    """The first `width` entries and the first `width` non-empty ones."""
+    return hyps[:width], [h for h in hyps if h[0]][:width]
+
+def _beam_both_ways(monkeypatch, search):
+    """search() with the stop, then with `beam_search_rows` run to
+    max_len; `beam_search` and `rhyme_candidates` both go through it."""
+    got = search()
+    with monkeypatch.context() as m:
+        m.setattr(rhymer, "beam_search_rows", run_to_max_len)
+        want = search()
+    return got, want
+
+def _masked_toy_logp(history, salt):
+    """`_toy_logp` with about a third of the symbols, EOS too, at -inf,
+    but never all of them."""
+    digest = hashlib.blake2b(repr(("masked", salt, history)).encode(),
+                             digest_size=8).digest()
+    rng = np.random.default_rng(int.from_bytes(digest, "little"))
+    logits = rng.normal(size=N_SYMS) * 2.0
+    logits[rng.random(N_SYMS) < 0.35] = -np.inf
+    if np.all(logits == -np.inf):
+        logits[rng.integers(N_SYMS)] = 0.0
+    z = logits - logits.max()
+    return z - np.log(np.exp(z).sum())
+
+@pytest.mark.parametrize("salt", range(6))
+@pytest.mark.parametrize("toy_logp", [_toy_logp, _masked_toy_logp])
+def test_stop_keeps_the_leading_hypotheses_bit_for_bit(monkeypatch, toy_logp,
+                                                       salt):
+    def step_fn(prev, state):
+        history = () if prev is None else state + (prev,)
+        return toy_logp(history, salt), history
+
+    for width in range(1, 7):
+        for max_len in range(1, 7):
+            got, want = _beam_both_ways(monkeypatch, lambda: beam_search(
+                step_fn, TOY_EOS, width, max_len))
+            assert _leading(got, width) == _leading(want, width), (
+                width, max_len)
+
+def test_stop_waits_for_a_later_completion_that_ties():
+    """(0,) and (1,) complete at -2 log 2 while (0, 0) is live at the same
+    score; its EOS then costs nothing, so it completes tied and sorts
+    before (1,).  Stopping on a tie would lose it."""
+    half = np.log(0.5)
+    ninf = -np.inf
+    rows = {(): [half, half, ninf], (0,): [half, ninf, half],
+            (1,): [half, ninf, half], (0, 0): [ninf, ninf, 0.0],
+            (1, 0): [ninf, ninf, 0.0]}
+    got = beam_search(_table_step(rows), eos_id=2, width=2, max_len=4)
+    assert got[:2] == [((0,), 2 * half), ((0, 0), 2 * half)]
+
+def test_stop_waits_for_width_completions():
+    """After step 2 only (0,) has completed above the best live score; a
+    width-2 search must go on to complete (1, 0) as its second word."""
+    log, ninf = np.log, -np.inf
+    rows = {(): [log(0.5), log(0.4), log(0.1)],
+            (0,): [log(0.1), ninf, log(0.9)],
+            (1,): [log(0.5), log(0.5), ninf], (0, 0): [ninf, ninf, 0.0],
+            (1, 0): [ninf, ninf, 0.0], (1, 1): [ninf, ninf, 0.0]}
+    got = beam_search(_table_step(rows), eos_id=2, width=2, max_len=4)
+    assert [ids for ids, _ in got[:2]] == [(0,), (1, 0)]
+
+def _same_candidates_as_run_to_max_len(monkeypatch, model):
+    for a, b, width in BEAM_INPUTS:
+        got, want = _beam_both_ways(
+            monkeypatch, lambda: model.rhyme_candidates(a, b, width=width))
+        assert got == want, (a, b, width)
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stop_keeps_rhyme_candidates(monkeypatch, seed):
+    _same_candidates_as_run_to_max_len(
+        monkeypatch, RhymerModel(RhymerConfig.desk_scale(seed=seed)))
+
+def test_stop_keeps_rhyme_candidates_trained(monkeypatch, tiny_rhymer):
+    _same_candidates_as_run_to_max_len(monkeypatch, tiny_rhymer[0])
+
+@pytest.mark.parametrize("width", range(1, 7))
+def test_uniform_rows_stop_after_three_steps(width):
+    """Step 2 completes `width` words at -2 log S, level with the best
+    live one; step 3 leaves every live one below them."""
+    calls = []
+
+    def step_rows(prev, state):
+        calls.append(len(prev))
+        return np.full((len(prev), 10), -np.log(10)), state
+
+    hyps = rhymer.beam_search_rows(step_rows, lambda st, rows: st, None,
+                                   eos_id=9, width=width, max_len=20)
+    assert len(calls) <= 3
+    assert [ids for ids, _ in hyps[1:width + 1]] == [
+        (sym,) for sym in range(width)]
+
+def test_no_stop_while_eos_is_impossible():
+    """EOS is -inf until a hypothesis is cut at max_len, so nothing
+    completes early and the search takes all max_len steps."""
+    def step_rows(prev, state):
+        logp = np.full((len(prev), 6), np.log(0.2))
+        logp[:, 5] = -np.inf
+        calls.append(len(prev))
+        return logp, state
+
+    for max_len in (1, 5, 20):
+        calls = []
+        hyps = rhymer.beam_search_rows(step_rows, lambda st, rows: st, None,
+                                       eos_id=5, width=4, max_len=max_len)
+        assert len(calls) == max_len
+        assert all(len(ids) == max_len for ids, _ in hyps)
+
 
 def test_training_requires_data():
     model = RhymerModel(RhymerConfig.desk_scale())
