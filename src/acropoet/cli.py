@@ -72,28 +72,46 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _section(obj: dict, name: str, cls) -> dict:
-    """The config file's `name` section; every key must be a field of cls
-    and every value of that field's type."""
+def _component_config(obj: dict, name: str, cls, seed_field: str = "seed",
+                      **given):
+    """cls's settings: the profile's defaults (`cls.desk_scale()` for
+    desk_scale where cls has one, else the dataclass defaults), then the
+    config file's `name` section, then the values given on the command
+    line (None: not given).  The seed is always the root one.
+
+    Every key of the section must be a field of cls, other than
+    seed_field, and every value of that field's type.
+    """
     section = obj["file"].get(name, {})
     if not isinstance(section, dict):
         raise click.UsageError(f"config section {name!r} is not an object")
     problem = net.field_problem(section, cls)
     if problem:
         raise click.UsageError(f"{problem} in config section {name!r}")
-    return dict(section)
-
-
-def _component_config(obj: dict, name: str, cls):
-    """Profile defaults < config-file section; the seed is the root one."""
-    base = cls() if obj["profile"] == "paper_scale" else cls.desk_scale()
-    vals = asdict(base)
-    vals.update(_section(obj, name, cls))
-    vals["seed"] = obj["seed"]
+    if seed_field in section:
+        raise click.UsageError(
+            f"config section {name!r} sets {seed_field!r}; every component "
+            f"derives its seed from the top-level 'seed'")
+    desk = obj["profile"] == "desk_scale" and hasattr(cls, "desk_scale")
+    vals = asdict(cls.desk_scale() if desk else cls())
+    vals.update(section)
+    vals.update({k: v for k, v in given.items() if v is not None})
+    vals[seed_field] = obj["seed"]
     return cls(**vals)
 
 
-@click.group()
+class _Pipeline(click.Group):
+    """The command group: a pipeline error from any command ends the run
+    with one `error:` line and exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except PIPELINE_ERRORS as exc:
+            _fail(exc)
+
+
+@click.group(cls=_Pipeline)
 @click.option("--config", "config_path",
               type=click.Path(exists=True, dir_okay=False), default=None,
               help="JSON config file with profile/seed/per-component "
@@ -135,21 +153,17 @@ def main(ctx, config_path, profile, seed, verbose):
 @click.option("--output", "output_path", required=True)
 def prepare(input_path, output_path):
     """Split raw documents (JSONL) into 4-8 line training poems."""
-    try:
-        docs = read_documents(input_path)
-        poems: list[Poem] = []
-        for doc in docs:
-            poems.extend(split_into_training_poems(doc))
-        write_poems(_outpath(output_path), poems)
-        if not poems:
-            log.warning("no usable poems in %s; wrote an empty corpus",
-                        input_path)
-        click.echo("lines  poems")
-        for n, count in sorted(line_count_histogram(poems).items()):
-            click.echo(f"{n:>5}  {count:>5}")
-        click.echo(f"total  {len(poems):>5}")
-    except PIPELINE_ERRORS as exc:
-        _fail(exc)
+    poems: list[Poem] = []
+    for doc in read_documents(input_path):
+        poems.extend(split_into_training_poems(doc))
+    write_poems(_outpath(output_path), poems)
+    if not poems:
+        log.warning("no usable poems in %s; wrote an empty corpus",
+                    input_path)
+    click.echo("lines  poems")
+    for n, count in sorted(line_count_histogram(poems).items()):
+        click.echo(f"{n:>5}  {count:>5}")
+    click.echo(f"total  {len(poems):>5}")
 
 
 def _read_pretrain(path: str) -> list[list[str]]:
@@ -172,7 +186,7 @@ def _read_pretrain(path: str) -> list[list[str]]:
 @click.option("--dev", "dev_path", required=True)
 @click.option("--embeddings", "emb_path", default=None,
               help="Word-vector text file (required for lm and topics).")
-@click.option("--dim", type=int, default=100,
+@click.option("--dim", type=click.IntRange(min=1), default=100,
               help="Dimension of the embedding file.")
 @click.option("--silver", "silver_path", default=None,
               help="Silver-labeled poems for the pred/gold variants.")
@@ -190,47 +204,43 @@ def train(obj, model, variant, train_path, dev_path, emb_path, dim,
     log.info("BLAS reports %s thread(s); large products and softmaxes may "
              "use %d row block(s)", "unknown" if threads is None else threads,
              net.max_row_blocks())
-    try:
-        out = _outpath(out_path)
-        if model != "rhymer":
-            if emb_path is None:
-                _fail(f"training {model} needs --embeddings")
-            table = load_embeddings(emb_path, dim)
-        if model == "lm":
-            lm_variant = LmVariant.from_name(variant)
-            gold_train = read_poems(train_path)
-            gold_dev = read_poems(dev_path)
-            silver = read_poems(silver_path) if silver_path else []
-            pretrain = (_read_pretrain(pretrain_path)
-                        if pretrain_path else None)
-            cfg = _component_config(obj, "lm", LmConfig)
-            trained = train_variant(lm_variant, gold_train, gold_dev,
-                                    silver, pretrain, table, cfg)
-            save_lm(out, trained)
-            history = trained.history
-        elif model == "rhymer":
-            train_ex = extract_rhyme_pairs(read_documents(train_path))
-            dev_ex = extract_rhyme_pairs(read_documents(dev_path))
-            cfg = _component_config(obj, "rhymer", RhymerConfig)
-            rhymer = RhymerModel(cfg)
-            history = train_rhymer(rhymer, train_ex, dev_ex)
-            save_rhymer(out, rhymer, history)
-        else:
-            cfg = _component_config(obj, "topics", TopicConfig)
-            classifier, history = train_topic_model(
-                read_poems(train_path), read_poems(dev_path), table, cfg)
-            save_topics(out, classifier, history)
-        _write_json(out + ".json", {
-            "model": model,
-            "variant": variant if model == "lm" else None,
-            "profile": obj["profile"],
-            "seed": obj["seed"],
-            "config": asdict(cfg),
-            "history": history,
-        })
-        click.echo(f"wrote {out}")
-    except PIPELINE_ERRORS as exc:
-        _fail(exc)
+    out = _outpath(out_path)
+    if model != "rhymer":
+        if emb_path is None:
+            _fail(f"training {model} needs --embeddings")
+        table = load_embeddings(emb_path, dim)
+    if model == "lm":
+        lm_variant = LmVariant.from_name(variant)
+        gold_train = read_poems(train_path)
+        gold_dev = read_poems(dev_path)
+        silver = read_poems(silver_path) if silver_path else []
+        pretrain = _read_pretrain(pretrain_path) if pretrain_path else None
+        cfg = _component_config(obj, "lm", LmConfig)
+        trained = train_variant(lm_variant, gold_train, gold_dev, silver,
+                                pretrain, table, cfg)
+        save_lm(out, trained)
+        history = trained.history
+    elif model == "rhymer":
+        train_ex = extract_rhyme_pairs(read_documents(train_path))
+        dev_ex = extract_rhyme_pairs(read_documents(dev_path))
+        cfg = _component_config(obj, "rhymer", RhymerConfig)
+        rhymer = RhymerModel(cfg)
+        history = train_rhymer(rhymer, train_ex, dev_ex)
+        save_rhymer(out, rhymer, history)
+    else:
+        cfg = _component_config(obj, "topics", TopicConfig)
+        classifier, history = train_topic_model(
+            read_poems(train_path), read_poems(dev_path), table, cfg)
+        save_topics(out, classifier, history)
+    _write_json(out + ".json", {
+        "model": model,
+        "variant": variant if model == "lm" else None,
+        "profile": obj["profile"],
+        "seed": obj["seed"],
+        "config": asdict(cfg),
+        "history": history,
+    })
+    click.echo(f"wrote {out}")
 
 
 @main.command()
@@ -239,88 +249,73 @@ def train(obj, model, variant, train_path, dev_path, emb_path, dim,
 @click.option("--output", "output_path", required=True)
 def label(ckpt_path, input_path, output_path):
     """Attach silver topic labels to an unlabeled poem corpus."""
-    try:
-        classifier = load_topics(ckpt_path)
-        poems = read_poems(input_path)
-        write_poems(_outpath(output_path), classifier.label_corpus(poems))
-        click.echo(f"labeled {len(poems)} poems")
-    except PIPELINE_ERRORS as exc:
-        _fail(exc)
-
-
-def _lm_table(emb_path: str, dim: int, lm: PoemLM) -> EmbeddingTable:
-    """The embeddings file's table, which feeds the LM's topic channel
-    and so must be as wide as the LM was trained with."""
-    table = load_embeddings(emb_path, dim)
-    if table.dim != lm.topic_dim:
-        raise EmbeddingError(
-            f"{emb_path}: embeddings are {table.dim} wide, but the LM "
-            f"checkpoint takes {lm.topic_dim}-wide vectors")
-    return table
+    classifier = load_topics(ckpt_path)
+    poems = read_poems(input_path)
+    write_poems(_outpath(output_path), classifier.label_corpus(poems))
+    click.echo(f"labeled {len(poems)} poems")
 
 
 @main.command("eval-ppl")
 @click.option("--checkpoint", "ckpt_path", required=True)
 @click.option("--test", "test_path", required=True)
-@click.option("--embeddings", "emb_path", default=None)
-@click.option("--dim", type=int, default=100)
+@click.option("--embeddings", "emb_path", default=None,
+              help="Word-vector text file, as wide as the LM's topic "
+                   "vectors.")
 @click.option("--json", "json_path", default=None)
-def eval_ppl(ckpt_path, test_path, emb_path, dim, json_path):
+def eval_ppl(ckpt_path, test_path, emb_path, json_path):
     """Report test-set perplexity for an LM checkpoint."""
-    try:
-        trained = load_lm(ckpt_path)
-        model = trained.model
-        poems = read_poems(test_path)
-        tokens = [t for p in poems for t in p.tokens()]
-        if tokens:
-            oov = sum(t not in model.vocab for t in tokens) / len(tokens)
-            if oov > 0.5:
-                _fail(f"vocabulary mismatch: {oov:.0%} of corpus tokens "
-                      f"are unknown to the checkpoint")
-        table = _lm_table(emb_path, dim, model) if emb_path else None
-        ppl = model.perplexity(poems, table)
-        click.echo(f"{model.variant.name}\t{ppl:.3f}")
-        payload = {"variant": model.variant.name, "perplexity": ppl,
-                   "n_poems": len(poems)}
-        _write_json(json_path or ckpt_path + ".ppl.json", payload)
-    except PIPELINE_ERRORS as exc:
-        _fail(exc)
+    model = load_lm(ckpt_path).model
+    poems = read_poems(test_path)
+    tokens = [t for p in poems for t in p.tokens()]
+    if tokens:
+        oov = sum(t not in model.vocab for t in tokens) / len(tokens)
+        if oov > 0.5:
+            _fail(f"vocabulary mismatch: {oov:.0%} of corpus tokens "
+                  f"are unknown to the checkpoint")
+    table = load_embeddings(emb_path, model.topic_dim) if emb_path else None
+    ppl = model.perplexity(poems, table)
+    click.echo(f"{model.variant.name}\t{ppl:.3f}")
+    payload = {"variant": model.variant.name, "perplexity": ppl,
+               "n_poems": len(poems)}
+    _write_json(json_path or ckpt_path + ".ppl.json", payload)
 
 
 @main.command()
 @click.argument("word")
 @click.option("--lm", "lm_path", required=True)
 @click.option("--rhymer", "rhymer_path", default=None)
-@click.option("--embeddings", "emb_path", required=True)
-@click.option("--dim", type=int, default=100)
-@click.option("--st/--no-st", default=True, help="First-word topic steering.")
-@click.option("--ac/--no-ac", default=True, help="Acrostic masking.")
-@click.option("--rh/--no-rh", "--rhyme/--no-rhyme", default=True,
-              help="Rhyme-scheme substitution.")
-@click.option("--tp/--no-tp", default=True, help="Topic conditioning.")
+@click.option("--embeddings", "emb_path", required=True,
+              help="Word-vector text file, as wide as the LM's topic "
+                   "vectors.")
+@click.option("--st/--no-st", default=None,
+              help="First-word topic steering (default on).")
+@click.option("--ac/--no-ac", default=None,
+              help="Acrostic masking (default on).")
+@click.option("--rh/--no-rh", "--rhyme/--no-rhyme", default=None,
+              help="Rhyme-scheme substitution (default on).")
+@click.option("--tp/--no-tp", default=None,
+              help="Topic conditioning (default on).")
 @click.option("--json", "json_path", default=None)
 @click.pass_obj
-def generate(obj, word, lm_path, rhymer_path, emb_path, dim, st, ac, rh,
-             tp, json_path):
-    """Generate an acrostic poem spelling WORD (4-8 letters)."""
+def generate(obj, word, lm_path, rhymer_path, emb_path, st, ac, rh, tp,
+             json_path):
+    """Generate an acrostic poem spelling WORD (4-8 letters).
+
+    A flag left unset takes its value from the config file's `generate`
+    section, else its default."""
     if not re.fullmatch(r"[a-zA-Z]{4,8}", word):
         raise click.BadParameter(
             f"word must be 4-8 letters a-z, got {word!r}", param_hint="WORD")
-    try:
-        trained = load_lm(lm_path)
-        table = _lm_table(emb_path, dim, trained.model)
-        rhymer = load_rhymer(rhymer_path) if rhymer_path else None
-        gen_section = _section(obj, "generate", GenerationConfig)
-        gen_section.update({"st": st, "ac": ac, "rh": rh, "tp": tp,
-                            "rng_seed": obj["seed"]})
-        cfg = GenerationConfig(**gen_section)
-        models = ModelBundle(lm=trained.model, table=table, rhymer=rhymer)
-        result = generate_poem(word, cfg, models)
-        click.echo(render_poem(result.poem))
-        if json_path:
-            _write_json(json_path, result.record(cfg))
-    except PIPELINE_ERRORS as exc:
-        _fail(exc)
+    lm = load_lm(lm_path).model
+    table = load_embeddings(emb_path, lm.topic_dim)
+    rhymer = load_rhymer(rhymer_path) if rhymer_path else None
+    cfg = _component_config(obj, "generate", GenerationConfig, "rng_seed",
+                            st=st, ac=ac, rh=rh, tp=tp)
+    result = generate_poem(word, cfg, ModelBundle(lm=lm, table=table,
+                                                  rhymer=rhymer))
+    click.echo(render_poem(result.poem))
+    if json_path:
+        _write_json(json_path, result.record(cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -556,9 +556,10 @@ class Linear:
 # Dropout (inverted: scaled at train time, identity at inference)
 # ---------------------------------------------------------------------------
 
-def dropout_forward(X: np.ndarray, rate: float, rng: np.random.Generator,
-                    train: bool):
-    if not train or rate == 0.0:
+def dropout_forward(X: np.ndarray, rate: float,
+                    rng: np.random.Generator | None):
+    """Masks drawn from rng; without an rng (inference) X passes as is."""
+    if rng is None or rate == 0.0:
         return X, None
     keep = 1.0 - rate
     mask = (rng.random(X.shape) < keep) / keep

@@ -191,21 +191,21 @@ class PoemLM:
     # -- forward / backward ---------------------------------------------------
 
     def forward_batch(self, token_ids: np.ndarray, cond: np.ndarray,
-                      train: bool = False,
                       rng: Optional[np.random.Generator] = None,
                       positions: Optional[np.ndarray] = None):
         """Logits for (T,B) token ids under (B,C) conditions: (T,B,V), or
         (len(positions), V) at the given flat positions t * B + b only.
 
         The conditions are layer 0's constant input, so they are projected
-        once per batch, not once per step.
+        once per batch, not once per step.  Dropout runs, with masks drawn
+        from rng, only when rng is given.
         """
         if token_ids.max() >= len(self.vocab) or token_ids.min() < 0:
             raise PoemLmError("token id out of range")
         H, cache = self.layers[0].forward(self.emb[token_ids], const=cond)
         caches = [(cache, None)]
         for layer in self.layers[1:]:
-            H, dmask = dropout_forward(H, self.cfg.dropout, rng, train)
+            H, dmask = dropout_forward(H, self.cfg.dropout, rng)
             H, cache = layer.forward(H)
             caches.append((cache, dmask))
         shape = H.shape
@@ -243,8 +243,7 @@ class PoemLM:
         """
         inputs, targets, weights, cond = batch
         positions = np.flatnonzero(weights > 0)
-        logits, caches = self.forward_batch(inputs, cond,
-                                            train=rng is not None, rng=rng,
+        logits, caches = self.forward_batch(inputs, cond, rng=rng,
                                             positions=positions)
         targets = targets.reshape(-1)[positions]
         weights = weights.reshape(-1)[positions]

@@ -310,12 +310,12 @@ class RhymerModel:
             step_rows, lambda state, rows: (state[0][rows], state[1][rows]),
             (np.zeros((1, H)), np.zeros((1, H))), eos_id=EOS_ID,
             width=width, max_len=MAX_WORD_LEN)
+        # completed id tuples are distinct and hold no PAD, BOS or EOS, so
+        # their words are distinct too
         out = []
-        seen = set()
         for ids, score in hyps:
             word = decode_chars(ids)
-            if word and word not in seen:
-                seen.add(word)
+            if word:
                 out.append((word, float(score)))
             if len(out) == width:
                 break

@@ -344,7 +344,7 @@ def _run_pipeline(root):
         "--dev", root / "sonnets_dev.jsonl", "--out", root / "rhymer.ckpt")
     poem_out = run("generate", "mist", "--lm", root / "lm.ckpt",
                    "--rhymer", root / "rhymer.ckpt",
-                   "--embeddings", root / "vectors.txt", "--dim", 8,
+                   "--embeddings", root / "vectors.txt",
                    "--json", root / "poem.json")
     artifacts = {
         name: (root / name).read_bytes()

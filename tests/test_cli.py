@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from helpers import make_documents, make_poems, make_sonnets, make_table
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from acropoet import cli
 from acropoet.cli import PIPELINE_ERRORS, gradient_suite, main
 from acropoet.corpus import (
     Poem, RawDocument, read_poems, split_into_training_poems, write_poems,
@@ -221,7 +222,7 @@ def test_eval_ppl_prints_and_writes_json(workdir, tmp_path):
     root, run = workdir
     args = ("eval-ppl", "--checkpoint", root / "lm.ckpt",
             "--test", root / "dev.jsonl",
-            "--embeddings", root / "vectors.txt", "--dim", DIM,
+            "--embeddings", root / "vectors.txt",
             "--json", tmp_path / "ppl.json")
     r1 = run(*args)
     assert r1.exit_code == 0, r1.output
@@ -239,7 +240,7 @@ def test_eval_ppl_vocabulary_mismatch(workdir, tmp_path):
     write_poems(tmp_path / "alien.jsonl", alien)
     result = run("eval-ppl", "--checkpoint", root / "lm.ckpt",
                  "--test", tmp_path / "alien.jsonl",
-                 "--embeddings", root / "vectors.txt", "--dim", DIM)
+                 "--embeddings", root / "vectors.txt")
     assert result.exit_code == 1
     assert "vocabulary mismatch" in result.output
 
@@ -254,10 +255,16 @@ def test_embeddings_narrower_than_the_lm_are_clean_error(workdir, tmp_path,
             if command == "generate" else
             ["eval-ppl", "--checkpoint", root / "lm.ckpt",
              "--test", root / "dev.jsonl"])
-    result = run(*args, "--embeddings", narrow, "--dim", DIM - 2)
+    result = run(*args, "--embeddings", narrow)
     assert _assert_one_error_line(result) == (
-        f"error: {narrow}: embeddings are {DIM - 2} wide, but the LM "
-        f"checkpoint takes {DIM}-wide vectors")
+        f"error: {narrow}:1: expected {DIM} values, got {DIM - 2}")
+
+
+@pytest.mark.parametrize("command", ["generate", "eval-ppl"])
+def test_embeddings_width_comes_from_the_lm_checkpoint(command):
+    result = CliRunner().invoke(main, [command, "--help"])
+    assert result.exit_code == 0
+    assert "--dim" not in result.output
 
 
 # --- generate -------------------------------------------------------------------
@@ -266,7 +273,7 @@ def test_generate_prints_acrostic_and_json(workdir, tmp_path):
     root, run = workdir
     result = run("generate", "mist", "--lm", root / "lm.ckpt",
                  "--rhymer", root / "rhymer.ckpt",
-                 "--embeddings", root / "vectors.txt", "--dim", DIM,
+                 "--embeddings", root / "vectors.txt",
                  "--json", tmp_path / "poem.json")
     assert result.exit_code == 0, result.output
     lines = result.output.strip().split("\n")
@@ -283,7 +290,7 @@ def test_generate_deterministic_output(workdir):
     root, run = workdir
     args = ("generate", "wave", "--lm", root / "lm.ckpt",
             "--rhymer", root / "rhymer.ckpt",
-            "--embeddings", root / "vectors.txt", "--dim", DIM)
+            "--embeddings", root / "vectors.txt")
     assert run(*args).output == run(*args).output
 
 
@@ -291,7 +298,7 @@ def test_generate_no_rhyme_skips_rhymer(workdir, tmp_path):
     root, run = workdir
     result = run("generate", "glow", "--lm", root / "lm.ckpt",
                  "--no-rh", "--embeddings", root / "vectors.txt",
-                 "--dim", DIM, "--json", tmp_path / "poem.json")
+                 "--json", tmp_path / "poem.json")
     assert result.exit_code == 0, result.output
     record = json.loads((tmp_path / "poem.json").read_text())
     assert record["rhyme_slots_filled"] == []
@@ -300,7 +307,7 @@ def test_generate_no_rhyme_skips_rhymer(workdir, tmp_path):
 def test_generate_rhyme_without_rhymer_fails(workdir):
     root, run = workdir
     result = run("generate", "glow", "--lm", root / "lm.ckpt",
-                 "--embeddings", root / "vectors.txt", "--dim", DIM)
+                 "--embeddings", root / "vectors.txt")
     assert result.exit_code == 1
     assert "rhymer" in result.output
 
@@ -314,14 +321,53 @@ def _assert_one_error_line(result):
     return errors[0]
 
 
+def _boundary_cases(root, out):
+    """command -> (module, name of its first library call, arguments)."""
+    ckpt = ["--checkpoint", root / "lm.ckpt", "--test", root / "dev.jsonl"]
+    models = ["--lm", root / "lm.ckpt", "--rhymer", root / "rhymer.ckpt",
+              "--embeddings", root / "vectors.txt"]
+    return {
+        "prepare": (cli, "read_documents", ["prepare", "--input",
+                    root / "docs.jsonl", "--output", out / "out.jsonl"]),
+        "train lm": (cli, "load_embeddings",
+                     _train_args(root, "lm", out / "m.ckpt")),
+        "train rhymer": (cli, "read_documents",
+                         _train_args(root, "rhymer", out / "m.ckpt")),
+        "train topics": (cli, "load_embeddings",
+                         _train_args(root, "topics", out / "m.ckpt")),
+        "label": (cli, "load_topics", [
+            "label", "--checkpoint", root / "topics.ckpt", "--input",
+            root / "dev.jsonl", "--output", out / "out.jsonl"]),
+        "eval-ppl": (cli, "load_lm", ["eval-ppl", *ckpt]),
+        "generate": (cli, "load_lm", ["generate", "glow", *models]),
+        "gradcheck": (cli.net, "child_rng", ["gradcheck", "--seeds", "1"]),
+    }
+
+
+@pytest.mark.parametrize("error", PIPELINE_ERRORS,
+                         ids=lambda e: e.__name__)
+@pytest.mark.parametrize("command", [
+    "prepare", "train lm", "train rhymer", "train topics", "label",
+    "eval-ppl", "generate", "gradcheck"])
+def test_every_command_turns_a_pipeline_error_into_one_line(
+        workdir, tmp_path, monkeypatch, command, error):
+    root, run = workdir
+    module, name, args = _boundary_cases(root, tmp_path)[command]
+    message = f"{error.__name__} from {name}"
+
+    def fail(*args, **kwargs):
+        raise error(message)
+    monkeypatch.setattr(module, name, fail)
+    assert _assert_one_error_line(run(*args)) == f"error: {message}"
+
+
 def test_generate_truncated_checkpoint_is_clean_error(workdir, tmp_path):
     root, run = workdir
     data = (root / "lm.ckpt").read_bytes()
     for cut in (10, 100, len(data) // 2, len(data) - 3):
         (tmp_path / "cut.ckpt").write_bytes(data[:cut])
         result = run("generate", "glow", "--lm", tmp_path / "cut.ckpt",
-                     "--no-rh", "--embeddings", root / "vectors.txt",
-                     "--dim", DIM)
+                     "--no-rh", "--embeddings", root / "vectors.txt")
         assert "cut.ckpt" in _assert_one_error_line(result)
 
 
@@ -330,7 +376,7 @@ def test_generate_non_utf8_embeddings_is_clean_error(workdir, tmp_path):
     bad = tmp_path / "vectors.txt"
     bad.write_bytes((root / "vectors.txt").read_bytes() + b"\xff\xfe 1\n")
     result = run("generate", "glow", "--lm", root / "lm.ckpt", "--no-rh",
-                 "--embeddings", bad, "--dim", DIM)
+                 "--embeddings", bad)
     assert "not valid UTF-8" in _assert_one_error_line(result)
 
 
@@ -342,7 +388,7 @@ def test_non_finite_embeddings_are_clean_errors(workdir, tmp_path, value):
     lines[2] = lines[2].rsplit(" ", 1)[0] + f" {value}"
     bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
     result = run("generate", "glow", "--lm", root / "lm.ckpt", "--no-rh",
-                 "--embeddings", bad, "--dim", DIM)
+                 "--embeddings", bad)
     assert f"vectors.txt:3: non-finite value {value}" in (
         _assert_one_error_line(result))
     result = run("train", "topics", "--train", root / "train.jsonl",
@@ -356,7 +402,7 @@ def test_non_finite_embeddings_are_clean_errors(workdir, tmp_path, value):
 def test_generate_invalid_word_usage_error(workdir, word):
     root, run = workdir
     result = run("generate", word, "--lm", root / "lm.ckpt",
-                 "--embeddings", root / "vectors.txt", "--dim", DIM)
+                 "--embeddings", root / "vectors.txt")
     assert result.exit_code == 2
 
 
@@ -446,8 +492,7 @@ def test_generate_bad_checkpoint_header_is_clean_error(workdir, tmp_path):
     (tmp_path / "bad.ckpt").write_bytes(data[:14] + header
                                         + data[14 + hlen:])
     result = run("generate", "glow", "--lm", tmp_path / "bad.ckpt",
-                 "--no-rh", "--embeddings", root / "vectors.txt",
-                 "--dim", DIM)
+                 "--no-rh", "--embeddings", root / "vectors.txt")
     assert "corrupt checkpoint header" in _assert_one_error_line(result)
 
 
@@ -462,7 +507,7 @@ def test_deeply_nested_checkpoint_header_is_clean_error(workdir, tmp_path,
         data[:6] + len(header).to_bytes(8, "little") + header
         + data[14 + hlen:])
     args = (["generate", "glow", "--lm", tmp_path / "deep.ckpt", "--no-rh",
-             "--embeddings", root / "vectors.txt", "--dim", DIM]
+             "--embeddings", root / "vectors.txt"]
             if command == "generate" else
             ["eval-ppl", "--checkpoint", tmp_path / "deep.ckpt",
              "--test", root / "dev.jsonl"])
@@ -494,7 +539,7 @@ def test_unknown_generate_config_key_is_usage_error(workdir, tmp_path):
     result = _run_with_config(
         tmp_path, {"generate": {"beam_width": 3, "bogus": 1}}, "generate",
         "glow", "--lm", root / "lm.ckpt", "--no-rh",
-        "--embeddings", root / "vectors.txt", "--dim", DIM)
+        "--embeddings", root / "vectors.txt")
     assert result.exit_code == 2
     assert "Traceback" not in result.output
     assert "'bogus'" in result.output and "'generate'" in result.output
@@ -509,7 +554,7 @@ def test_non_finite_generate_config_is_clean_error(workdir, tmp_path,
     result = _run_with_config(
         tmp_path, {"generate": section}, "generate", "glow",
         "--lm", root / "lm.ckpt", "--no-rh",
-        "--embeddings", root / "vectors.txt", "--dim", DIM)
+        "--embeddings", root / "vectors.txt")
     assert result.exit_code == 1
     assert "Traceback" not in result.output
     assert result.output.startswith("error:")
@@ -527,7 +572,7 @@ def test_out_of_range_generate_config_is_clean_error(workdir, tmp_path,
     result = _run_with_config(
         tmp_path, {"generate": section}, "generate", "glow",
         "--lm", root / "lm.ckpt", "--no-rh",
-        "--embeddings", root / "vectors.txt", "--dim", DIM)
+        "--embeddings", root / "vectors.txt")
     assert result.exit_code == 1
     assert "Traceback" not in result.output
     assert result.output == f"error: {name} must be positive\n"
@@ -554,6 +599,78 @@ def test_bad_config_file_is_usage_error(workdir, tmp_path, config):
         str(a) for a in _train_topics_args(root, tmp_path)]])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "t.ckpt").exists()
+
+
+@pytest.mark.parametrize("kind", ["lm", "rhymer", "topics"])
+def test_section_seed_is_usage_error(workdir, tmp_path, kind):
+    """A component's seed derives from the top-level one, so a section's
+    own seed would be ignored; it is refused instead."""
+    root, _ = workdir
+    config = json.loads((root / "config.json").read_text())
+    config[kind]["seed"] = 5
+    out = tmp_path / "m.ckpt"
+    result = _run_with_config(tmp_path, config, *_train_args(root, kind, out))
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert f"config section '{kind}' sets 'seed'" in result.output
+    assert "top-level 'seed'" in result.output
+    assert not out.exists()
+
+
+def test_generate_section_rng_seed_is_usage_error(workdir, tmp_path):
+    root, _ = workdir
+    result = _run_with_config(
+        tmp_path, {"generate": {"rng_seed": 5}}, "generate", "glow",
+        "--lm", root / "lm.ckpt", "--no-rh",
+        "--embeddings", root / "vectors.txt")
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert "config section 'generate' sets 'rng_seed'" in result.output
+    assert "top-level 'seed'" in result.output
+
+
+@pytest.mark.parametrize("flag", ["st", "ac", "rh", "tp"])
+def test_generate_flag_from_config_yields_to_command_line(workdir, tmp_path,
+                                                         flag):
+    """Config section < command line: a section's `false` holds while
+    the flag is unset, and the flag given on the command line wins."""
+    root, _ = workdir
+    args = ["generate", "glow", "--lm", root / "lm.ckpt",
+            "--rhymer", root / "rhymer.ckpt",
+            "--embeddings", root / "vectors.txt",
+            "--json", tmp_path / "poem.json"]
+    for given, want in (([], False), ([f"--{flag}"], True)):
+        result = _run_with_config(tmp_path, {"generate": {flag: False}},
+                                  *args, *given)
+        assert result.exit_code == 0, result.output
+        flags = json.loads((tmp_path / "poem.json").read_text())["flags"]
+        assert flags == {**dict.fromkeys(flags, True), flag: want}
+
+
+def test_generate_section_rh_false_needs_no_rhymer(workdir, tmp_path):
+    root, _ = workdir
+    args = ["generate", "glow", "--lm", root / "lm.ckpt",
+            "--embeddings", root / "vectors.txt",
+            "--json", tmp_path / "poem.json"]
+    result = _run_with_config(tmp_path, {"generate": {"rh": False}}, *args)
+    assert result.exit_code == 0, result.output
+    record = json.loads((tmp_path / "poem.json").read_text())
+    assert record["flags"]["rh"] is False
+    result = _run_with_config(tmp_path, {"generate": {"rh": False}}, *args,
+                              "--rh")
+    assert "no rhymer" in _assert_one_error_line(result)
+
+
+@pytest.mark.parametrize("dim", ["-1", "0"])
+def test_train_dim_below_one_is_usage_error(workdir, tmp_path, dim):
+    root, run = workdir
+    result = run("train", "topics", "--train", root / "train.jsonl",
+                 "--dev", root / "dev.jsonl",
+                 "--embeddings", root / "vectors.txt", "--dim", dim,
+                 "--out", tmp_path / "t.ckpt")
+    assert result.exit_code == 2
     assert "Traceback" not in result.output
     assert not (tmp_path / "t.ckpt").exists()
 
@@ -611,7 +728,7 @@ def test_bad_checkpoint_meta_is_clean_error(workdir, tmp_path, kind,
         models = (["--lm", bad, "--no-rh"] if kind == "lm" else
                   ["--lm", root / "lm.ckpt", "--rhymer", bad])
         result = run("generate", "glow", *models,
-                     "--embeddings", root / "vectors.txt", "--dim", DIM)
+                     "--embeddings", root / "vectors.txt")
     line = _assert_one_error_line(result)
     assert "bad.ckpt" in line and named in line
 
@@ -624,7 +741,7 @@ def _load_model(run, root, out, kind, path):
     models = (["--lm", path, "--no-rh"] if kind == "lm" else
               ["--lm", root / "lm.ckpt", "--rhymer", path])
     return run("generate", "glow", *models,
-               "--embeddings", root / "vectors.txt", "--dim", DIM)
+               "--embeddings", root / "vectors.txt")
 
 
 # --- checkpoints whose arrays are not the ones their meta implies -----------
@@ -797,7 +914,7 @@ def test_fuzzed_config_file_exits_cleanly(workdir, tmp_path, config):
     result = CliRunner().invoke(main, [
         "--config", str(path), "generate", "glow",
         "--lm", str(root / "lm.ckpt"), "--rhymer", str(root / "rhymer.ckpt"),
-        "--embeddings", str(root / "vectors.txt"), "--dim", str(DIM)])
+        "--embeddings", str(root / "vectors.txt")])
     _assert_clean_exit(result)
 
 

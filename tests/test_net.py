@@ -193,13 +193,13 @@ def test_early_stopper_patience_sequence():
 
 def test_dropout_identity_at_inference():
     x = np.ones((5, 5))
-    y, mask = dropout_forward(x, 0.4, np.random.default_rng(0), train=False)
+    y, mask = dropout_forward(x, 0.4, None)
     assert y is x and mask is None
 
 def test_dropout_preserves_scale():
     rng = np.random.default_rng(0)
     x = np.ones(10000)
-    y, _ = dropout_forward(x, 0.4, rng, train=True)
+    y, _ = dropout_forward(x, 0.4, rng)
     assert abs(y.mean() - 1.0) < 0.02
 
 

@@ -177,7 +177,7 @@ def test_gradcheck_full_model(table):
     inputs, targets, weights, cond = batch
 
     def loss_and_grads():
-        logits, caches = model.forward_batch(inputs, cond, train=False)
+        logits, caches = model.forward_batch(inputs, cond)
         V = logits.shape[-1]
         loss, probs, wsum = softmax_xent_batch(
             logits.reshape(-1, V), targets.reshape(-1), weights.reshape(-1))
@@ -196,7 +196,7 @@ def test_gradcheck_full_model(table):
 def _full_logits_xent(model, inputs, targets, weights, cond, rng):
     """The loss and gradients from logits at every position, padding
     included: the reference for the target-position path."""
-    logits, caches = model.forward_batch(inputs, cond, train=True, rng=rng)
+    logits, caches = model.forward_batch(inputs, cond, rng=rng)
     V = logits.shape[-1]
     loss, probs, _ = softmax_xent_batch(
         logits.reshape(-1, V), targets.reshape(-1), weights.reshape(-1))

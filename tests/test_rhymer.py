@@ -211,6 +211,15 @@ def test_batched_beam_equals_per_hypothesis_beam_trained(tiny_rhymer):
     model, _ = tiny_rhymer
     _assert_same_candidates(model)
 
+@pytest.mark.parametrize("seed", range(4))
+def test_rhyme_candidates_are_distinct_words(seed):
+    """Completed id tuples are distinct and hold no PAD, BOS or EOS, so
+    their words are distinct without a filter."""
+    model = RhymerModel(RhymerConfig.desk_scale(seed=seed))
+    for a, b, width in BEAM_INPUTS:
+        words = [w for w, _ in model.rhyme_candidates(a, b, width=width)]
+        assert words and len(set(words)) == len(words), (a, b, width)
+
 # --- the stop once the best completions are final -----------------------------
 
 def run_to_max_len(step_rows, take_rows, state, eos_id, width, max_len):
