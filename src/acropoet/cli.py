@@ -148,8 +148,7 @@ def main(ctx, config_path, profile, seed, verbose):
 
 
 @main.command()
-@click.option("--input", "input_path", required=True,
-              type=click.Path(dir_okay=False))
+@click.option("--input", "input_path", required=True)
 @click.option("--output", "output_path", required=True)
 def prepare(input_path, output_path):
     """Split raw documents (JSONL) into 4-8 line training poems."""
@@ -166,6 +165,14 @@ def prepare(input_path, output_path):
     click.echo(f"total  {len(poems):>5}")
 
 
+def _read_some(read, path, what: str = "poems") -> list:
+    """read(path), which must hold at least one item."""
+    items = read(path)
+    if not items:
+        raise CorpusError(f"{path}: no {what}")
+    return items
+
+
 def _read_pretrain(path: str) -> list[list[str]]:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -175,72 +182,111 @@ def _read_pretrain(path: str) -> list[list[str]]:
     return [s for s in sentences if s]
 
 
-@main.command()
-@click.argument("model", type=click.Choice(["lm", "rhymer", "topics"]))
-@click.option("--variant", type=click.Choice(list(LmVariant.NAMES)),
-              default="gold+",
-              help="LM training regime (ignored for rhymer/topics).")
-@click.option("--train", "train_path", required=True,
-              help="Training corpus (poem JSONL; document JSONL for the "
-                   "rhymer).")
-@click.option("--dev", "dev_path", required=True)
-@click.option("--embeddings", "emb_path", default=None,
-              help="Word-vector text file (required for lm and topics).")
-@click.option("--dim", type=click.IntRange(min=1), default=100,
-              help="Dimension of the embedding file.")
-@click.option("--silver", "silver_path", default=None,
-              help="Silver-labeled poems for the pred/gold variants.")
-@click.option("--pretrain", "pretrain_path", default=None,
-              help="Plain-text file (one sentence per line) for the wiki "
-                   "variants.")
-@click.option("--out", "out_path", required=True,
-              help="Checkpoint path; a JSON training log is written "
-                   "alongside.")
-@click.pass_obj
-def train(obj, model, variant, train_path, dev_path, emb_path, dim,
-          silver_path, pretrain_path, out_path):
-    """Train one model and write its checkpoint plus a JSON log."""
+def _rhyme_pairs(path: str) -> list[RhymeExample]:
+    return extract_rhyme_pairs(read_documents(path))
+
+
+def _log_blas() -> None:
     threads = net.blas_threads()
     log.info("BLAS reports %s thread(s); large products and softmaxes may "
              "use %d row block(s)", "unknown" if threads is None else threads,
              net.max_row_blocks())
+
+
+def _save_trained(obj, out_path, name, cfg, history, save, variant=None):
+    """save(out) writes the checkpoint; the JSON training log goes
+    alongside it."""
     out = _outpath(out_path)
-    if model != "rhymer":
-        if emb_path is None:
-            _fail(f"training {model} needs --embeddings")
-        table = load_embeddings(emb_path, dim)
-    if model == "lm":
-        lm_variant = LmVariant.from_name(variant)
-        gold_train = read_poems(train_path)
-        gold_dev = read_poems(dev_path)
-        silver = read_poems(silver_path) if silver_path else []
-        pretrain = _read_pretrain(pretrain_path) if pretrain_path else None
-        cfg = _component_config(obj, "lm", LmConfig)
-        trained = train_variant(lm_variant, gold_train, gold_dev, silver,
-                                pretrain, table, cfg)
-        save_lm(out, trained)
-        history = trained.history
-    elif model == "rhymer":
-        train_ex = extract_rhyme_pairs(read_documents(train_path))
-        dev_ex = extract_rhyme_pairs(read_documents(dev_path))
-        cfg = _component_config(obj, "rhymer", RhymerConfig)
-        rhymer = RhymerModel(cfg)
-        history = train_rhymer(rhymer, train_ex, dev_ex)
-        save_rhymer(out, rhymer, history)
-    else:
-        cfg = _component_config(obj, "topics", TopicConfig)
-        classifier, history = train_topic_model(
-            read_poems(train_path), read_poems(dev_path), table, cfg)
-        save_topics(out, classifier, history)
+    save(out)
     _write_json(out + ".json", {
-        "model": model,
-        "variant": variant if model == "lm" else None,
+        "model": name,
+        "variant": variant,
         "profile": obj["profile"],
         "seed": obj["seed"],
         "config": asdict(cfg),
         "history": history,
     })
     click.echo(f"wrote {out}")
+
+
+@main.group()
+def train():
+    """Train one model and write its checkpoint plus a JSON log."""
+
+
+_TRAIN = click.option("--train", "train_path", required=True)
+_DEV = click.option("--dev", "dev_path", required=True)
+_EMBEDDINGS = click.option("--embeddings", "emb_path", required=True,
+                           help="Word-vector text file.")
+_OUT = click.option("--out", "out_path", required=True,
+                    help="Checkpoint path; a JSON training log is written "
+                         "alongside.")
+
+
+@train.command("lm")
+@click.option("--variant", type=click.Choice(list(LmVariant.NAMES)),
+              default="gold+", help="LM training regime.")
+@_TRAIN
+@_DEV
+@_EMBEDDINGS
+@click.option("--silver", "silver_path", default=None,
+              help="Silver-labeled poems for the pred/gold and wiki "
+                   "variants.")
+@click.option("--pretrain", "pretrain_path", default=None,
+              help="Plain-text file (one sentence per line) for the wiki "
+                   "variants.")
+@_OUT
+@click.pass_obj
+def train_lm_command(obj, variant, train_path, dev_path, emb_path,
+                     silver_path, pretrain_path, out_path):
+    """Train the conditional poem LM on poem JSONL corpora."""
+    _log_blas()
+    table = load_embeddings(emb_path)
+    gold_train = _read_some(read_poems, train_path)
+    gold_dev = _read_some(read_poems, dev_path)
+    silver = _read_some(read_poems, silver_path) if silver_path else []
+    pretrain = (_read_some(_read_pretrain, pretrain_path, "sentences")
+                if pretrain_path else None)
+    cfg = _component_config(obj, "lm", LmConfig)
+    trained = train_variant(LmVariant.from_name(variant), gold_train,
+                            gold_dev, silver, pretrain, table, cfg)
+    _save_trained(obj, out_path, "lm", cfg, trained.history,
+                  lambda out: save_lm(out, trained), variant)
+
+
+@train.command("rhymer")
+@_TRAIN
+@_DEV
+@_OUT
+@click.pass_obj
+def train_rhymer_command(obj, train_path, dev_path, out_path):
+    """Train the rhymer on document JSONL corpora."""
+    _log_blas()
+    train_ex = _read_some(_rhyme_pairs, train_path, "rhyme pairs")
+    dev_ex = _read_some(_rhyme_pairs, dev_path, "rhyme pairs")
+    cfg = _component_config(obj, "rhymer", RhymerConfig)
+    rhymer = RhymerModel(cfg)
+    history = train_rhymer(rhymer, train_ex, dev_ex)
+    _save_trained(obj, out_path, "rhymer", cfg, history,
+                  lambda out: save_rhymer(out, rhymer, history))
+
+
+@train.command("topics")
+@_TRAIN
+@_DEV
+@_EMBEDDINGS
+@_OUT
+@click.pass_obj
+def train_topics_command(obj, train_path, dev_path, emb_path, out_path):
+    """Train the topic classifier on poem JSONL corpora."""
+    _log_blas()
+    table = load_embeddings(emb_path)
+    cfg = _component_config(obj, "topics", TopicConfig)
+    classifier, history = train_topic_model(
+        _read_some(read_poems, train_path), _read_some(read_poems, dev_path),
+        table, cfg)
+    _save_trained(obj, out_path, "topics", cfg, history,
+                  lambda out: save_topics(out, classifier, history))
 
 
 @main.command()
@@ -260,12 +306,15 @@ def label(ckpt_path, input_path, output_path):
 @click.option("--test", "test_path", required=True)
 @click.option("--embeddings", "emb_path", default=None,
               help="Word-vector text file, as wide as the LM's topic "
-                   "vectors.")
+                   "vectors (needed when the LM has a topic channel).")
 @click.option("--json", "json_path", default=None)
 def eval_ppl(ckpt_path, test_path, emb_path, json_path):
     """Report test-set perplexity for an LM checkpoint."""
     model = load_lm(ckpt_path).model
-    poems = read_poems(test_path)
+    if model.variant.topic_channel and emb_path is None:
+        _fail(f"{ckpt_path}: a {model.variant.name} LM reads topic vectors; "
+              f"give --embeddings")
+    poems = _read_some(read_poems, test_path)
     tokens = [t for p in poems for t in p.tokens()]
     if tokens:
         oov = sum(t not in model.vocab for t in tokens) / len(tokens)

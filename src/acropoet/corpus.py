@@ -312,7 +312,8 @@ def _records(path):
                 where = f"{path}:{lineno}"
                 try:
                     rec = json.loads(raw)
-                except (json.JSONDecodeError, RecursionError) as exc:
+                except (ValueError, RecursionError) as exc:
+                    # ValueError: bad JSON or an int of too many digits
                     raise CorpusError(f"{where}: malformed JSON ({exc})")
                 if not isinstance(rec, dict):
                     raise CorpusError(f"{where}: not a JSON object")

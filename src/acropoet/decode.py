@@ -70,7 +70,6 @@ def _is_finite(value) -> bool:
 class GenerationConfig:
     k: int = 5
     m1: float = 0.7
-    m2: float = 0.3
     beam_width: int = 5
     st: bool = True
     ac: bool = True
@@ -81,14 +80,14 @@ class GenerationConfig:
     temperature: float = 1.0
 
     def __post_init__(self):
-        for name in ("m1", "m2", "temperature"):
+        for name in ("m1", "temperature"):
             if not _is_finite(getattr(self, name)):
                 raise DecodeError(f"{name} must be a finite number")
-        if abs(self.m1 + self.m2 - 1.0) > 1e-9:
-            raise DecodeError("m1 + m2 must equal 1")
+        if not 0 <= self.m1 <= 1:
+            raise DecodeError("m1 must lie in [0, 1]")
         if not self.st:
-            # the no-steering ablation is defined as m1=0, m2=1
-            self.m1, self.m2 = 0.0, 1.0
+            # the no-steering ablation is defined as m1=0
+            self.m1 = 0.0
         for name in ("k", "beam_width", "max_tokens_per_line"):
             if getattr(self, name) < 1:
                 raise DecodeError(f"{name} must be positive")

@@ -84,39 +84,49 @@ class EmbeddingTable:
         return self._rows.keys()
 
 
-def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
-    """Parse a word-vector text file, failing hard on any malformed line."""
+def load_embeddings(path, expected_dim: int | None = None) -> EmbeddingTable:
+    """Parse a word-vector text file, failing hard on any malformed line.
+    Every vector has expected_dim values; by default, as many as the
+    first vector line has."""
     try:
         table = _read_vectors(path, expected_dim)
     except UnicodeDecodeError as exc:
         raise EmbeddingError(bad_utf8_message(path, exc)) from None
     log.info("loaded %d embeddings of dim %d from %s",
-             len(table), expected_dim, path)
+             len(table), table.dim, path)
     return table
 
 
-def _read_vectors(path, expected_dim: int) -> EmbeddingTable:
+def _read_vectors(path, dim: int | None) -> EmbeddingTable:
     """Each line's values go straight into a row of a matrix sized by a
     first pass that counts the lines; a duplicate token overwrites the
     row of its first occurrence.  One check after the read rejects a
     non-finite value (nan, inf), naming the first line that holds one;
     the table then rejects a vector whose norm is not usable, naming its
-    line."""
+    line.  A file with no vector line, or whose first one has no values
+    when dim is None, is an error."""
     with open(path, "rb") as fh:
         n_lines = 1 + sum(chunk.count(b"\n")
                           for chunk in iter(lambda: fh.read(1 << 20), b""))
-    matrix = np.empty((n_lines, expected_dim))
+    matrix = None
     rows: dict[str, int] = {}
     line_of = [0] * n_lines  # the line each row was read from
-    with open(path, encoding="utf-8") as fh:
+    # lines end at "\n" alone, as in the count
+    with open(path, encoding="utf-8", newline="\n") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
+            line = line.rstrip("\r\n")
             if not line:
                 continue
             parts = line.split(" ")
-            if len(parts) != expected_dim + 1:
+            if matrix is None:
+                if dim is None:
+                    dim = len(parts) - 1
+                    if dim < 1:
+                        raise EmbeddingError(f"{path}:{lineno}: no values")
+                matrix = np.empty((n_lines, dim))
+            if len(parts) != dim + 1:
                 raise EmbeddingError(
-                    f"{path}:{lineno}: expected {expected_dim} values, "
+                    f"{path}:{lineno}: expected {dim} values, "
                     f"got {len(parts) - 1}"
                 )
             token = parts[0].lower()
@@ -132,6 +142,8 @@ def _read_vectors(path, expected_dim: int) -> EmbeddingTable:
                 raise EmbeddingError(f"{path}:{lineno}: bad float ({exc})")
             rows[token] = row
             line_of[row] = lineno
+    if matrix is None:
+        raise EmbeddingError(f"{path}: no vectors")
     matrix = matrix[:len(rows)]
     finite = np.isfinite(matrix)
     if not finite.all():

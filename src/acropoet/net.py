@@ -925,7 +925,11 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
                 raise NetError(
                     f"{path}: truncated checkpoint: {entry['name']} needs "
                     f"{count * 8} bytes, {left} left")
-            arr = np.empty(shape, dtype="<f8")
+            try:
+                arr = np.empty(shape, dtype="<f8")
+            except ValueError as exc:  # a shape numpy cannot make
+                raise NetError(f"{path}: corrupt checkpoint: {entry['name']} "
+                               f"has shape {list(shape)} ({exc})") from None
             fh.readinto(arr.reshape(-1).view(np.uint8))
             params[entry["name"]] = arr
         left = size - fh.tell()

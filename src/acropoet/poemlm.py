@@ -345,23 +345,15 @@ class PoemLM:
 
 def train_lm(model: PoemLM, train_poems: list[Poem], dev_poems: list[Poem],
              table: Optional[EmbeddingTable], seed_key: str = "finetune",
-             pretrain_sentences: Optional[list[list[str]]] = None,
+             zero_cond: bool = False,
              max_epochs: Optional[int] = None) -> list[dict]:
     """Early-stopped training loop; returns the per-epoch history.
 
-    When pretrain_sentences is given, trains on those as one-line poems
-    with zeroed conditioning; early stopping then watches held-out
-    pretrain sentences (a 10% tail split), not the poem dev set, so the
-    pretrained weights survive into finetuning.
+    zero_cond trains and evaluates with every conditioning channel
+    zeroed, as plain-text pretraining on `pretrain_poems` does.
     """
     cfg = model.cfg
     rng = net.child_rng(cfg.seed, "poemlm", seed_key)
-    zero_cond = pretrain_sentences is not None
-    if zero_cond:
-        sentences = [Poem(lines=[s]) for s in pretrain_sentences]
-        held_out = max(1, len(sentences) // 10)
-        train_poems = sentences[:-held_out] or sentences
-        dev_poems = sentences[-held_out:]
 
     def run_epoch():
         total, count = 0.0, 0.0
@@ -387,6 +379,17 @@ def train_lm(model: PoemLM, train_poems: list[Poem], dev_poems: list[Poem],
 class TrainedLm:
     model: PoemLM
     history: list[dict] = field(default_factory=list)
+
+
+def pretrain_poems(sentences: list[list[str]]) -> tuple[list[Poem],
+                                                       list[Poem]]:
+    """Plain-text sentences as one-line poems: (training, held out).  The
+    held-out poems are a 10% tail split, so that early stopping during
+    pretraining watches them, not the poem dev set, and the pretrained
+    weights survive into finetuning."""
+    sentences = [Poem(lines=[s]) for s in sentences]
+    held_out = max(1, len(sentences) // 10)
+    return sentences[:-held_out] or sentences, sentences[-held_out:]
 
 
 def train_variant(variant: LmVariant, gold_train: list[Poem],
@@ -417,8 +420,8 @@ def train_variant(variant: LmVariant, gold_train: list[Poem],
     history = []
     if variant.pretrain == "plain_text":
         history += [dict(h, phase="pretrain") for h in train_lm(
-            model, [], gold_dev, table, seed_key="pretrain",
-            pretrain_sentences=pretrain_sentences)]
+            model, *pretrain_poems(pretrain_sentences), table,
+            seed_key="pretrain", zero_cond=True)]
         # finetuning starts from fresh optimizer state
         model.store.step = 0
         for name in model.store.m:

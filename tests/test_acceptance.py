@@ -31,7 +31,8 @@ from acropoet.decode import (
 )
 from acropoet.embed import EmbeddingTable, knn_with_initial
 from acropoet.poemlm import (
-    LmConfig, LmVariant, PoemLM, build_embedding_matrix, train_lm,
+    LmConfig, LmVariant, PoemLM, build_embedding_matrix, pretrain_poems,
+    train_lm,
 )
 from acropoet.rhymer import RhymerConfig, RhymerModel, beam_search
 from acropoet.topics import TopicConfig, train_topic_model
@@ -164,8 +165,8 @@ def test_criterion_05_pretraining_direction_soft(table, announce):
                            emb_matrix=build_embedding_matrix(vocab, table),
                            variant=LmVariant.from_name("gold+"))
             if pretrain:
-                train_lm(model, [], gold_dev, table, seed_key="pretrain",
-                         pretrain_sentences=sentences, max_epochs=8)
+                train_lm(model, *pretrain_poems(sentences), table,
+                         seed_key="pretrain", zero_cond=True, max_epochs=8)
                 model.store.step = 0
                 for name in model.store.m:
                     model.store.m[name][...] = 0.0
@@ -331,11 +332,11 @@ def _run_pipeline(root):
         "--output", root / "prepared.jsonl")
     run("train", "lm", "--variant", "gold+",
         "--train", root / "train.jsonl", "--dev", root / "dev.jsonl",
-        "--embeddings", root / "vectors.txt", "--dim", 8,
+        "--embeddings", root / "vectors.txt",
         "--out", root / "lm.ckpt")
     run("train", "topics", "--train", root / "train.jsonl",
         "--dev", root / "dev.jsonl",
-        "--embeddings", root / "vectors.txt", "--dim", 8,
+        "--embeddings", root / "vectors.txt",
         "--out", root / "topics.ckpt")
     run("label", "--checkpoint", root / "topics.ckpt",
         "--input", root / "unlabeled.jsonl",

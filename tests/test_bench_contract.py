@@ -287,7 +287,7 @@ def test_generation_reaches_knn_only_through_decode_knn_with_initial(
     knn_lines = 0
     for seed, word in enumerate(["fire", "water", "ember", "harbor"]):
         result = decode.generate_poem(
-            word, decode.GenerationConfig(rng_seed=seed, m1=1.0, m2=0.0),
+            word, decode.GenerationConfig(rng_seed=seed, m1=1.0),
             models)
         knn_lines += result.first_word_paths.count("knn")
     assert knn_lines > 0

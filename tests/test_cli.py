@@ -83,8 +83,7 @@ def _train_args(root, kind, out):
     variant = ["--variant", "gold+"] if kind == "lm" else []
     return ["train", kind, *variant,
             "--train", root / "train.jsonl", "--dev", root / "dev.jsonl",
-            "--embeddings", root / "vectors.txt", "--dim", DIM,
-            "--out", out]
+            "--embeddings", root / "vectors.txt", "--out", out]
 
 
 # --- prepare ------------------------------------------------------------------
@@ -150,7 +149,7 @@ def test_train_rerun_byte_identical(workdir, tmp_path):
     root, run = workdir
     result = run("train", "lm", "--variant", "gold+",
                  "--train", root / "train.jsonl", "--dev", root / "dev.jsonl",
-                 "--embeddings", root / "vectors.txt", "--dim", DIM,
+                 "--embeddings", root / "vectors.txt",
                  "--out", tmp_path / "lm2.ckpt")
     assert result.exit_code == 0, result.output
     assert (tmp_path / "lm2.ckpt").read_bytes() == \
@@ -161,7 +160,7 @@ def test_train_pred_gold_without_silver_fails(workdir, tmp_path):
     root, run = workdir
     result = run("train", "lm", "--variant", "pred/gold+",
                  "--train", root / "train.jsonl", "--dev", root / "dev.jsonl",
-                 "--embeddings", root / "vectors.txt", "--dim", DIM,
+                 "--embeddings", root / "vectors.txt",
                  "--out", tmp_path / "x.ckpt")
     assert result.exit_code == 1
     assert "silver" in result.output
@@ -180,8 +179,17 @@ def test_train_lm_requires_embeddings(workdir, tmp_path):
     result = run("train", "lm",
                  "--train", root / "train.jsonl", "--dev", root / "dev.jsonl",
                  "--out", tmp_path / "x.ckpt")
-    assert result.exit_code == 1
-    assert "embeddings" in result.output
+    assert result.exit_code == 2
+    assert "Missing option '--embeddings'" in result.output
+
+
+def test_train_topics_requires_embeddings(workdir, tmp_path):
+    root, run = workdir
+    result = run("train", "topics",
+                 "--train", root / "train.jsonl", "--dev", root / "dev.jsonl",
+                 "--out", tmp_path / "x.ckpt")
+    assert result.exit_code == 2
+    assert "Missing option '--embeddings'" in result.output
 
 
 def test_train_empty_token_is_clean_error(workdir, tmp_path):
@@ -192,7 +200,7 @@ def test_train_empty_token_is_clean_error(workdir, tmp_path):
     result = run("train", "lm", "--variant", "gold+",
                  "--train", tmp_path / "train.jsonl",
                  "--dev", root / "dev.jsonl",
-                 "--embeddings", root / "vectors.txt", "--dim", DIM,
+                 "--embeddings", root / "vectors.txt",
                  "--out", tmp_path / "x.ckpt")
     line = _assert_one_error_line(result)
     assert "train.jsonl:3: 'lines' holds an empty token" in line
@@ -245,6 +253,29 @@ def test_eval_ppl_vocabulary_mismatch(workdir, tmp_path):
     assert "vocabulary mismatch" in result.output
 
 
+def test_eval_ppl_of_a_topic_channel_lm_needs_embeddings(workdir, tmp_path):
+    root, run = workdir
+    result = run("eval-ppl", "--checkpoint", root / "lm.ckpt",
+                 "--test", root / "dev.jsonl",
+                 "--json", tmp_path / "ppl.json")
+    line = _assert_one_error_line(result)
+    assert str(root / "lm.ckpt") in line and "--embeddings" in line
+    assert not (tmp_path / "ppl.json").exists()
+
+
+def test_eval_ppl_of_an_lm_without_topic_channel_needs_no_embeddings(
+        workdir, tmp_path):
+    root, run = workdir
+    out = tmp_path / "gold-.ckpt"
+    result = run("train", "lm", "--variant", "gold-",
+                 "--train", root / "train.jsonl", "--dev", root / "dev.jsonl",
+                 "--embeddings", root / "vectors.txt", "--out", out)
+    assert result.exit_code == 0, result.output
+    result = run("eval-ppl", "--checkpoint", out, "--test", root / "dev.jsonl")
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith("gold-\t")
+
+
 @pytest.mark.parametrize("command", ["generate", "eval-ppl"])
 def test_embeddings_narrower_than_the_lm_are_clean_error(workdir, tmp_path,
                                                           command):
@@ -260,9 +291,13 @@ def test_embeddings_narrower_than_the_lm_are_clean_error(workdir, tmp_path,
         f"error: {narrow}:1: expected {DIM} values, got {DIM - 2}")
 
 
-@pytest.mark.parametrize("command", ["generate", "eval-ppl"])
+@pytest.mark.parametrize("command", [
+    "generate", "eval-ppl", "prepare", "train", "train lm", "train rhymer",
+    "train topics", "label", "gradcheck"])
 def test_embeddings_width_comes_from_the_lm_checkpoint(command):
-    result = CliRunner().invoke(main, [command, "--help"])
+    """No command takes a --dim: the embeddings' width is the LM
+    checkpoint's, or in training the embeddings file's own."""
+    result = CliRunner().invoke(main, [*command.split(), "--help"])
     assert result.exit_code == 0
     assert "--dim" not in result.output
 
@@ -393,7 +428,7 @@ def test_non_finite_embeddings_are_clean_errors(workdir, tmp_path, value):
         _assert_one_error_line(result))
     result = run("train", "topics", "--train", root / "train.jsonl",
                  "--dev", root / "dev.jsonl", "--embeddings", bad,
-                 "--dim", DIM, "--out", tmp_path / "topics.ckpt")
+                 "--out", tmp_path / "topics.ckpt")
     assert "vectors.txt:3: non-finite" in _assert_one_error_line(result)
     assert not (tmp_path / "topics.ckpt").exists()
 
@@ -454,7 +489,7 @@ def test_non_utf8_pretrain_file_is_clean_error(workdir, tmp_path):
                  "--train", root / "train.jsonl", "--dev", root / "dev.jsonl",
                  "--silver", root / "train.jsonl",
                  "--pretrain", tmp_path / "pre.txt",
-                 "--embeddings", root / "vectors.txt", "--dim", DIM,
+                 "--embeddings", root / "vectors.txt",
                  "--out", tmp_path / "lm.ckpt")
     assert "pre.txt:2: not valid UTF-8" in _assert_one_error_line(result)
 
@@ -545,8 +580,20 @@ def test_unknown_generate_config_key_is_usage_error(workdir, tmp_path):
     assert "'bogus'" in result.output and "'generate'" in result.output
 
 
+def test_generate_config_m2_is_usage_error(workdir, tmp_path):
+    """The sampling branch's weight is 1 - m1; there is no m2 to set."""
+    root, _ = workdir
+    result = _run_with_config(
+        tmp_path, {"generate": {"m1": 0.7, "m2": 0.3}}, "generate", "glow",
+        "--lm", root / "lm.ckpt", "--no-rh",
+        "--embeddings", root / "vectors.txt")
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert "'m2'" in result.output and "'generate'" in result.output
+
+
 @pytest.mark.parametrize("section", [
-    {"temperature": float("inf")}, {"m1": float("nan"), "m2": 0.3}])
+    {"temperature": float("inf")}, {"m1": float("nan")}])
 def test_non_finite_generate_config_is_clean_error(workdir, tmp_path,
                                                    section):
     """json reads Infinity and NaN; they are errors, not weights."""
@@ -581,7 +628,7 @@ def test_out_of_range_generate_config_is_clean_error(workdir, tmp_path,
 def _train_topics_args(root, tmp_path):
     return ["train", "topics", "--train", root / "train.jsonl",
             "--dev", root / "dev.jsonl", "--embeddings", root / "vectors.txt",
-            "--dim", DIM, "--out", tmp_path / "t.ckpt"]
+            "--out", tmp_path / "t.ckpt"]
 
 
 @pytest.mark.parametrize("config", [
@@ -661,18 +708,6 @@ def test_generate_section_rh_false_needs_no_rhymer(workdir, tmp_path):
     result = _run_with_config(tmp_path, {"generate": {"rh": False}}, *args,
                               "--rh")
     assert "no rhymer" in _assert_one_error_line(result)
-
-
-@pytest.mark.parametrize("dim", ["-1", "0"])
-def test_train_dim_below_one_is_usage_error(workdir, tmp_path, dim):
-    root, run = workdir
-    result = run("train", "topics", "--train", root / "train.jsonl",
-                 "--dev", root / "dev.jsonl",
-                 "--embeddings", root / "vectors.txt", "--dim", dim,
-                 "--out", tmp_path / "t.ckpt")
-    assert result.exit_code == 2
-    assert "Traceback" not in result.output
-    assert not (tmp_path / "t.ckpt").exists()
 
 
 def test_int_config_value_accepted_for_float_field(workdir, tmp_path):
@@ -828,7 +863,7 @@ def test_dev_topic_unseen_in_training_is_clean_error(workdir, tmp_path):
     write_poems(tmp_path / "dev.jsonl", dev)
     result = run("train", "topics", "--train", root / "train.jsonl",
                  "--dev", tmp_path / "dev.jsonl",
-                 "--embeddings", root / "vectors.txt", "--dim", DIM,
+                 "--embeddings", root / "vectors.txt",
                  "--out", tmp_path / "t.ckpt")
     assert "'earth'" in _assert_one_error_line(result)
     assert KeyError not in PIPELINE_ERRORS
@@ -1016,7 +1051,7 @@ def test_train_logs_the_blas_threads_outside_its_artifacts(workdir, tmp_path,
             "train", "lm", "--variant", "gold+",
             "--train", str(root / "train.jsonl"),
             "--dev", str(root / "dev.jsonl"),
-            "--embeddings", str(root / "vectors.txt"), "--dim", str(DIM),
+            "--embeddings", str(root / "vectors.txt"),
             "--out", str(out)])
         assert result.exit_code == 0, result.output
         blas = [r.getMessage() for r in caplog.records

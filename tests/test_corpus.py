@@ -255,6 +255,16 @@ def test_read_poems_bad_record_names_path_and_line(tmp_path, line, message):
     assert message in str(err.value)
 
 
+def test_read_poems_number_of_too_many_digits_names_path_and_line(tmp_path):
+    path = tmp_path / "poems.jsonl"
+    path.write_text('{"lines": [["a"]]}\n'
+                    '{"lines": [["a"]], "topic_confidence": 1' + "0" * 4400
+                    + "}\n")
+    with pytest.raises(corpus.CorpusError,
+                       match=rf"^{path}:2: malformed JSON \(Exceeds"):
+        corpus.read_poems(path)
+
+
 @pytest.mark.parametrize("reader", [corpus.read_documents,
                                     corpus.read_poems])
 def test_jsonl_non_utf8_names_path_and_line(tmp_path, reader):

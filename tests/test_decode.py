@@ -62,9 +62,12 @@ def test_scheme_out_of_range(n):
 
 # --- generation config ------------------------------------------------------
 
-def test_config_m1_m2_must_sum_to_one():
-    with pytest.raises(DecodeError):
-        GenerationConfig(m1=0.7, m2=0.7)
+def test_config_m1_must_lie_in_unit_interval():
+    for m1 in (-0.1, 1.5):
+        with pytest.raises(DecodeError, match=r"m1 must lie in \[0, 1\]"):
+            GenerationConfig(m1=m1)
+    assert GenerationConfig(m1=0.0).m1 == 0.0
+    assert GenerationConfig(m1=1.0).m1 == 1.0
 
 @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan")])
 def test_config_temperature_must_be_positive(temperature):
@@ -73,12 +76,12 @@ def test_config_temperature_must_be_positive(temperature):
 
 INF, NAN = float("inf"), float("nan")
 
-# the sum check alone lets inf - inf and nan through
+# a range check alone lets nan through
 @pytest.mark.parametrize("kwargs, name", [
     ({"temperature": INF}, "temperature"),
-    ({"m1": INF, "m2": -INF}, "m1"), ({"m1": NAN, "m2": 0.3}, "m1"),
-    ({"m1": 0.7, "m2": NAN}, "m2"), ({"m1": 0.7, "m2": INF}, "m2"),
-    ({"m1": 10 ** 400, "m2": 0.3}, "m1")])
+    ({"m1": INF}, "m1"), ({"m1": NAN}, "m1"),
+    ({"temperature": NAN}, "temperature"), ({"m1": -INF}, "m1"),
+    ({"m1": 10 ** 400}, "m1")])
 def test_config_weights_and_temperature_must_be_finite(kwargs, name):
     with pytest.raises(DecodeError, match=f"{name} must be a finite"):
         GenerationConfig(**kwargs)
@@ -92,7 +95,6 @@ def test_config_counts_must_be_positive(name, value):
 def test_config_st_off_forces_m2_only():
     cfg = GenerationConfig(st=False)
     assert cfg.m1 == 0.0
-    assert cfg.m2 == 1.0
 
 
 # --- sampling ---------------------------------------------------------------
@@ -227,7 +229,7 @@ def _uniform_probs(lm):
 def test_first_word_knn_matches_scoring_oracle(bundle):
     lm, table = bundle.lm, bundle.table
     rng = np.random.default_rng(3)
-    cfg = GenerationConfig(m1=1.0, m2=0.0)
+    cfg = GenerationConfig(m1=1.0)
     for letter in "bcdefg":
         probs = rng.random(len(lm.vocab))
         probs /= probs.sum()
@@ -240,7 +242,7 @@ def test_first_word_knn_matches_scoring_oracle(bundle):
 
 def test_first_word_single_knn_candidate_deterministic(bundle):
     lm, table = bundle.lm, bundle.table
-    cfg = GenerationConfig(m1=1.0, m2=0.0, k=1)
+    cfg = GenerationConfig(m1=1.0, k=1)
     for trial in range(5):
         tid, path = first_word("g", "fire", _uniform_probs(lm), cfg,
                                bundle, child_rng(trial, "c"),
@@ -251,7 +253,7 @@ def test_first_word_single_knn_candidate_deterministic(bundle):
 
 def test_first_word_mask_property_m1_zero(bundle):
     lm = bundle.lm
-    cfg = GenerationConfig(m1=0.0, m2=1.0)
+    cfg = GenerationConfig(m1=0.0)
     probs = _uniform_probs(lm)
     rng = child_rng(0, "mask")
     for _ in range(1000):
@@ -262,7 +264,7 @@ def test_first_word_mask_property_m1_zero(bundle):
 
 def test_first_word_unknown_topic_falls_back_to_sampling(bundle):
     lm = bundle.lm
-    cfg = GenerationConfig(m1=1.0, m2=0.0)
+    cfg = GenerationConfig(m1=1.0)
     tid, path = first_word("s", "zzzunknown", _uniform_probs(lm), cfg,
                            bundle, child_rng(0, "c"), child_rng(0, "s"))
     assert path == "sample"
@@ -275,7 +277,7 @@ def test_first_word_missing_letter_errors(table):
                 topic_dim=table.dim,
                 emb_matrix=build_embedding_matrix(vocab, table),
                 variant=LmVariant.from_name("gold+"))
-    cfg = GenerationConfig(m1=0.0, m2=1.0)
+    cfg = GenerationConfig(m1=0.0)
     with pytest.raises(DecodeError, match="'z'"):
         first_word("z", "fire", np.full(len(vocab), 1 / len(vocab)), cfg,
                    ModelBundle(lm=lm, table=table), child_rng(0, "c"),
@@ -389,7 +391,7 @@ def test_generate_ac_off_keeps_line_count(bundle):
     assert result.poem.n_lines == 5
 
 def test_branch_isolation_m2_only_draws_match(bundle):
-    # find a seed whose four coin flips all land in the m2 branch
+    # find a seed whose four coin flips all land in the sampling branch
     word = "lake"
     chosen = None
     for seed in range(600):
@@ -399,7 +401,7 @@ def test_branch_isolation_m2_only_draws_match(bundle):
             break
     assert chosen is not None
     r_mixed = generate_poem(word, GenerationConfig(rng_seed=chosen), bundle)
-    r_m2 = generate_poem(word, GenerationConfig(m1=0.0, m2=1.0,
+    r_m2 = generate_poem(word, GenerationConfig(m1=0.0,
                                                 rng_seed=chosen), bundle)
     assert r_mixed.first_word_paths == ["sample"] * len(word)
     assert r_mixed.poem.lines == r_m2.poem.lines

@@ -58,6 +58,46 @@ def test_load_non_utf8_names_path_and_line(tmp_path):
         load_embeddings(p, expected_dim=2)
 
 
+@pytest.mark.parametrize("width", [None, 2])
+def test_load_width_from_the_first_vector_line(tmp_path, width):
+    p = tmp_path / "emb.txt"
+    p.write_text("\ncat 1 2\ndog 3 4\n")
+    t = load_embeddings(p, width)
+    assert t.dim == 2 and t.matrix.shape == (2, 2)
+    p.write_text("\ncat 1 2\ndog 3 4 5\n")
+    with pytest.raises(EmbeddingError,
+                       match=r"emb\.txt:3: expected 2 values, got 3$"):
+        load_embeddings(p, width)
+
+
+def test_load_ends_lines_at_newline_only(tmp_path):
+    """A lone carriage return is no line end; one before a newline is."""
+    p = tmp_path / "emb.txt"
+    p.write_bytes(b"cat 1 2\r\n\r\ndog 3 4\r\n")
+    assert load_embeddings(p).matrix.tolist() == [[1, 2], [3, 4]]
+    p.write_bytes(b"cat 1 2\rdog 3 4\remu 5 6\n")
+    with pytest.raises(EmbeddingError, match=r"emb\.txt:1: bad float"):
+        load_embeddings(p)
+
+
+@pytest.mark.parametrize("width", [None, 2])
+@pytest.mark.parametrize("text", ["", "\n\n"])
+def test_load_file_without_vectors_names_path(tmp_path, width, text):
+    p = tmp_path / "emb.txt"
+    p.write_text(text)
+    with pytest.raises(EmbeddingError, match=r"emb\.txt: no vectors$"):
+        load_embeddings(p, width)
+
+
+@pytest.mark.parametrize("width, problem", [
+    (None, "no values"), (2, "expected 2 values, got 0")])
+def test_load_first_line_without_values_names_it(tmp_path, width, problem):
+    p = tmp_path / "emb.txt"
+    p.write_text("cat\ndog 3 4\n")
+    with pytest.raises(EmbeddingError, match=rf"emb\.txt:1: {problem}$"):
+        load_embeddings(p, width)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
 def test_load_non_finite_value_names_path_and_line(tmp_path, value):
     p = tmp_path / "emb.txt"

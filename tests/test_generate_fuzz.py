@@ -84,7 +84,7 @@ def worlds(draw):
     models = ModelBundle(lm=lm, table=table, rhymer=draw(rhymers))
     m1 = draw(st.sampled_from([0.0, 0.5, 1.0, 1.0]))
     cfg = GenerationConfig(
-        k=draw(st.integers(1, 6)), m1=m1, m2=1.0 - m1,
+        k=draw(st.integers(1, 6)), m1=m1,
         beam_width=draw(st.integers(1, 4)), st=draw(mostly_on),
         ac=draw(mostly_on), rh=draw(mostly_on), tp=draw(mostly_on),
         rng_seed=draw(st.integers(0, 9)),

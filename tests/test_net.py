@@ -496,6 +496,15 @@ def test_checkpoint_huge_shape_is_truncation(tmp_path):
     with pytest.raises(NetError, match="truncated checkpoint: b needs"):
         load_checkpoint(path)
 
+@pytest.mark.parametrize("shape", [[0, 10 ** 30], [1] * 70])
+def test_checkpoint_shape_numpy_cannot_make_is_net_error(tmp_path, shape):
+    path, data = _small_checkpoint(tmp_path)
+    entry = dict(_GOOD_ENTRY, shape=shape)
+    _with_header(path, data, json.dumps(
+        {"meta": {}, "entries": [entry]}).encode())
+    with pytest.raises(NetError, match="corrupt checkpoint: b has shape"):
+        load_checkpoint(path)
+
 def test_checkpoint_holds_parameters_only(tmp_path):
     path, data = _small_checkpoint(tmp_path)
     hlen = int.from_bytes(data[6:14], "little")

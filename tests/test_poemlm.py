@@ -6,8 +6,8 @@ from acropoet.corpus import Poem, build_vocabulary
 from acropoet.net import grad_check, softmax, softmax_xent_batch, xent_grad
 from acropoet.poemlm import (
     ACROSTIC_DIM, EMB_NAME, LmConfig, LmVariant, PoemLM, PoemLmError,
-    TrainedLm, build_embedding_matrix, load_lm, save_lm, train_lm,
-    train_variant,
+    TrainedLm, build_embedding_matrix, load_lm, pretrain_poems, save_lm,
+    train_lm, train_variant,
 )
 
 
@@ -306,8 +306,8 @@ def test_checkpoint_roundtrip_preserves_ppl(table, tmp_path):
 def test_training_leaves_fixed_embeddings_untouched(table):
     model, poems = fresh_model(table, max_epochs=2, patience=10)
     passed_in = model.store[EMB_NAME].copy()
-    train_lm(model, poems[:20], poems[20:], table,
-             pretrain_sentences=make_plain_sentences(20, seed=1))
+    train_lm(model, *pretrain_poems(make_plain_sentences(20, seed=1)),
+             table, zero_cond=True)
     train_lm(model, poems[:20], poems[20:], table)
     assert np.array_equal(model.store[EMB_NAME], passed_in)
     assert EMB_NAME not in model.store.m
