@@ -230,11 +230,11 @@ _OUT = click.option("--out", "out_path", required=True,
 @_DEV
 @_EMBEDDINGS
 @click.option("--silver", "silver_path", default=None,
-              help="Silver-labeled poems for the pred/gold and wiki "
-                   "variants.")
+              help="Silver-labeled poems, read by the pred/gold and wiki "
+                   "variants only.")
 @click.option("--pretrain", "pretrain_path", default=None,
-              help="Plain-text file (one sentence per line) for the wiki "
-                   "variants.")
+              help="Plain-text file (one sentence per line), read by the "
+                   "wiki variants only.")
 @_OUT
 @click.pass_obj
 def train_lm_command(obj, variant, train_path, dev_path, emb_path,
@@ -244,7 +244,7 @@ def train_lm_command(obj, variant, train_path, dev_path, emb_path,
     table = load_embeddings(emb_path)
     gold_train = _read_some(read_poems, train_path)
     gold_dev = _read_some(read_poems, dev_path)
-    silver = _read_some(read_poems, silver_path) if silver_path else []
+    silver = _read_some(read_poems, silver_path) if silver_path else None
     pretrain = (_read_some(_read_pretrain, pretrain_path, "sentences")
                 if pretrain_path else None)
     cfg = _component_config(obj, "lm", LmConfig)

@@ -85,9 +85,6 @@ class GenerationConfig:
                 raise DecodeError(f"{name} must be a finite number")
         if not 0 <= self.m1 <= 1:
             raise DecodeError("m1 must lie in [0, 1]")
-        if not self.st:
-            # the no-steering ablation is defined as m1=0
-            self.m1 = 0.0
         for name in ("k", "beam_width", "max_tokens_per_line"):
             if getattr(self, name) < 1:
                 raise DecodeError(f"{name} must be positive")

@@ -134,6 +134,12 @@ class ParameterStore(Mapping):
                 self.m[k] = np.zeros_like(p)
                 self.v[k] = np.zeros_like(p)
 
+    def reset_moments(self) -> None:
+        """Drop the Adam moments and the step: fresh optimizer state."""
+        self.m.clear()
+        self.v.clear()
+        self.step = 0
+
     def zero_grads(self) -> dict[str, np.ndarray]:
         """One zero gradient per trainable array; fixed arrays get none."""
         return {k: np.zeros_like(p) for k, p in self.params.items()

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import net
 from .corpus import (
-    N_LETTER_COLS, N_LETTER_ROWS, Poem, Vocabulary,
+    N_LETTER_COLS, N_LETTER_ROWS, Poem, Vocabulary, build_vocabulary,
     derive_training_condition, tokenize,
 )
 from .embed import EmbeddingTable
@@ -75,17 +75,17 @@ class LmVariant:
     """One of the six training regimes GOLD+/-, PRED/GOLD+/-, WIKI+/-."""
 
     name: str             # a key of NAMES
-    pretrain: str         # none | plain_text
-    finetune_corpus: str  # gold_only | gold_plus_silver
+    silver: bool          # finetunes on gold plus silver-labeled poems
+    pretrain: bool        # pretrains on plain text first
     topic_channel: bool
 
     NAMES = {
-        "gold+": ("none", "gold_only", True),
-        "gold-": ("none", "gold_only", False),
-        "pred/gold+": ("none", "gold_plus_silver", True),
-        "pred/gold-": ("none", "gold_plus_silver", False),
-        "wiki+": ("plain_text", "gold_plus_silver", True),
-        "wiki-": ("plain_text", "gold_plus_silver", False),
+        "gold+": (False, False, True),
+        "gold-": (False, False, False),
+        "pred/gold+": (True, False, True),
+        "pred/gold-": (True, False, False),
+        "wiki+": (True, True, True),
+        "wiki-": (True, True, False),
     }
 
     @classmethod
@@ -393,23 +393,21 @@ def pretrain_poems(sentences: list[list[str]]) -> tuple[list[Poem],
 
 
 def train_variant(variant: LmVariant, gold_train: list[Poem],
-                  gold_dev: list[Poem], silver_train: list[Poem],
+                  gold_dev: list[Poem], silver_train: Optional[list[Poem]],
                   pretrain_sentences: Optional[list[list[str]]],
                   table: EmbeddingTable, cfg: LmConfig) -> TrainedLm:
-    """Train one of the named regimes end to end."""
-    from .corpus import build_vocabulary
-
-    if variant.finetune_corpus == "gold_plus_silver":
-        if not silver_train:
-            raise PoemLmError(
-                f"variant {variant.name!r} needs silver-labeled poems; "
-                "run silver labeling first")
-        finetune = gold_train + silver_train
-    else:
-        finetune = list(gold_train)
-    if variant.pretrain == "plain_text" and not pretrain_sentences:
-        raise PoemLmError(
-            f"variant {variant.name!r} needs a plain-text pretrain corpus")
+    """Train `variant` end to end; its silver poems and pretrain sentences
+    are given (not None) exactly when it reads them."""
+    for reads, given, corpus, hint in [
+            (variant.silver, silver_train, "silver-labeled poems",
+             "; run silver labeling first"),
+            (variant.pretrain, pretrain_sentences,
+             "plain-text pretrain sentences", "")]:
+        if not reads and given is not None:
+            raise PoemLmError(f"variant {variant.name!r} reads no {corpus}")
+        if reads and not given:
+            raise PoemLmError(f"variant {variant.name!r} needs {corpus}{hint}")
+    finetune = gold_train + (silver_train or [])
     if not finetune or not gold_dev:
         raise PoemLmError("empty training or dev corpus")
 
@@ -418,15 +416,11 @@ def train_variant(variant: LmVariant, gold_train: list[Poem],
                    emb_matrix=build_embedding_matrix(vocab, table),
                    variant=variant)
     history = []
-    if variant.pretrain == "plain_text":
+    if variant.pretrain:
         history += [dict(h, phase="pretrain") for h in train_lm(
             model, *pretrain_poems(pretrain_sentences), table,
             seed_key="pretrain", zero_cond=True)]
-        # finetuning starts from fresh optimizer state
-        model.store.step = 0
-        for name in model.store.m:
-            model.store.m[name][...] = 0.0
-            model.store.v[name][...] = 0.0
+        model.store.reset_moments()  # fresh optimizer state for finetuning
     history += [dict(h, phase="finetune") for h in train_lm(
         model, finetune, gold_dev, table, seed_key="finetune")]
     return TrainedLm(model=model, history=history)

@@ -167,10 +167,7 @@ def test_criterion_05_pretraining_direction_soft(table, announce):
             if pretrain:
                 train_lm(model, *pretrain_poems(sentences), table,
                          seed_key="pretrain", zero_cond=True, max_epochs=8)
-                model.store.step = 0
-                for name in model.store.m:
-                    model.store.m[name][...] = 0.0
-                    model.store.v[name][...] = 0.0
+                model.store.reset_moments()
             history = train_lm(model, gold_train, gold_dev, table)
             results[pretrain] = min(h["dev_ppl"] for h in history)
         with_pre.append(results[True])

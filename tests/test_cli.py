@@ -166,6 +166,26 @@ def test_train_pred_gold_without_silver_fails(workdir, tmp_path):
     assert "silver" in result.output
 
 
+@pytest.mark.parametrize("variant,given,unread", [
+    ("gold+", ["--silver"], "silver"), ("gold-", ["--pretrain"], "pretrain"),
+    ("pred/gold+", ["--silver", "--pretrain"], "pretrain")])
+def test_train_a_corpus_the_variant_does_not_read_fails(workdir, tmp_path,
+                                                        variant, given,
+                                                        unread):
+    root, run = workdir
+    (tmp_path / "pre.txt").write_text("ash blaze coal .\n", encoding="utf-8")
+    files = {"--silver": root / "train.jsonl",
+             "--pretrain": tmp_path / "pre.txt"}
+    result = run("train", "lm", "--variant", variant,
+                 "--train", root / "train.jsonl", "--dev", root / "dev.jsonl",
+                 "--embeddings", root / "vectors.txt",
+                 *[a for option in given for a in (option, files[option])],
+                 "--out", tmp_path / "x.ckpt")
+    line = _assert_one_error_line(result)
+    assert f"variant {variant!r} reads no" in line and unread in line
+    assert not (tmp_path / "x.ckpt").exists()
+
+
 def test_train_bad_variant_is_usage_error(workdir, tmp_path):
     root, run = workdir
     result = run("train", "lm", "--variant", "platinum+",

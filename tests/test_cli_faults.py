@@ -2,9 +2,11 @@
 
 Every file argument of every command is replaced, one at a time, by a
 file that is missing, a directory, empty, truncated, holding bytes that
-are not UTF-8, or an artifact of another kind.  Each run must exit 1 with
-exactly one `error:` line that names the file, and no traceback.  An
-option a command does not read is a usage error (exit 2).
+are not UTF-8, or an artifact of another kind; every JSONL argument also
+by one whose first record is valid JSON of the wrong shape.  Each run
+must exit 1 with exactly one `error:` line that names the file (and, for
+a wrong-shape record, its line), and no traceback.  An option a command
+does not read is a usage error (exit 2).
 """
 
 import re
@@ -117,6 +119,29 @@ def test_a_faulty_file_is_one_error_line_naming_it(files, tmp_path, command,
     args[at] = _faulty(root, args[at], fault, tmp_path)
     result = run(*_command_line(root, args, tmp_path))
     assert str(args[at]) in _assert_one_error_line(result)
+
+
+# valid JSON where a JSONL file needs an object with a list of lines
+WRONG_SHAPES = {"a list": '["ash", "blaze"]',
+                "lines of numbers": '{"lines": [1, 2, 3, 4]}'}
+JSONL_ARGS = [(command, option) for command, args in COMMANDS.items()
+              for option, value in zip(args, args[1:])
+              if option.startswith("--") and value.endswith(".jsonl")]
+
+
+@pytest.mark.parametrize("shape", WRONG_SHAPES)
+@pytest.mark.parametrize("command,option", JSONL_ARGS,
+                         ids=[" ".join(case) for case in JSONL_ARGS])
+def test_a_jsonl_record_of_the_wrong_shape_is_one_error_line_naming_it(
+        files, tmp_path, command, option, shape):
+    root, run = files
+    args = list(COMMANDS[command])
+    at = args.index(option) + 1
+    rest = (root / args[at]).read_text(encoding="utf-8").split("\n", 1)[1]
+    args[at] = tmp_path / "faulty.jsonl"
+    args[at].write_text(WRONG_SHAPES[shape] + "\n" + rest, encoding="utf-8")
+    result = run(*_command_line(root, args, tmp_path))
+    assert f"{args[at]}:1: " in _assert_one_error_line(result)
 
 
 UNREAD = [("train rhymer", "--embeddings", "vectors.txt"),

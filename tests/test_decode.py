@@ -92,11 +92,6 @@ def test_config_counts_must_be_positive(name, value):
     with pytest.raises(DecodeError, match=f"{name} must be positive"):
         GenerationConfig(**{name: value})
 
-def test_config_st_off_forces_m2_only():
-    cfg = GenerationConfig(st=False)
-    assert cfg.m1 == 0.0
-
-
 # --- sampling ---------------------------------------------------------------
 
 @pytest.mark.parametrize("temperature", [0.01, 1e-3])
@@ -261,6 +256,20 @@ def test_first_word_mask_property_m1_zero(bundle):
                                child_rng(0, "c"), rng)
         assert path == "sample"
         assert lm.vocab.id_to_token[tid].startswith("s")
+
+def test_first_word_st_off_never_takes_knn_at_m1_one(bundle):
+    """The no-steering ablation samples every first word, whatever m1,
+    and never draws from the coin stream."""
+    lm = bundle.lm
+    cfg = GenerationConfig(st=False, m1=1.0)
+    coin, untouched = child_rng(0, "c"), child_rng(0, "c")
+    rng = child_rng(0, "s")
+    for letter in "bcdefgs" * 10:
+        tid, path = first_word(letter, "fire", _uniform_probs(lm), cfg,
+                               bundle, coin, rng)
+        assert path == "sample"
+        assert lm.vocab.id_to_token[tid].startswith(letter)
+    assert coin.random() == untouched.random()
 
 def test_first_word_unknown_topic_falls_back_to_sampling(bundle):
     lm = bundle.lm

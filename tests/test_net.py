@@ -541,6 +541,23 @@ def test_store_creates_moments_for_trainable_arrays_only():
     s.init_moments()  # existing moments carry on
     assert s.m["w"].tolist() == [1.0, 1.0, 1.0]
 
+def test_reset_moments_restarts_adam_as_on_a_fresh_store():
+    rng = np.random.default_rng(4)
+    w = rng.normal(size=(3, 4))
+    grads = [rng.normal(size=w.shape) for _ in range(3)]
+    trained = _store_with("w", w.copy())
+    for g in grads:
+        adam_update(trained, {"w": g.copy()}, lr=0.01)
+    trained.reset_moments()
+    assert trained.m == {} and trained.v == {} and trained.step == 0
+    fresh = _store_with("w", trained["w"].copy())
+    for g in grads:
+        adam_update(trained, {"w": g.copy()}, lr=0.01)
+        adam_update(fresh, {"w": g.copy()}, lr=0.01)
+    assert _same_bits(trained["w"], fresh["w"])
+    assert _same_bits(trained.m["w"], fresh.m["w"])
+    assert trained.step == fresh.step == 3
+
 def test_store_add_twice_is_an_error():
     s = _store_with("w", np.ones(2))
     with pytest.raises(NetError, match="'w' added twice"):

@@ -278,6 +278,45 @@ def test_variant_prerequisites(table):
                       poems[:4], None, table, cfg)
 
 
+def test_variant_flags_are_bools():
+    for name in LmVariant.NAMES:
+        variant = LmVariant.from_name(name)
+        assert variant.silver is name.startswith(("pred/gold", "wiki"))
+        assert variant.pretrain is name.startswith("wiki")
+        assert variant.topic_channel is name.endswith("+")
+
+
+@pytest.mark.parametrize("pretrain_given", [True, False])
+@pytest.mark.parametrize("silver_given", [True, False])
+@pytest.mark.parametrize("name", list(LmVariant.NAMES))
+def test_a_variant_is_given_exactly_the_corpora_it_reads(
+        table, name, silver_given, pretrain_given):
+    poems = make_poems(10, seed=4)
+    variant = LmVariant.from_name(name)
+    cfg = LmConfig(n_layers=1, hidden=8, batch_size=8, max_epochs=1, seed=0)
+
+    def train():
+        return train_variant(
+            variant, poems[:8], poems[8:],
+            poems[:4] if silver_given else None,
+            make_plain_sentences(10, seed=5) if pretrain_given else None,
+            table, cfg)
+
+    wrong = [corpus for corpus, reads, given in [
+        ("silver", variant.silver, silver_given),
+        ("pretrain", variant.pretrain, pretrain_given)] if reads != given]
+    if not wrong:
+        phases = {h["phase"] for h in train().history}
+        assert phases == ({"pretrain", "finetune"} if variant.pretrain
+                          else {"finetune"})
+        return
+    with pytest.raises(PoemLmError) as raised:
+        train()
+    message = str(raised.value)
+    assert f"variant {name!r}" in message
+    assert wrong[0] in message
+
+
 def test_wiki_variant_runs_and_keeps_shapes(table):
     poems = make_poems(16, seed=4)
     sents = make_plain_sentences(20, seed=5)
