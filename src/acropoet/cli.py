@@ -22,7 +22,7 @@ import numpy as np
 from . import net
 from .corpus import (
     CorpusError, Poem, bad_utf8_message, build_vocabulary,
-    line_count_histogram, read_documents, read_poems,
+    check_line_counts, line_count_histogram, read_documents, read_poems,
     split_into_training_poems, tokenize, write_poems,
 )
 from .decode import (
@@ -173,6 +173,14 @@ def _read_some(read, path, what: str = "poems") -> list:
     return items
 
 
+def _read_lm_poems(path) -> list[Poem]:
+    """The poems of an LM corpus, each of 4-8 lines, since the LM's
+    acrostic condition has one row per line."""
+    poems = _read_some(read_poems, path)
+    check_line_counts(path, poems)
+    return poems
+
+
 def _read_pretrain(path: str) -> list[list[str]]:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -242,9 +250,9 @@ def train_lm_command(obj, variant, train_path, dev_path, emb_path,
     """Train the conditional poem LM on poem JSONL corpora."""
     _log_blas()
     table = load_embeddings(emb_path)
-    gold_train = _read_some(read_poems, train_path)
-    gold_dev = _read_some(read_poems, dev_path)
-    silver = _read_some(read_poems, silver_path) if silver_path else None
+    gold_train = _read_lm_poems(train_path)
+    gold_dev = _read_lm_poems(dev_path)
+    silver = _read_lm_poems(silver_path) if silver_path else None
     pretrain = (_read_some(_read_pretrain, pretrain_path, "sentences")
                 if pretrain_path else None)
     cfg = _component_config(obj, "lm", LmConfig)
@@ -314,7 +322,7 @@ def eval_ppl(ckpt_path, test_path, emb_path, json_path):
     if model.variant.topic_channel and emb_path is None:
         _fail(f"{ckpt_path}: a {model.variant.name} LM reads topic vectors; "
               f"give --embeddings")
-    poems = _read_some(read_poems, test_path)
+    poems = _read_lm_poems(test_path)
     tokens = [t for p in poems for t in p.tokens()]
     if tokens:
         oov = sum(t not in model.vocab for t in tokens) / len(tokens)

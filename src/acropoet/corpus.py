@@ -8,6 +8,7 @@ Tokenized poems are written back out as JSONL with token lists per line.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import re
 from collections import Counter
@@ -380,6 +381,17 @@ def read_poems(path) -> list[Poem]:
                 lambda v: v is None or type(v) in (int, float), "a number",
                 where)))
     return poems
+
+
+def check_line_counts(path, poems: list[Poem]) -> None:
+    """CorpusError naming "path:line" of the first of `poems`, as
+    `read_poems(path)` returned them, that has fewer than MIN_LINES or
+    more than MAX_LINES lines."""
+    for i, poem in enumerate(poems):
+        if not MIN_LINES <= poem.n_lines <= MAX_LINES:
+            where, _ = next(itertools.islice(_records(path), i, None))
+            raise CorpusError(f"{where}: poem has {poem.n_lines} lines, "
+                              f"need {MIN_LINES}-{MAX_LINES}")
 
 
 def line_count_histogram(poems: Iterable[Poem]) -> dict[int, int]:

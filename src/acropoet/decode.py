@@ -166,26 +166,6 @@ class _LineRule:
         return EOS
 
 
-def force_line_boundaries(tokens: list[str], target_lines: int,
-                          max_tokens_per_line: int = 15) -> list[str]:
-    """Rewrite a sampled token stream so it has exactly `target_lines` lines.
-
-    An end-of-poem marker before the last line becomes end-of-line; an
-    end-of-line marker on the last line becomes end-of-poem and truncates
-    the stream.  Lines hitting the token cap get a forced boundary.  A
-    terminal "," or ";" is rewritten to ".".
-    """
-    rule = _LineRule(target_lines, max_tokens_per_line)
-    out: list[str] = []
-    for tok in tokens:
-        end = rule.push(tok, out)
-        if end is not None:
-            out.append(end)
-        if end == EOS:
-            break
-    return out
-
-
 # ---------------------------------------------------------------------------
 # First-word policy
 # ---------------------------------------------------------------------------
@@ -345,8 +325,6 @@ def generate_poem(word: str, cfg: GenerationConfig,
     if not re.fullmatch(r"[a-z]{4,8}", word):
         raise DecodeError(
             f"acrostic word must be 4-8 letters a-z, got {word!r}")
-    if models.lm is None or models.table is None:
-        raise DecodeError("generation needs a language model and embeddings")
     if cfg.rh and models.rhymer is None:
         raise DecodeError("rhyme flag is on but no rhymer model was given")
     lm, table = models.lm, models.table

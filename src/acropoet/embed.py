@@ -80,9 +80,6 @@ class EmbeddingTable:
             raise EmbeddingError(f"token {token!r} not in embedding table")
         return self.matrix[row]
 
-    def tokens(self):
-        return self._rows.keys()
-
 
 def load_embeddings(path, expected_dim: int | None = None) -> EmbeddingTable:
     """Parse a word-vector text file, failing hard on any malformed line.

@@ -41,15 +41,14 @@ class NetError(ValueError):
 # Deterministic RNG plumbing: one root seed, children derived per component
 # ---------------------------------------------------------------------------
 
-def _key_int(key) -> int:
-    if isinstance(key, int):
-        return key
-    digest = hashlib.blake2b(str(key).encode(), digest_size=8).digest()
+def _key_int(key: str) -> int:
+    digest = hashlib.blake2b(key.encode(), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
 
-def child_rng(root_seed: int, *keys) -> np.random.Generator:
-    """Derive an independent generator from a root seed and a key path."""
+def child_rng(root_seed: int, *keys: str) -> np.random.Generator:
+    """Derive an independent generator from a root seed and a path of
+    string keys."""
     seq = np.random.SeedSequence([root_seed] + [_key_int(k) for k in keys])
     return np.random.Generator(np.random.PCG64(seq))
 
@@ -144,9 +143,6 @@ class ParameterStore(Mapping):
         """One zero gradient per trainable array; fixed arrays get none."""
         return {k: np.zeros_like(p) for k, p in self.params.items()
                 if k not in self.fixed}
-
-    def copy_params(self) -> dict[str, np.ndarray]:
-        return {k: p.copy() for k, p in self.params.items()}
 
 
 def _mismatch(problems: list[str]) -> str:
@@ -769,20 +765,18 @@ def fit(store: ParameterStore, run_epoch, evaluate, patience: int,
 def grad_check(loss_fn, store: ParameterStore,
                analytic: dict[str, np.ndarray], h: float = 1e-4,
                max_entries_per_param: int = 64,
-               rng: np.random.Generator | None = None,
-               param_names=None) -> dict:
+               rng: np.random.Generator | None = None) -> dict:
     """Central finite differences against analytic gradients.
 
     loss_fn() re-evaluates the loss at the store's current parameters.
-    Checks the arrays named in param_names, by default every one with an
-    analytic gradient.  Returns a report with per-parameter and overall
-    max relative error.
+    Checks every array with an analytic gradient.  Returns a report with
+    per-parameter and overall max relative error.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     report = {"per_param": {}, "max_rel_error": 0.0}
     for name, p in store.params.items():
-        if name not in (analytic if param_names is None else param_names):
+        if name not in analytic:
             continue
         flat = p.reshape(-1)
         g_flat = analytic[name].reshape(-1)

@@ -261,16 +261,6 @@ class PoemLM:
 
     # -- scoring --------------------------------------------------------------
 
-    def lm_forward(self, prefix_ids: list[int],
-                   cond: np.ndarray) -> np.ndarray:
-        """Next-token distribution given a prefix starting with BOS."""
-        if not prefix_ids or prefix_ids[0] != self.vocab.bos_id:
-            raise PoemLmError("prefix must start with BOS")
-        ids = np.asarray(prefix_ids)[:, None]
-        logits, _ = self.forward_batch(ids, cond[None, :],
-                                       positions=np.array([len(ids) - 1]))
-        return softmax(logits[0])
-
     def perplexity(self, poems: list[Poem],
                    table: Optional[EmbeddingTable],
                    zero_cond: bool = False) -> float:

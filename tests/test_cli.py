@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from helpers import make_documents, make_poems, make_sonnets, make_table
+from helpers import (
+    ALL_WORDS, make_documents, make_poems, make_sonnets, make_table,
+)
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from acropoet import cli
@@ -26,8 +28,10 @@ DIM = 8
 
 
 def write_table(path, table):
+    """A table of `helpers.make_table`, whose tokens are ALL_WORDS."""
+    assert len(table) == len(ALL_WORDS)
     with open(path, "w", encoding="utf-8") as fh:
-        for tok in sorted(table.tokens()):
+        for tok in ALL_WORDS:
             vec = " ".join(repr(float(x)) for x in table.vector(tok))
             fh.write(f"{tok} {vec}\n")
 
@@ -472,6 +476,20 @@ def test_gradcheck_command(workdir):
         assert f"{check}=" in result.output
 
 
+def test_gradcheck_over_its_tolerance_fails(monkeypatch):
+    def suite(n_seeds):
+        return [{"seed": seed, "lm": {"max_rel_error": 2e-4},
+                 "rhymer": {"max_rel_error": 1e-6}} for seed in range(n_seeds)]
+    monkeypatch.setattr(cli, "gradient_suite", suite)
+    result = CliRunner().invoke(main, ["gradcheck", "--seeds", "2"])
+    assert _assert_one_error_line(result) == "error: gradient check failed"
+    assert "seed 1: lm=2.00e-04  rhymer=1.00e-06" in result.output
+    assert "max relative error 2.00e-04 (tolerance 1e-04)" in result.output
+    result = CliRunner().invoke(main, ["gradcheck", "--seeds", "2",
+                                       "--tolerance", "3e-4"])
+    assert result.exit_code == 0, result.output
+
+
 @pytest.mark.parametrize("args", [("--seeds", "0"), ("--seeds", "-3"),
                                   ("--tolerance", "nan"),
                                   ("--tolerance", "inf"),
@@ -763,6 +781,10 @@ META_CASES = [
     ("rhymer", lambda m: m.update(kind="topics"), "not a rhymer"),
     ("topics", lambda m: m.update(kind="rhymer"), "not a topics"),
     ("topics", lambda m: m["labels"].reverse(), "must be sorted"),
+    ("lm", lambda m: m["vocab"].__setitem__(1, m["vocab"][0]),
+     "'vocab': duplicate token in vocabulary"),
+    ("topics", lambda m: m.update(labels=["fire"]),
+     "need at least two topics to classify"),
 ]
 
 
@@ -776,16 +798,15 @@ def test_bad_checkpoint_meta_is_clean_error(workdir, tmp_path, kind,
     change(meta)
     bad = tmp_path / "bad.ckpt"
     save_checkpoint(bad, store, meta)
-    if kind == "topics":
-        result = run("label", "--checkpoint", bad, "--input",
-                     root / "dev.jsonl", "--output", tmp_path / "out.jsonl")
-    else:
-        models = (["--lm", bad, "--no-rh"] if kind == "lm" else
-                  ["--lm", root / "lm.ckpt", "--rhymer", bad])
-        result = run("generate", "glow", *models,
-                     "--embeddings", root / "vectors.txt")
-    line = _assert_one_error_line(result)
-    assert "bad.ckpt" in line and named in line
+    results = [_load_model(run, root, tmp_path, kind, bad)]
+    if kind == "lm":
+        results.append(run("eval-ppl", "--checkpoint", bad, "--test",
+                           root / "dev.jsonl", "--embeddings",
+                           root / "vectors.txt", "--json",
+                           tmp_path / "ppl.json"))
+    for result in results:
+        line = _assert_one_error_line(result)
+        assert "bad.ckpt" in line and named in line
 
 
 def _load_model(run, root, out, kind, path):

@@ -3,18 +3,21 @@
 Every file argument of every command is replaced, one at a time, by a
 file that is missing, a directory, empty, truncated, holding bytes that
 are not UTF-8, or an artifact of another kind; every JSONL argument also
-by one whose first record is valid JSON of the wrong shape.  Each run
-must exit 1 with exactly one `error:` line that names the file (and, for
-a wrong-shape record, its line), and no traceback.  An option a command
-does not read is a usage error (exit 2).
+by one whose first record is valid JSON of the wrong shape; every LM
+corpus by one holding a poem of 3 or 9 lines.  Each run must exit 1
+with exactly one `error:` line that names the file (and, for a
+wrong-shape record or poem, its line), and no traceback.  An option a
+command does not read is a usage error (exit 2).
 """
 
+import json
 import re
 
 import pytest
 from click.testing import CliRunner
 from test_cli import _assert_one_error_line, workdir  # noqa: F401
 
+from acropoet import cli
 from acropoet.cli import main
 
 OUT = "<out>"
@@ -142,6 +145,39 @@ def test_a_jsonl_record_of_the_wrong_shape_is_one_error_line_naming_it(
     args[at].write_text(WRONG_SHAPES[shape] + "\n" + rest, encoding="utf-8")
     result = run(*_command_line(root, args, tmp_path))
     assert f"{args[at]}:1: " in _assert_one_error_line(result)
+
+
+# The LM's acrostic condition has one row per line, so every poem of an LM
+# corpus has 4-8 lines; `label` and `train topics` take any count.
+LM_CORPORA = [("train lm", "--train"), ("train lm", "--dev"),
+              ("train lm", "--silver"), ("eval-ppl", "--test")]
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("ran past the corpus check")
+
+
+@pytest.mark.parametrize("n_lines", [3, 9])
+@pytest.mark.parametrize("command,option", LM_CORPORA,
+                         ids=[" ".join(case) for case in LM_CORPORA])
+def test_an_lm_poem_outside_4_to_8_lines_is_one_error_line_naming_it(
+        files, tmp_path, monkeypatch, command, option, n_lines):
+    """The error names the poem's line (a blank line counts) and comes
+    before any training or scoring."""
+    root, run = files
+    monkeypatch.setattr(cli, "train_variant", _never)
+    monkeypatch.setattr(cli.PoemLM, "perplexity", _never)
+    args = list(COMMANDS[command])
+    at = args.index(option) + 1
+    first = (root / args[at]).read_text(encoding="utf-8").split("\n")[0]
+    poem = json.dumps({"lines": [["ash", "blaze"]] * n_lines,
+                       "topic": "fire"})
+    args[at] = tmp_path / "faulty.jsonl"
+    args[at].write_text(f"{first}\n\n{poem}\n", encoding="utf-8")
+    line = _assert_one_error_line(run(*_command_line(root, args, tmp_path)))
+    assert line == (f"error: {args[at]}:3: poem has {n_lines} lines, "
+                    f"need 4-8")
+    assert not (tmp_path / "out").exists()
 
 
 UNREAD = [("train rhymer", "--embeddings", "vectors.txt"),

@@ -187,6 +187,24 @@ def test_condition_eight_lines_no_pad():
     block = derive_training_condition(poem).onehot_block()
     assert block[:, corpus.PAD_COL].sum() == 0
 
+@pytest.mark.parametrize("n_lines", [3, 9])
+def test_condition_of_a_poem_outside_4_to_8_lines_errors(n_lines):
+    with pytest.raises(corpus.CorpusError,
+                       match=f"poem has {n_lines} lines, need 4-8"):
+        derive_training_condition(Poem(lines=[["ash"]] * n_lines))
+
+@pytest.mark.parametrize("letters, problem", [
+    (list("abcdefghi"), "need 1..8 letters, got 9"), ([], "got 0"),
+    (["a", "7"], "bad acrostic letter '7'"),
+    (["a", "B"], "bad acrostic letter 'B'"),
+    (["a", "bc"], "bad acrostic letter 'bc'")])
+def test_acrostic_spec_takes_1_to_8_letters_a_to_z(letters, problem):
+    """Its one-hot block has eight rows of 26 letters and a pad column, so
+    anything else would index past the block or into the wrong column."""
+    with pytest.raises(corpus.CorpusError, match=problem):
+        AcrosticSpec(letters=letters)
+    assert AcrosticSpec(letters=["a", None, "z"]).onehot_block().sum() == 8
+
 @given(st.from_regex(r"[a-z]{4,8}", fullmatch=True))
 def test_acrostic_rows_sum_to_one(word):
     block = AcrosticSpec.from_word(word).onehot_block()

@@ -8,9 +8,8 @@ from helpers import make_poems, make_table
 from acropoet import decode
 from acropoet.corpus import EOL, EOS, AcrosticSpec, Poem, build_vocabulary
 from acropoet.decode import (
-    DecodeError, GenerationConfig, ModelBundle, RhymeScheme, _LmCursor,
-    first_word, force_line_boundaries, generate_poem, render_poem,
-    scheme_for,
+    DecodeError, GenerationConfig, ModelBundle, RhymeScheme, _LineRule,
+    _LmCursor, first_word, generate_poem, render_poem, scheme_for,
 )
 from acropoet.embed import knn_with_initial
 from acropoet.net import child_rng
@@ -18,7 +17,7 @@ from acropoet.poemlm import (
     LmConfig, LmVariant, PoemLM, build_embedding_matrix, train_lm,
 )
 from acropoet.rhymer import RhymerConfig, RhymerModel
-from test_embed import knn_oracle
+from reference import boundaries_oracle, knn_oracle, state_from_bos
 
 
 # --- rhyme schemes ----------------------------------------------------------
@@ -147,55 +146,40 @@ def test_empty_sampling_mask_is_a_decode_error(temperature):
 
 # --- line boundary forcing --------------------------------------------------
 
-def boundaries_oracle(tokens, target, cap):
-    lines = [[]]
-    ended = False
-    for tok in tokens:
-        if ended:
-            break
-        if tok in (EOL, EOS):
-            if len(lines) < target:
-                lines.append([])
-            else:
-                ended = True
-        else:
-            lines[-1].append(tok)
-            if len(lines[-1]) == cap:
-                if len(lines) < target:
-                    lines.append([])
-                else:
-                    ended = True
+def line_rule_stream(tokens, target_lines, max_tokens_per_line=15):
+    """A whole token stream fed through `decode._LineRule`, as generation
+    feeds it one token at a time: the kept tokens and each line's closing
+    marker, up to the end of the poem."""
+    rule = _LineRule(target_lines, max_tokens_per_line)
     out = []
-    for i, line in enumerate(lines):
-        out.extend(line)
-        if i < len(lines) - 1:
-            out.append(EOL)
-    if ended:
-        if out and out[-1] in (",", ";"):
-            out[-1] = "."
-        out.append(EOS)
+    for tok in tokens:
+        end = rule.push(tok, out)
+        if end is not None:
+            out.append(end)
+        if end == EOS:
+            break
     return out
 
 def test_early_eos_becomes_eol():
-    got = force_line_boundaries(["a", EOS, "b", EOL, "c", EOL, "d", EOS], 4)
+    got = line_rule_stream(["a", EOS, "b", EOL, "c", EOL, "d", EOS], 4)
     assert got == ["a", EOL, "b", EOL, "c", EOL, "d", EOS]
 
 def test_eol_on_final_line_becomes_eos_and_truncates():
-    got = force_line_boundaries(["a", EOL, "b", EOL, "c", EOL, "d", EOL,
-                                 "junk"], 4)
+    got = line_rule_stream(["a", EOL, "b", EOL, "c", EOL, "d", EOL,
+                            "junk"], 4)
     assert got == ["a", EOL, "b", EOL, "c", EOL, "d", EOS]
 
 def test_runaway_line_capped():
-    got = force_line_boundaries(["w"] * 13, 4, max_tokens_per_line=3)
+    got = line_rule_stream(["w"] * 13, 4, max_tokens_per_line=3)
     assert got == ["w"] * 3 + [EOL] + ["w"] * 3 + [EOL] + ["w"] * 3 + \
         [EOL] + ["w"] * 3 + [EOS]
 
 def test_terminal_comma_rewritten():
-    got = force_line_boundaries(["a", EOL, "b", EOL, "c", EOL, "d", ",",
-                                 EOS], 4)
+    got = line_rule_stream(["a", EOL, "b", EOL, "c", EOL, "d", ",",
+                            EOS], 4)
     assert got[-2:] == [".", EOS]
-    got = force_line_boundaries(["a", EOL, "b", EOL, "c", EOL, "d", ";",
-                                 EOS], 4)
+    got = line_rule_stream(["a", EOL, "b", EOL, "c", EOL, "d", ";",
+                            EOS], 4)
     assert got[-2:] == [".", EOS]
 
 def test_boundaries_match_oracle_randomized():
@@ -207,7 +191,7 @@ def test_boundaries_match_oracle_randomized():
                                                     size=n)]
         target = int(rng.integers(4, 9))
         cap = int(rng.integers(2, 8))
-        assert force_line_boundaries(stream, target, cap) == \
+        assert line_rule_stream(stream, target, cap) == \
             boundaries_oracle(stream, target, cap)
 
 
@@ -423,13 +407,6 @@ def _fire_condition(lm, table):
                                AcrosticSpec.from_word("fire").onehot_block(),
                                4)
 
-def _state_from_bos(lm, token_ids, cond):
-    state, step_cond = lm.init_state(), lm.project_condition(cond)
-    probs = None
-    for tid in token_ids:
-        probs = lm.step(state, tid, step_cond)
-    return state, probs
-
 def test_resume_equals_full_prefix_from_bos(bundle):
     lm, v = bundle.lm, bundle.lm.vocab
     cond = _fire_condition(lm, bundle.table)
@@ -463,7 +440,7 @@ def test_resume_equals_full_prefix_from_bos(bundle):
                 for toks in prior + [new_line]:
                     ids += [v.token_to_id[t] if t in v else v.unk_id
                             for t in toks] + [v.eol_id]
-                state, probs = _state_from_bos(lm, ids, cond)
+                state, probs = state_from_bos(lm, ids, cond)
                 for (h, c), (h_ref, c_ref) in zip(cursor.state, state):
                     assert np.array_equal(h, h_ref)
                     assert np.array_equal(c, c_ref)
@@ -530,7 +507,7 @@ def test_generate_rh_on_refeeds_only_changed_line_tails(bundle, monkeypatch):
     assert refed_lines > 0
 
 
-# --- generation closes lines by the rule force_line_boundaries applies -----
+# --- generation closes lines by the one line rule -------------------------
 
 @pytest.fixture(scope="module")
 def comma_bundle(table):
@@ -579,7 +556,7 @@ def test_generation_follows_the_shared_line_rule(request, monkeypatch,
         cfg = GenerationConfig(rng_seed=seed, rh=False,
                                max_tokens_per_line=cap)
         result = generate_poem(word, cfg, models)
-        forced = force_line_boundaries(stream, len(word), cap)
+        forced = line_rule_stream(stream, len(word), cap)
         assert forced[-1] == EOS
         lines = [[]]
         for tok in forced[:-1]:
@@ -654,6 +631,22 @@ def test_rhyme_slot_word_skips_contraction_tokens(bundle, partner_end):
     assert lines[2] == ["to", "the", "cat", "'s", "."]
     assert result.substitutions == [{"slot": 3, "original": "bat",
                                      "replacement": "cat"}]
+
+
+def test_a_rhyme_equal_to_the_slot_word_is_no_substitution(bundle):
+    """The rhymer's only candidate is the slot line's own last word (not an
+    LM word, so `choose_rhyme` keeps it): the line stays as it is, the
+    call is counted and no substitution is recorded."""
+    models = ModelBundle(lm=bundle.lm, table=bundle.table,
+                         rhymer=StubRhymer(["bat"]))
+    lines = [["a", "night", "."], ["by", "the", "sea"], ["to", "the", "bat"]]
+    result = decode.GenerationResult(poem=None, word="mist",
+                                     scheme=RhymeScheme("ABAB"), seed=0)
+    V = len(bundle.lm.vocab)
+    assert decode._apply_rhyme(models, result, lines, 3, np.full(V, 1 / V),
+                               GenerationConfig()) is None
+    assert lines[2] == ["to", "the", "bat"]
+    assert result.substitutions == [] and result.rhymer_calls == 1
 
 
 # --- no hidden state: dropped models are freed ----------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from helpers import make_plain_sentences, make_poems, make_table
+from reference import lm_forward
 
 from acropoet.corpus import Poem, build_vocabulary
 from acropoet.net import grad_check, softmax, softmax_xent_batch, xent_grad
@@ -43,7 +44,7 @@ def test_uniform_when_output_zeroed(table):
     model.store["lm.out.W"][...] = 0.0
     model.store["lm.out.b"][...] = 0.0
     cond = model.zero_condition()
-    probs = model.lm_forward([model.vocab.bos_id], cond)
+    probs = lm_forward(model, [model.vocab.bos_id], cond)
     V = len(model.vocab)
     assert np.allclose(probs, 1.0 / V)
 
@@ -56,7 +57,7 @@ def test_lm_forward_valid_distribution(table):
         prefix = [model.vocab.bos_id] + list(
             rng.integers(0, len(model.vocab), size=L))
         cond = model.poem_condition(poems[0], None)
-        probs = model.lm_forward(prefix, cond)
+        probs = lm_forward(model, prefix, cond)
         assert probs.min() >= 0
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -64,14 +65,14 @@ def test_lm_forward_valid_distribution(table):
 def test_lm_forward_requires_bos(table):
     model, _ = fresh_model(table)
     with pytest.raises(PoemLmError):
-        model.lm_forward([model.vocab.eos_id], model.zero_condition())
+        lm_forward(model, [model.vocab.eos_id], model.zero_condition())
 
 
 def test_lm_forward_deterministic(table):
     model, poems = fresh_model(table)
     cond = model.poem_condition(poems[0], table)
-    a = model.lm_forward([model.vocab.bos_id], cond)
-    b = model.lm_forward([model.vocab.bos_id], cond)
+    a = lm_forward(model, [model.vocab.bos_id], cond)
+    b = lm_forward(model, [model.vocab.bos_id], cond)
     assert np.array_equal(a, b)
 
 
@@ -89,7 +90,7 @@ def test_target_loss_matches_stepwise_oracle(table):
         ids = model.vocab.encode_poem(poem)
         poem_cond = model.poem_condition(poem, table)
         for i in range(1, len(ids)):
-            total -= np.log(model.lm_forward(ids[:i], poem_cond)[ids[i]])
+            total -= np.log(lm_forward(model, ids[:i], poem_cond)[ids[i]])
             count += 1
     assert wsum == count
     assert loss == pytest.approx(total, abs=1e-9)
@@ -102,7 +103,7 @@ def test_step_state_matches_full_forward(table):
     state, step_cond = model.init_state(), model.project_condition(cond)
     for i, tok in enumerate(ids):
         probs_inc = model.step(state, tok, step_cond)
-        probs_full = model.lm_forward(ids[:i + 1], cond)
+        probs_full = lm_forward(model, ids[:i + 1], cond)
         assert np.allclose(probs_inc, probs_full, atol=1e-12)
 
 
@@ -151,7 +152,7 @@ def test_topic_channel_off_ignores_labels(table):
                           topic="water" if p.topic == "fire" else "fire")
                      for p in poems]
         train_lm(model, poems[:20], poems[20:], table)
-        results.append(model.store.copy_params())
+        results.append({k: p.copy() for k, p in model.store.items()})
     for name in results[0]:
         assert np.array_equal(results[0][name], results[1][name])
 
@@ -161,7 +162,7 @@ def test_training_bit_reproducible(table):
     for _ in range(2):
         model, poems = fresh_model(table, seed=11, max_epochs=2, patience=10)
         train_lm(model, poems[:20], poems[20:], table)
-        snaps.append(model.store.copy_params())
+        snaps.append({k: p.copy() for k, p in model.store.items()})
     for name in snaps[0]:
         assert np.array_equal(snaps[0][name], snaps[1][name])
 
@@ -187,9 +188,9 @@ def test_gradcheck_full_model(table):
         return loss / wsum, grads
 
     loss, grads = loss_and_grads()
-    names = [n for n in model.store.params if n != EMB_NAME]
+    assert EMB_NAME not in grads  # the fixed embeddings take no gradient
     report = grad_check(lambda: loss_and_grads()[0], model.store, grads,
-                        param_names=names, max_entries_per_param=20)
+                        max_entries_per_param=20)
     assert report["max_rel_error"] <= 1e-4
 
 
@@ -263,8 +264,40 @@ def test_lm_forward_equals_the_last_row_of_full_logits(table):
     for i in (1, 4, len(ids)):
         logits, _ = model.forward_batch(np.asarray(ids[:i])[:, None],
                                         cond[None, :])
-        assert np.allclose(model.lm_forward(ids[:i], cond),
+        assert np.allclose(lm_forward(model, ids[:i], cond),
                            softmax(logits[-1, 0]), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [-1, "V"])
+def test_a_token_id_out_of_range_errors(table, bad):
+    """numpy would index a negative id from the end and give a wrong
+    answer with no error."""
+    model, poems = fresh_model(table)
+    V = len(model.vocab)
+    bad = V if bad == "V" else bad
+    cond = model.poem_condition(poems[0], table)
+    with pytest.raises(PoemLmError, match=f"token id {bad} out of range"):
+        model.step(model.init_state(), bad, model.project_condition(cond))
+    ids = np.array([[model.vocab.bos_id], [bad]])
+    with pytest.raises(PoemLmError, match="token id out of range"):
+        model.forward_batch(ids, cond[None, :])
+
+
+def test_embedding_matrix_must_fit_the_vocabulary(table):
+    model, _ = fresh_model(table)
+    with pytest.raises(PoemLmError, match="shape mismatch"):
+        PoemLM(model.vocab, model.cfg, topic_dim=table.dim,
+               emb_matrix=np.zeros((len(model.vocab) - 1, table.dim)),
+               variant=model.variant)
+
+
+def test_variant_needs_training_and_dev_poems(table):
+    poems = make_poems(10, seed=4)
+    cfg = LmConfig(n_layers=1, hidden=8, max_epochs=1, seed=0)
+    for train, dev in ((poems, []), ([], poems)):
+        with pytest.raises(PoemLmError, match="empty training or dev"):
+            train_variant(LmVariant.from_name("gold+"), train, dev, None,
+                          None, table, cfg)
 
 
 def test_variant_prerequisites(table):

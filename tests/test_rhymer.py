@@ -3,16 +3,17 @@ import hashlib
 import numpy as np
 import pytest
 from helpers import make_sonnets
+from reference import (
+    beam_search, exhaustive_oracle, rhyme_candidates, run_to_max_len,
+)
 
 from acropoet import rhymer
 from acropoet.corpus import Poem, RawDocument, build_vocabulary
-from acropoet.net import CE_EPS, grad_check, lstm_step, pad_ids, softmax
+from acropoet.net import grad_check, pad_ids
 from acropoet.rhymer import (
-    BOS_ID, EOS_ID, MAX_WORD_LEN, PAD_ID, PoemContext, RhymeExample,
-    RhymerConfig,
-    RhymerError, RhymerModel, beam_search, choose_rhyme, decode_chars,
-    encode_chars, extract_rhyme_pairs, load_rhymer, save_rhymer,
-    train_rhymer,
+    EOS_ID, PAD_ID, PoemContext, RhymeExample, RhymerConfig, RhymerError,
+    RhymerModel, choose_rhyme, decode_chars, encode_chars,
+    extract_rhyme_pairs, load_rhymer, save_rhymer, train_rhymer,
 )
 
 
@@ -44,6 +45,23 @@ def test_b_ends_before_final_word_of_pair_line():
     assert gg.b.endswith("endm\nalpha beta ")
     assert "endn" not in gg.b
 
+def test_a_pair_line_without_a_word_is_skipped(caplog):
+    """Line 3 holds no word, so pair (1, 3) is skipped with a warning and
+    the other six pairs are kept."""
+    lines = [f"alpha beta end{ENDS[i]}" for i in range(14)]
+    lines[2] = "1234 -- !!"
+    doc = RawDocument(lines=lines, source_tag="sonnet")
+    with caplog.at_level("WARNING"):
+        examples = extract_rhyme_pairs([doc])
+    assert "no rhyme word on line 1 or 3" in caplog.text
+    assert len(examples) == 6
+    assert "enda" not in [ex.a for ex in examples]
+
+@pytest.mark.parametrize("a, c", [("", "hat"), ("cat", "")])
+def test_rhyme_words_must_be_non_empty(a, c):
+    with pytest.raises(RhymerError, match="non-empty"):
+        RhymeExample(a=a, b="sat on a", c=c)
+
 def test_wrong_line_count_skipped(caplog):
     doc = RawDocument(lines=["x y"] * 13, source_tag="sonnet")
     with caplog.at_level("WARNING"):
@@ -70,25 +88,16 @@ def make_toy_step(salt=0):
         return _toy_logp(history, salt), history
     return step_fn
 
-def exhaustive_oracle(salt, max_len, top):
-    """Score every string over the content alphabet up to max_len."""
-    results = []
-    def rec(prefix, score):
-        if len(prefix) < max_len:
-            results.append((prefix, score + _toy_logp(prefix, salt)[TOY_EOS]))
-            for sym in range(N_SYMS - 1):
-                rec(prefix + (sym,), score + _toy_logp(prefix, salt)[sym])
-        else:
-            results.append((prefix, score))
-    rec((), 0.0)
-    results.sort(key=lambda e: (-e[1], e[0]))
-    return results[:top]
+def toy_oracle(salt, max_len, top):
+    """Every string over the toy's content alphabet up to max_len, scored."""
+    return exhaustive_oracle(lambda history: _toy_logp(history, salt),
+                             N_SYMS, TOY_EOS, max_len, top)
 
 @pytest.mark.parametrize("salt", range(10))
 def test_beam_matches_exhaustive(salt):
     got = beam_search(make_toy_step(salt), eos_id=TOY_EOS, width=5,
                       max_len=4)[:5]
-    want = exhaustive_oracle(salt, max_len=4, top=5)
+    want = toy_oracle(salt, max_len=4, top=5)
     assert [ids for ids, _ in got] == [ids for ids, _ in want]
     for (_, s1), (_, s2) in zip(got, want):
         assert s1 == pytest.approx(s2, abs=1e-12)
@@ -120,6 +129,12 @@ def test_beam_rejects_max_len_below_one(max_len):
                     max_len=max_len)
     assert beam_search(make_toy_step(), eos_id=TOY_EOS, width=3, max_len=1)
 
+@pytest.mark.parametrize("width", [0, -1])
+def test_beam_rejects_width_below_one(width):
+    with pytest.raises(RhymerError, match="width"):
+        rhymer.beam_search_rows(None, None, None, eos_id=TOY_EOS,
+                                width=width, max_len=4)
+
 def test_beam_width_one_is_greedy(tiny_rhymer):
     model, _ = tiny_rhymer
     cands = model.rhyme_candidates("cat", "the fat cat sat on a", width=1)
@@ -132,22 +147,7 @@ def test_candidate_scores_non_increasing(tiny_rhymer):
     assert scores == sorted(scores, reverse=True)
 
 
-# --- training / overfit fixture ---------------------------------------------
-
-@pytest.fixture(scope="module")
-def tiny_rhymer():
-    examples = [
-        RhymeExample(a="cat", b="sat on a", c="hat"),
-        RhymeExample(a="cat", b="fly to your", c="bat"),
-        RhymeExample(a="day", b="come what", c="may"),
-        RhymeExample(a="sea", b="wild and", c="free"),
-    ]
-    cfg = RhymerConfig(word_hidden=12, poem_hidden=16, decoder_hidden=16,
-                       char_dim=8, lr=0.01, batch_size=2, patience=1000,
-                       max_epochs=1000, seed=5)
-    model = RhymerModel(cfg)
-    history = train_rhymer(model, examples, examples)
-    return model, examples
+# --- training / overfit ------------------------------------------------------
 
 def test_overfit_nll_below_threshold(tiny_rhymer):
     model, examples = tiny_rhymer
@@ -158,36 +158,6 @@ def test_overfit_recovers_target_in_top2(tiny_rhymer):
     cands = model.rhyme_candidates("cat", "the fat cat sat on a", width=5)
     assert "hat" in [w for w, _ in cands[:2]]
 
-def _per_hypothesis_candidates(model, a, b, width):
-    """rhyme_candidates as the `beam_search` adapter drives it: one
-    decoder step per hypothesis on the full, unprojected decoder input."""
-    a_enc, b_enc = model._encode_inputs(a, b)
-    (a_ids, a_len), (b_ids, b_len) = (pad_ids([a_enc], PAD_ID),
-                                      pad_ids([b_enc], PAD_ID))
-    enc_a, _, enc_b, _ = model._encoders_forward(a_ids, a_len, b_ids, b_len)
-    cond = np.concatenate([enc_a[0], enc_b[0]])
-    Wx, Wh, bias = model.decoder.step_weights()
-    W_out, b_out = model.store["rh.out.W"], model.store["rh.out.b"]
-    H = model.cfg.decoder_hidden
-
-    def step_fn(prev, state):
-        h, c = state if state is not None else (np.zeros(H), np.zeros(H))
-        x = np.concatenate(
-            [model.char_emb[BOS_ID if prev is None else prev], cond])
-        h, c = lstm_step(x, h, c, Wx, Wh, bias)
-        logp = np.log(np.clip(softmax(h @ W_out + b_out), CE_EPS, None))
-        logp[[PAD_ID, BOS_ID]] = -np.inf
-        return logp, (h, c)
-
-    out = []
-    for ids, score in beam_search(step_fn, EOS_ID, width, MAX_WORD_LEN):
-        word = decode_chars(ids)
-        if word and word not in dict(out):
-            out.append((word, score))
-        if len(out) == width:
-            break
-    return out
-
 BEAM_INPUTS = [("cat", "the fat cat sat on a", 5), ("day", "", 3),
                ("", "no partner word here", 5), ("seashore", "q", 1),
                ("night", "a long context " * 40, 5), ("free", "wild and", 8)]
@@ -195,7 +165,7 @@ BEAM_INPUTS = [("cat", "the fat cat sat on a", 5), ("day", "", 3),
 def _assert_same_candidates(model):
     for a, b, width in BEAM_INPUTS:
         got = model.rhyme_candidates(a, b, width=width)
-        want = _per_hypothesis_candidates(model, a, b, width)
+        want = rhyme_candidates(model, a, b, width)
         for (w1, s1), (w2, s2) in zip(got, want):
             assert s1 == pytest.approx(s2, rel=0, abs=1e-12), (a, b, w1, w2)
         # a tie that the batched sums broke the other way shows here
@@ -221,43 +191,6 @@ def test_rhyme_candidates_are_distinct_words(seed):
         assert words and len(set(words)) == len(words), (a, b, width)
 
 # --- the stop once the best completions are final -----------------------------
-
-def run_to_max_len(step_rows, take_rows, state, eos_id, width, max_len):
-    """`beam_search_rows` without its stop (its top cut's tie rule
-    included): steps until no hypothesis is live.  The reference for the
-    stop's exactness."""
-    beams = [(0.0, ())]
-    completed = []
-    for _ in range(max_len + 1):
-        logp, state = step_rows([ids[-1] if ids else None
-                                 for _, ids in beams], state)
-        tops = np.argsort(-logp, axis=1, kind="stable")[
-            :, :max(width + 1, 8)]
-        expansions = []
-        for row, (score, ids) in enumerate(beams):
-            top = list(tops[row])
-            if eos_id not in top:
-                top.append(eos_id)
-            for sym in top:
-                s = float(logp[row, sym])
-                if s == -np.inf:
-                    continue
-                expansions.append((score + s, ids + (int(sym),), row))
-        expansions.sort(key=lambda e: (-e[0], e[1]))
-        beams, rows = [], []
-        for score, ids, row in expansions:
-            if ids[-1] == eos_id:
-                completed.append((score, ids[:-1]))
-            elif len(ids) >= max_len:
-                completed.append((score, ids))
-            elif len(beams) < width:
-                beams.append((score, ids))
-                rows.append(row)
-        if not beams:
-            break
-        state = take_rows(state, rows)
-    completed.sort(key=lambda e: (-e[0], e[1]))
-    return [(ids, score) for score, ids in completed]
 
 def _leading(hyps, width):
     """The first `width` entries and the first `width` non-empty ones."""
@@ -479,7 +412,8 @@ def test_gradcheck_rhymer_encoders_via_decoder_constant_input(seed):
     names = [n for n in model.store
              if n.startswith(("rh.word.", "rh.poem.", "rh.dec.Wx"))]
     assert all(np.any(grads[n]) for n in names)
-    report = grad_check(loss_fn, model.store, grads, param_names=names,
+    report = grad_check(loss_fn, model.store,
+                        {name: grads[name] for name in names},
                         max_entries_per_param=200)
     assert report["max_rel_error"] <= 1e-4
 

@@ -6,7 +6,7 @@ from helpers import make_poems
 
 from acropoet import net
 from acropoet.corpus import Poem, build_vocabulary
-from acropoet.net import grad_check
+from acropoet.net import grad_check, softmax
 from acropoet.poemlm import EMB_NAME, build_embedding_matrix
 from acropoet.topics import (
     TopicClassifier, TopicConfig, TopicError, load_topics, save_topics,
@@ -45,6 +45,16 @@ def test_dev_topic_unseen_in_training_rejected(table):
                           TopicConfig.desk_scale(max_epochs=1))
 
 
+def test_training_and_scoring_need_poems(table, tiny_topics):
+    poems = make_poems(4, seed=0)
+    for train, dev in ((poems, []), ([], poems)):
+        with pytest.raises(TopicError, match="empty training or dev"):
+            train_topic_model(train, dev, table,
+                              TopicConfig.desk_scale(max_epochs=1))
+    with pytest.raises(TopicError, match="empty evaluation set"):
+        tiny_topics[0].accuracy([])
+
+
 def test_unlabeled_training_poem_rejected(table):
     poems = make_poems(10, seed=0)
     poems[3] = Poem(lines=poems[3].lines, topic=None)
@@ -53,19 +63,19 @@ def test_unlabeled_training_poem_rejected(table):
                           TopicConfig.desk_scale(max_epochs=1))
 
 
+def predict_topic(model, poem):
+    """The classifier's distribution over its topics for one poem."""
+    logits, _ = model.forward_batch([poem])
+    return softmax(logits[0])
+
+
 def test_predict_topic_valid_distribution(tiny_topics):
     model, _, dev = tiny_topics
     for poem in dev[:5]:
-        dist = model.predict_topic(poem)
+        dist = predict_topic(model, poem)
         assert dist.shape == (len(model.labels),)
         assert dist.min() >= 0
         assert dist.sum() == pytest.approx(1.0, abs=1e-9)
-
-
-def test_predict_empty_poem_errors(tiny_topics):
-    model, _, _ = tiny_topics
-    with pytest.raises(TopicError):
-        model.predict_topic(Poem(lines=[]))
 
 
 def test_label_corpus_closed_set_and_confidence(tiny_topics):
@@ -76,7 +86,7 @@ def test_label_corpus_closed_set_and_confidence(tiny_topics):
     for before, after in zip(unlabeled, labeled):
         assert after.lines == before.lines
         assert after.topic in model.labels
-        dist = model.predict_topic(after)
+        dist = predict_topic(model, after)
         assert after.topic_confidence == pytest.approx(dist.max(), abs=1e-12)
         assert 1.0 / len(model.labels) <= after.topic_confidence <= 1.0
 
@@ -109,7 +119,7 @@ def test_training_bit_reproducible(table):
     for _ in range(2):
         cfg = TopicConfig.desk_scale(seed=9, max_epochs=2, patience=5)
         model, _ = train_topic_model(train, dev, table, cfg)
-        snaps.append(model.store.copy_params())
+        snaps.append({k: p.copy() for k, p in model.store.items()})
     for name in snaps[0]:
         assert np.array_equal(snaps[0][name], snaps[1][name])
 
@@ -128,8 +138,8 @@ def test_gradcheck_classifier(table):
 
     _, wsum, grads = model.loss_and_grads((poems, targets))
     assert wsum == len(poems)
-    names = [n for n in model.store.params if n != EMB_NAME]
-    report = grad_check(loss_fn, model.store, grads, param_names=names,
+    assert EMB_NAME not in grads  # the fixed embeddings take no gradient
+    report = grad_check(loss_fn, model.store, grads,
                         max_entries_per_param=20)
     assert report["max_rel_error"] <= 1e-4
 
@@ -164,8 +174,8 @@ def test_checkpoint_roundtrip(tmp_path, tiny_topics):
     assert loaded.labels == model.labels
     assert loaded.accuracy(dev) == model.accuracy(dev)
     for poem in dev[:3]:
-        assert np.array_equal(loaded.predict_topic(poem),
-                              model.predict_topic(poem))
+        assert np.array_equal(predict_topic(loaded, poem),
+                              predict_topic(model, poem))
     p2 = tmp_path / "topics2.ckpt"
     save_topics(p2, loaded, history)
     assert p1.read_bytes() == p2.read_bytes()
