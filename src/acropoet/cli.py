@@ -12,7 +12,6 @@ import json
 import logging
 import math
 import os
-import re
 import sys
 from dataclasses import asdict
 
@@ -21,12 +20,13 @@ import numpy as np
 
 from . import net
 from .corpus import (
-    CorpusError, Poem, bad_utf8_message, build_vocabulary,
-    check_line_counts, line_count_histogram, read_documents, read_poems,
+    CorpusError, Poem, bad_utf8_message, build_vocabulary, check_poems,
+    line_count_histogram, line_count_problem, read_documents, read_poems,
     split_into_training_poems, tokenize, write_poems,
 )
 from .decode import (
-    DecodeError, GenerationConfig, ModelBundle, generate_poem, render_poem,
+    DecodeError, GenerationConfig, ModelBundle, acrostic_word, generate_poem,
+    render_poem,
 )
 from .embed import EmbeddingError, EmbeddingTable, load_embeddings
 from .net import NetError
@@ -177,7 +177,7 @@ def _read_lm_poems(path) -> list[Poem]:
     """The poems of an LM corpus, each of 4-8 lines, since the LM's
     acrostic condition has one row per line."""
     poems = _read_some(read_poems, path)
-    check_line_counts(path, poems)
+    check_poems(path, poems, line_count_problem)
     return poems
 
 
@@ -305,6 +305,9 @@ def label(ckpt_path, input_path, output_path):
     """Attach silver topic labels to an unlabeled poem corpus."""
     classifier = load_topics(ckpt_path)
     poems = read_poems(input_path)
+    # a poem with no tokens has no topic to find
+    check_poems(input_path, poems,
+                lambda poem: None if poem.tokens() else "poem has no tokens")
     write_poems(_outpath(output_path), classifier.label_corpus(poems))
     click.echo(f"labeled {len(poems)} poems")
 
@@ -360,9 +363,10 @@ def generate(obj, word, lm_path, rhymer_path, emb_path, st, ac, rh, tp,
 
     A flag left unset takes its value from the config file's `generate`
     section, else its default."""
-    if not re.fullmatch(r"[a-zA-Z]{4,8}", word):
-        raise click.BadParameter(
-            f"word must be 4-8 letters a-z, got {word!r}", param_hint="WORD")
+    try:
+        acrostic_word(word)
+    except DecodeError as exc:
+        raise click.BadParameter(str(exc), param_hint="WORD") from None
     lm = load_lm(lm_path).model
     table = load_embeddings(emb_path, lm.topic_dim)
     rhymer = load_rhymer(rhymer_path) if rhymer_path else None

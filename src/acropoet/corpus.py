@@ -1,4 +1,4 @@
-"""Corpus ingestion: tokenization, poem splitting, vocabulary, training conditions.
+"""Corpus ingestion: tokenization, poem splitting, vocabulary, acrostic blocks.
 
 Raw documents come in as JSONL, one document per line:
     {"lines": ["...", ...], "topic": "love", "source": "known_topic"}
@@ -14,7 +14,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -236,52 +236,44 @@ def build_vocabulary(poems: Iterable[Poem], max_size: int = 50000) -> Vocabulary
 # Acrostic conditioning targets
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AcrosticSpec:
-    """Per-line required initials as an 8x27 one-hot block."""
-
-    letters: list[Optional[str]]
-
-    def __post_init__(self):
-        if not 1 <= len(self.letters) <= N_LETTER_ROWS:
-            raise CorpusError(
-                f"need 1..{N_LETTER_ROWS} letters, got {len(self.letters)}"
-            )
-        for l in self.letters:
-            if l is not None and not re.fullmatch(r"[a-z]", l):
-                raise CorpusError(f"bad acrostic letter {l!r}")
-
-    @classmethod
-    def from_word(cls, word: str) -> "AcrosticSpec":
-        word = word.lower()
-        if not re.fullmatch(r"[a-z]{1,8}", word):
-            raise CorpusError(
-                f"acrostic word must be 1-8 letters a-z, got {word!r}"
-            )
-        return cls(letters=list(word))
-
-    def onehot_block(self) -> np.ndarray:
-        block = np.zeros((N_LETTER_ROWS, N_LETTER_COLS))
-        for i in range(N_LETTER_ROWS):
-            if i < len(self.letters) and self.letters[i] is not None:
-                block[i, ord(self.letters[i]) - ord("a")] = 1.0
-            else:
-                block[i, PAD_COL] = 1.0
-        return block
+def acrostic_block(initials: Sequence[Optional[str]]) -> np.ndarray:
+    """The 8x27 one-hot block of per-line required initials: row i marks
+    initials[i]'s letter, or the pad column where it is None and past the
+    last line."""
+    if not 1 <= len(initials) <= N_LETTER_ROWS:
+        raise CorpusError(f"need 1..{N_LETTER_ROWS} letters, "
+                          f"got {len(initials)}")
+    block = np.zeros((N_LETTER_ROWS, N_LETTER_COLS))
+    block[len(initials):, PAD_COL] = 1.0
+    for i, l in enumerate(initials):
+        if l is None:
+            block[i, PAD_COL] = 1.0
+        elif re.fullmatch(r"[a-z]", l):
+            block[i, ord(l) - ord("a")] = 1.0
+        else:
+            raise CorpusError(f"bad acrostic letter {l!r}")
+    return block
 
 
-def derive_training_condition(poem: Poem) -> AcrosticSpec:
-    """Acrostic target from a poem's actual line initials.
-
-    Lines whose first token has no a-z initial map to the pad row.
-    """
+def line_count_problem(poem: Poem) -> Optional[str]:
+    """Why the LM cannot take `poem`, whose acrostic condition has one row
+    per line, or None when it has 4-8 lines."""
     if not MIN_LINES <= poem.n_lines <= MAX_LINES:
-        raise CorpusError(f"poem has {poem.n_lines} lines, need 4-8")
+        return f"poem has {poem.n_lines} lines, need {MIN_LINES}-{MAX_LINES}"
+    return None
+
+
+def poem_initials(poem: Poem) -> list[Optional[str]]:
+    """The acrostic a poem's lines spell, its training target: each line's
+    a-z initial, or None where the first token has none."""
+    problem = line_count_problem(poem)
+    if problem:
+        raise CorpusError(problem)
     letters: list[Optional[str]] = []
     for line in poem.lines:
         first = line[0][0] if line and line[0] else ""
         letters.append(first if "a" <= first <= "z" else None)
-    return AcrosticSpec(letters=letters)
+    return letters
 
 
 # ---------------------------------------------------------------------------
@@ -383,15 +375,16 @@ def read_poems(path) -> list[Poem]:
     return poems
 
 
-def check_line_counts(path, poems: list[Poem]) -> None:
-    """CorpusError naming "path:line" of the first of `poems`, as
-    `read_poems(path)` returned them, that has fewer than MIN_LINES or
-    more than MAX_LINES lines."""
+def check_poems(path, poems: list[Poem],
+                problem: Callable[[Poem], Optional[str]]) -> None:
+    """CorpusError "path:line: message" for the first of `poems`, as
+    `read_poems(path)` returned them, for which problem(poem) gives a
+    message rather than None."""
     for i, poem in enumerate(poems):
-        if not MIN_LINES <= poem.n_lines <= MAX_LINES:
+        message = problem(poem)
+        if message:
             where, _ = next(itertools.islice(_records(path), i, None))
-            raise CorpusError(f"{where}: poem has {poem.n_lines} lines, "
-                              f"need {MIN_LINES}-{MAX_LINES}")
+            raise CorpusError(f"{where}: {message}")
 
 
 def line_count_histogram(poems: Iterable[Poem]) -> dict[int, int]:

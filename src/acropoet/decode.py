@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import net
-from .corpus import EOL, EOS, AcrosticSpec, Poem, Vocabulary, detokenize
+from .corpus import EOL, EOS, Poem, Vocabulary, detokenize
 from .embed import (
     EmbeddingError, EmbeddingTable, LetterCandidates, knn_with_initial,
     letter_candidates,
@@ -50,6 +50,15 @@ class RhymeScheme:
     def partner(self, slot: int) -> int:
         """1-indexed line of the first occurrence of the slot's letter."""
         return self.letters.index(self.letters[slot - 1]) + 1
+
+
+def acrostic_word(word: str) -> str:
+    """`word` lower-cased, the initials of the poem's lines; DecodeError
+    unless it is 4-8 letters a-z, either case."""
+    if not re.fullmatch(r"[a-zA-Z]{4,8}", word):
+        raise DecodeError(
+            f"acrostic word must be 4-8 letters a-z, got {word!r}")
+    return word.lower()
 
 
 def scheme_for(n_lines: int) -> RhymeScheme:
@@ -182,8 +191,8 @@ def _sampling_masks(vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
 
 def _initial_mask(vocab: Vocabulary, letter: str) -> np.ndarray:
     """Mask of the tokens that start with `letter`; DecodeError when none
-    does or the letter is not alphabetic."""
-    ids = vocab.by_initial.get(letter) if letter.isalpha() else None
+    does."""
+    ids = vocab.by_initial.get(letter)
     if ids is None:
         raise DecodeError(f"no vocabulary token starts with {letter!r}")
     mask = np.zeros(len(vocab))
@@ -321,10 +330,7 @@ def _apply_rhyme(models: ModelBundle, result: GenerationResult,
 
 def generate_poem(word: str, cfg: GenerationConfig,
                   models: ModelBundle) -> GenerationResult:
-    word = word.lower()
-    if not re.fullmatch(r"[a-z]{4,8}", word):
-        raise DecodeError(
-            f"acrostic word must be 4-8 letters a-z, got {word!r}")
+    word = acrostic_word(word)
     if cfg.rh and models.rhymer is None:
         raise DecodeError("rhyme flag is on but no rhymer model was given")
     lm, table = models.lm, models.table
@@ -334,13 +340,11 @@ def generate_poem(word: str, cfg: GenerationConfig,
                               scheme=scheme_for(n_lines), seed=cfg.rng_seed)
     slots = result.scheme.substitution_slots
 
-    topic_vec = lm.topic_vector(word if cfg.tp else None, table)
-    if cfg.tp and lm.variant.topic_channel and not topic_vec.any():
+    # the acrostic block is fed as conditioning even when masking is off
+    cond = lm.condition(word if cfg.tp else None, word, table)
+    if cfg.tp and lm.variant.topic_channel and not cond[:lm.topic_dim].any():
         log.warning("topic word %r has no embedding; topic channel zeroed",
                     word)
-    # the acrostic block is fed as conditioning even when masking is off
-    cond = lm.condition_vector(topic_vec, AcrosticSpec.from_word(word)
-                               .onehot_block(), n_lines)
 
     coin_rng = net.child_rng(cfg.rng_seed, "generate", word, "coin")
     sample_rng = net.child_rng(cfg.rng_seed, "generate", word, "sample")

@@ -16,14 +16,14 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import net
 from .corpus import (
-    N_LETTER_COLS, N_LETTER_ROWS, Poem, Vocabulary, build_vocabulary,
-    derive_training_condition, tokenize,
+    N_LETTER_COLS, N_LETTER_ROWS, Poem, Vocabulary, acrostic_block,
+    build_vocabulary, poem_initials, tokenize,
 )
 from .embed import EmbeddingTable
 from .net import (
@@ -170,23 +170,19 @@ class PoemLM:
                 return np.asarray(table.vector(tok), dtype=float)
         return np.zeros(self.topic_dim)
 
-    def condition_vector(self, topic_vec: np.ndarray,
-                         acrostic_block: np.ndarray,
-                         n_lines: float) -> np.ndarray:
-        return np.concatenate(
-            [topic_vec, np.asarray(acrostic_block).reshape(-1),
-             [float(n_lines)]])
+    def condition(self, topic: Optional[str],
+                  initials: Sequence[Optional[str]],
+                  table: Optional[EmbeddingTable]) -> np.ndarray:
+        """The condition vector of a poem about `topic` whose lines start
+        with `initials`: the topic vector, the flattened acrostic block
+        and the line count.  Training and generation both build it here."""
+        return np.concatenate([self.topic_vector(topic, table),
+                               acrostic_block(initials).reshape(-1),
+                               [float(len(initials))]])
 
     def zero_condition(self) -> np.ndarray:
         """Conditioning for plain-text pretraining: every channel zeroed."""
         return np.zeros(self.topic_dim + ACROSTIC_DIM + 1)
-
-    def poem_condition(self, poem: Poem,
-                       table: Optional[EmbeddingTable]) -> np.ndarray:
-        spec = derive_training_condition(poem)
-        return self.condition_vector(
-            self.topic_vector(poem.topic, table), spec.onehot_block(),
-            poem.n_lines)
 
     # -- forward / backward ---------------------------------------------------
 
@@ -315,7 +311,8 @@ class PoemLM:
         """
         encoded = [self.vocab.encode_poem(poem) for poem in poems]
         conds = [self.zero_condition() if zero_cond
-                 else self.poem_condition(poem, table) for poem in poems]
+                 else self.condition(poem.topic, poem_initials(poem), table)
+                 for poem in poems]
         order = sorted(range(len(encoded)), key=lambda i: len(encoded[i]))
         chunks = [order[i:i + batch_size]
                   for i in range(0, len(order), batch_size)]

@@ -16,15 +16,14 @@ the generator's shortcuts:
 - the rhymer's poem context is encoded from scratch at every rhyme slot.
 
 It shares with the library only what none of those shortcuts touches:
-the settings, the rhyme scheme, the RNG streams, the condition vector,
+the settings, the rhyme scheme, the RNG streams, `PoemLM.condition`,
 `decode._sample_id` and `rhymer.choose_rhyme`.
 """
 
 import numpy as np
 
 from acropoet import rhymer as rhymer_module
-from acropoet.corpus import BOS, EOL, EOS, PAD, SPECIALS, UNK, AcrosticSpec, \
-    Poem
+from acropoet.corpus import BOS, EOL, EOS, PAD, SPECIALS, UNK, Poem
 from acropoet.decode import GenerationResult, _sample_id, scheme_for
 from acropoet.embed import EmbeddingError, cosine
 from acropoet.net import CE_EPS, child_rng, lstm_step, pad_ids, softmax
@@ -244,9 +243,7 @@ def reference_poem(word, cfg, lm, table, rhymer=None):
     scheme = scheme_for(n_lines)
     result = GenerationResult(poem=None, word=word, scheme=scheme,
                               seed=cfg.rng_seed)
-    topic_vec = lm.topic_vector(word if cfg.tp else None, table)
-    cond = lm.condition_vector(
-        topic_vec, AcrosticSpec.from_word(word).onehot_block(), n_lines)
+    cond = lm.condition(word if cfg.tp else None, word, table)
     coin_rng = child_rng(cfg.rng_seed, "generate", word, "coin")
     sample_rng = child_rng(cfg.rng_seed, "generate", word, "sample")
     # a sampled token is never <pad>, <bos> or <unk>, and a line's first

@@ -22,7 +22,7 @@ from test_rhymer import make_toy_step, toy_oracle
 
 from acropoet.cli import gradient_suite, main
 from acropoet.corpus import (
-    EOL, EOS, AcrosticSpec, Poem, RawDocument, Vocabulary,
+    EOL, EOS, Poem, RawDocument, Vocabulary,
     build_vocabulary, split_into_training_poems, write_poems,
 )
 from acropoet.decode import (
@@ -188,12 +188,10 @@ def test_criterion_06_topic_conditioning(desk_lm, table, announce):
     acc = classifier.accuracy(dev)
 
     model, _, _ = desk_lm
-    block = AcrosticSpec.from_word("mist").onehot_block()
     prefix = [model.vocab.bos_id] + model.vocab.encode(["ash", "blaze"])
     dists = {}
     for topic in ("fire", "water"):
-        cond = model.condition_vector(model.topic_vector(topic, table),
-                                      block, 4)
+        cond = model.condition(topic, "mist", table)
         dists[topic] = lm_forward(model, prefix, cond)
     tv = 0.5 * float(np.abs(dists["fire"] - dists["water"]).sum())
     ok = acc >= 0.95 and tv >= 0.01

@@ -4,10 +4,11 @@ Every file argument of every command is replaced, one at a time, by a
 file that is missing, a directory, empty, truncated, holding bytes that
 are not UTF-8, or an artifact of another kind; every JSONL argument also
 by one whose first record is valid JSON of the wrong shape; every LM
-corpus by one holding a poem of 3 or 9 lines.  Each run must exit 1
-with exactly one `error:` line that names the file (and, for a
-wrong-shape record or poem, its line), and no traceback.  An option a
-command does not read is a usage error (exit 2).
+corpus by one holding a poem of 3 or 9 lines, and `label`'s input by one
+holding a poem with no tokens.  Each run must exit 1 with exactly one
+`error:` line that names the file (and, for a wrong-shape record or
+poem, its line), and no traceback.  An option a command does not read
+is a usage error (exit 2).
 """
 
 import json
@@ -177,6 +178,23 @@ def test_an_lm_poem_outside_4_to_8_lines_is_one_error_line_naming_it(
     line = _assert_one_error_line(run(*_command_line(root, args, tmp_path)))
     assert line == (f"error: {args[at]}:3: poem has {n_lines} lines, "
                     f"need 4-8")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("lines", [[], [[]]], ids=["no lines",
+                                                   "one empty line"])
+def test_label_refuses_a_poem_with_no_tokens(files, tmp_path, lines):
+    """A poem with no tokens has no topic to find; the error names its
+    line (a blank line counts) and no labels are written."""
+    root, run = files
+    first = (root / "dev.jsonl").read_text(encoding="utf-8").split("\n")[0]
+    path = tmp_path / "faulty.jsonl"
+    path.write_text(f"{first}\n\n{json.dumps({'lines': lines})}\n",
+                    encoding="utf-8")
+    args = list(COMMANDS["label"])
+    args[args.index("--input") + 1] = path
+    line = _assert_one_error_line(run(*_command_line(root, args, tmp_path)))
+    assert line == f"error: {path}:3: poem has no tokens"
     assert not (tmp_path / "out").exists()
 
 

@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from acropoet import corpus
 from acropoet.corpus import (
-    AcrosticSpec, Poem, RawDocument, build_vocabulary,
-    derive_training_condition, split_into_training_poems, tokenize,
+    Poem, RawDocument, acrostic_block, build_vocabulary, poem_initials,
+    split_into_training_poems, tokenize,
 )
 
 
@@ -169,45 +169,45 @@ def test_vocab_rejects_empty_token():
 
 def test_condition_alone():
     poem = Poem(lines=[[w] for w in ["alone", "less", "only", "not", "even"]])
-    spec = derive_training_condition(poem)
-    assert spec.letters == list("alone")
-    block = spec.onehot_block()
+    initials = poem_initials(poem)
+    assert initials == list("alone")
+    block = acrostic_block(initials)
     assert block[0, 0] == 1  # 'a'
     for row in range(5, 8):
         assert block[row, corpus.PAD_COL] == 1
 
 def test_condition_digit_initial_pads():
     poem = Poem(lines=[["42", "x"], ["a"], ["b"], ["c"]])
-    spec = derive_training_condition(poem)
-    assert spec.letters[0] is None
-    assert spec.onehot_block()[0, corpus.PAD_COL] == 1
+    initials = poem_initials(poem)
+    assert initials[0] is None
+    assert acrostic_block(initials)[0, corpus.PAD_COL] == 1
 
 def test_condition_eight_lines_no_pad():
     poem = Poem(lines=[[c] for c in "abcdefgh"])
-    block = derive_training_condition(poem).onehot_block()
+    block = acrostic_block(poem_initials(poem))
     assert block[:, corpus.PAD_COL].sum() == 0
 
 @pytest.mark.parametrize("n_lines", [3, 9])
 def test_condition_of_a_poem_outside_4_to_8_lines_errors(n_lines):
     with pytest.raises(corpus.CorpusError,
                        match=f"poem has {n_lines} lines, need 4-8"):
-        derive_training_condition(Poem(lines=[["ash"]] * n_lines))
+        poem_initials(Poem(lines=[["ash"]] * n_lines))
 
 @pytest.mark.parametrize("letters, problem", [
     (list("abcdefghi"), "need 1..8 letters, got 9"), ([], "got 0"),
     (["a", "7"], "bad acrostic letter '7'"),
     (["a", "B"], "bad acrostic letter 'B'"),
     (["a", "bc"], "bad acrostic letter 'bc'")])
-def test_acrostic_spec_takes_1_to_8_letters_a_to_z(letters, problem):
-    """Its one-hot block has eight rows of 26 letters and a pad column, so
+def test_acrostic_block_takes_1_to_8_letters_a_to_z(letters, problem):
+    """The block has eight rows of 26 letters and a pad column, so
     anything else would index past the block or into the wrong column."""
     with pytest.raises(corpus.CorpusError, match=problem):
-        AcrosticSpec(letters=letters)
-    assert AcrosticSpec(letters=["a", None, "z"]).onehot_block().sum() == 8
+        acrostic_block(letters)
+    assert acrostic_block(["a", None, "z"]).sum() == 8
 
 @given(st.from_regex(r"[a-z]{4,8}", fullmatch=True))
 def test_acrostic_rows_sum_to_one(word):
-    block = AcrosticSpec.from_word(word).onehot_block()
+    block = acrostic_block(word)
     assert block.shape == (8, 27)
     assert np.array_equal(block.sum(axis=1), np.ones(8))
     assert set(np.unique(block)) <= {0.0, 1.0}

@@ -6,10 +6,11 @@ import pytest
 from helpers import make_poems, make_table
 
 from acropoet import decode
-from acropoet.corpus import EOL, EOS, AcrosticSpec, Poem, build_vocabulary
+from acropoet.corpus import EOL, EOS, Poem, build_vocabulary
 from acropoet.decode import (
     DecodeError, GenerationConfig, ModelBundle, RhymeScheme, _LineRule,
-    _LmCursor, first_word, generate_poem, render_poem, scheme_for,
+    _LmCursor, acrostic_word, first_word, generate_poem, render_poem,
+    scheme_for,
 )
 from acropoet.embed import knn_with_initial
 from acropoet.net import child_rng
@@ -362,10 +363,37 @@ def test_generate_rhyme_on_requires_rhymer(bundle):
     with pytest.raises(DecodeError, match="rhymer"):
         generate_poem("mist", GenerationConfig(), models)
 
-@pytest.mark.parametrize("word", ["po3t", "cat", "abcdefghi", "", "sea!"])
+@pytest.mark.parametrize("word", ["po3t", "cat", "abcdefghi", "", "sea!",
+                                  "f\u00eate", "\u212aing", "fire\n"])
 def test_generate_invalid_word(bundle, word):
-    with pytest.raises(DecodeError):
+    with pytest.raises(DecodeError,
+                       match="acrostic word must be 4-8 letters a-z"):
         generate_poem(word, GenerationConfig(), bundle)
+
+def test_acrostic_word_lowercases():
+    assert acrostic_word("Fire") == "fire"
+    assert acrostic_word("NAUTICAL") == "nautical"
+
+@pytest.mark.parametrize("tp", [True, False])
+@pytest.mark.parametrize("word", ["fire", "water", "yellow", "inferno",
+                                  "nautical"])
+def test_generation_conditions_the_lm_as_training_does(bundle, monkeypatch,
+                                                       word, tp):
+    """Generating `word` feeds the LM, bit for bit, the condition that
+    `batches` gives a poem about `word` whose lines spell it; with tp off,
+    that of the same poem with no topic."""
+    lm = bundle.lm
+    fed = []
+    project = lm.project_condition
+    monkeypatch.setattr(lm, "project_condition",
+                        lambda cond: fed.append(cond) or project(cond))
+    generate_poem(word, GenerationConfig(tp=tp), bundle)
+    poem = Poem(lines=[[letter + "x", "."] for letter in word],
+                topic=word if tp else None)
+    (_, _, _, cond), = lm.batches([poem], bundle.table, batch_size=1)
+    assert len(fed) == 1
+    assert cond[0].tobytes() == fed[0].tobytes()
+    assert cond[0][:lm.topic_dim].any() == tp
 
 def test_generate_terminal_never_comma(bundle):
     for seed in range(8):
@@ -402,14 +430,9 @@ def test_branch_isolation_m2_only_draws_match(bundle):
 
 # --- LM state: snapshot resume after a rhyme substitution ------------------
 
-def _fire_condition(lm, table):
-    return lm.condition_vector(lm.topic_vector("fire", table),
-                               AcrosticSpec.from_word("fire").onehot_block(),
-                               4)
-
 def test_resume_equals_full_prefix_from_bos(bundle):
     lm, v = bundle.lm, bundle.lm.vocab
-    cond = _fire_condition(lm, bundle.table)
+    cond = lm.condition("fire", "fire", bundle.table)
     words = [t for t in v.non_special_tokens() if t.isalpha()]
     rng = np.random.default_rng(17)
     seen = {"index 0": 0, "word before punctuation": 0, "oov": 0}

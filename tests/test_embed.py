@@ -6,7 +6,7 @@ import pytest
 from reference import knn_oracle
 
 from acropoet import embed
-from acropoet.corpus import AcrosticSpec, CorpusError, Poem, build_vocabulary
+from acropoet.corpus import CorpusError, Poem, acrostic_block, build_vocabulary
 from acropoet.embed import (
     EmbeddingError, EmbeddingTable, cosine, knn_with_initial, load_embeddings,
 )
@@ -368,16 +368,16 @@ def test_an_all_zero_vector_loads_and_is_no_candidate(tmp_path):
 # --- char one-hot -----------------------------------------------------------
 
 def test_onehot_poet():
-    block = AcrosticSpec.from_word("poet").onehot_block()
+    block = acrostic_block("poet")
     for row, ch in enumerate("poet"):
         assert block[row, ord(ch) - ord("a")] == 1
     for row in range(4, 8):
         assert block[row, 26] == 1
 
 def test_onehot_full_length_no_pad():
-    assert AcrosticSpec.from_word("abcdefgh").onehot_block()[:, 26].sum() == 0
+    assert acrostic_block("abcdefgh")[:, 26].sum() == 0
 
 def test_onehot_rejects_bad_words():
     for bad in ["po3t", "", "abcdefghi"]:
         with pytest.raises(CorpusError):
-            AcrosticSpec.from_word(bad).onehot_block()
+            acrostic_block(bad)

@@ -93,7 +93,7 @@ def worlds(draw):
     return word, cfg, models
 
 
-@settings(max_examples=200, deadline=None,
+@settings(max_examples=200, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(worlds())
 def test_generation_keeps_its_invariants_or_raises_a_library_error(world):

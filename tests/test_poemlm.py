@@ -3,7 +3,7 @@ import pytest
 from helpers import make_plain_sentences, make_poems, make_table
 from reference import lm_forward
 
-from acropoet.corpus import Poem, build_vocabulary
+from acropoet.corpus import Poem, build_vocabulary, poem_initials
 from acropoet.net import grad_check, softmax, softmax_xent_batch, xent_grad
 from acropoet.poemlm import (
     ACROSTIC_DIM, EMB_NAME, LmConfig, LmVariant, PoemLM, PoemLmError,
@@ -24,6 +24,11 @@ def fresh_model(table, seed=0, topic_channel=True, **cfg_over):
                    emb_matrix=build_embedding_matrix(vocab, table),
                    variant=variant)
     return model, poems
+
+
+def poem_condition(model, poem, table):
+    """The condition `batches` gives `poem`."""
+    return model.condition(poem.topic, poem_initials(poem), table)
 
 
 def test_variant_names_roundtrip():
@@ -56,7 +61,7 @@ def test_lm_forward_valid_distribution(table):
         L = int(rng.integers(1, 8))
         prefix = [model.vocab.bos_id] + list(
             rng.integers(0, len(model.vocab), size=L))
-        cond = model.poem_condition(poems[0], None)
+        cond = poem_condition(model, poems[0], None)
         probs = lm_forward(model, prefix, cond)
         assert probs.min() >= 0
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
@@ -70,7 +75,7 @@ def test_lm_forward_requires_bos(table):
 
 def test_lm_forward_deterministic(table):
     model, poems = fresh_model(table)
-    cond = model.poem_condition(poems[0], table)
+    cond = poem_condition(model, poems[0], table)
     a = lm_forward(model, [model.vocab.bos_id], cond)
     b = lm_forward(model, [model.vocab.bos_id], cond)
     assert np.array_equal(a, b)
@@ -88,7 +93,7 @@ def test_target_loss_matches_stepwise_oracle(table):
     total, count = 0.0, 0
     for poem in batch:
         ids = model.vocab.encode_poem(poem)
-        poem_cond = model.poem_condition(poem, table)
+        poem_cond = poem_condition(model, poem, table)
         for i in range(1, len(ids)):
             total -= np.log(lm_forward(model, ids[:i], poem_cond)[ids[i]])
             count += 1
@@ -98,7 +103,7 @@ def test_target_loss_matches_stepwise_oracle(table):
 
 def test_step_state_matches_full_forward(table):
     model, poems = fresh_model(table)
-    cond = model.poem_condition(poems[1], table)
+    cond = poem_condition(model, poems[1], table)
     ids = model.vocab.encode_poem(poems[1])[:6]
     state, step_cond = model.init_state(), model.project_condition(cond)
     for i, tok in enumerate(ids):
@@ -259,7 +264,7 @@ def test_perplexity_takes_the_loss_without_its_gradient(table,
 
 def test_lm_forward_equals_the_last_row_of_full_logits(table):
     model, poems = fresh_model(table)
-    cond = model.poem_condition(poems[2], table)
+    cond = poem_condition(model, poems[2], table)
     ids = model.vocab.encode_poem(poems[2])
     for i in (1, 4, len(ids)):
         logits, _ = model.forward_batch(np.asarray(ids[:i])[:, None],
@@ -275,7 +280,7 @@ def test_a_token_id_out_of_range_errors(table, bad):
     model, poems = fresh_model(table)
     V = len(model.vocab)
     bad = V if bad == "V" else bad
-    cond = model.poem_condition(poems[0], table)
+    cond = poem_condition(model, poems[0], table)
     with pytest.raises(PoemLmError, match=f"token id {bad} out of range"):
         model.step(model.init_state(), bad, model.project_condition(cond))
     ids = np.array([[model.vocab.bos_id], [bad]])
