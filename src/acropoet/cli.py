@@ -50,11 +50,6 @@ PIPELINE_ERRORS = (CorpusError, EmbeddingError, NetError, PoemLmError,
                    RhymerError, TopicError, DecodeError, OSError)
 
 
-def _fail(message) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(1)
-
-
 def _outpath(path: str) -> str:
     """Resolve an output path, honoring the output-dir override env var."""
     base = os.environ.get("ACROPOET_OUT")
@@ -108,7 +103,8 @@ class _Pipeline(click.Group):
         try:
             return super().invoke(ctx)
         except PIPELINE_ERRORS as exc:
-            _fail(exc)
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
 
 
 @click.group(cls=_Pipeline)
@@ -323,15 +319,15 @@ def eval_ppl(ckpt_path, test_path, emb_path, json_path):
     """Report test-set perplexity for an LM checkpoint."""
     model = load_lm(ckpt_path).model
     if model.variant.topic_channel and emb_path is None:
-        _fail(f"{ckpt_path}: a {model.variant.name} LM reads topic vectors; "
-              f"give --embeddings")
+        raise PoemLmError(f"{ckpt_path}: a {model.variant.name} LM reads "
+                          f"topic vectors; give --embeddings")
     poems = _read_lm_poems(test_path)
     tokens = [t for p in poems for t in p.tokens()]
     if tokens:
         oov = sum(t not in model.vocab for t in tokens) / len(tokens)
         if oov > 0.5:
-            _fail(f"vocabulary mismatch: {oov:.0%} of corpus tokens "
-                  f"are unknown to the checkpoint")
+            raise PoemLmError(f"vocabulary mismatch: {oov:.0%} of corpus "
+                              f"tokens are unknown to the checkpoint")
     table = load_embeddings(emb_path, model.topic_dim) if emb_path else None
     ppl = model.perplexity(poems, table)
     click.echo(f"{model.variant.name}\t{ppl:.3f}")
@@ -367,11 +363,14 @@ def generate(obj, word, lm_path, rhymer_path, emb_path, st, ac, rh, tp,
         acrostic_word(word)
     except DecodeError as exc:
         raise click.BadParameter(str(exc), param_hint="WORD") from None
+    cfg = _component_config(obj, "generate", GenerationConfig, "rng_seed",
+                            st=st, ac=ac, rh=rh, tp=tp)
+    if cfg.rh and not rhymer_path:
+        raise click.UsageError("rhyme flag is on but no --rhymer was given; "
+                               "give --rhymer or --no-rh")
     lm = load_lm(lm_path).model
     table = load_embeddings(emb_path, lm.topic_dim)
     rhymer = load_rhymer(rhymer_path) if rhymer_path else None
-    cfg = _component_config(obj, "generate", GenerationConfig, "rng_seed",
-                            st=st, ac=ac, rh=rh, tp=tp)
     result = generate_poem(word, cfg, ModelBundle(lm=lm, table=table,
                                                   rhymer=rhymer))
     click.echo(render_poem(result.poem))
@@ -468,7 +467,7 @@ def gradcheck(n_seeds, tolerance):
     click.echo(f"max relative error {worst:.2e} "
                f"(tolerance {tolerance:.0e})")
     if worst > tolerance:
-        _fail("gradient check failed")
+        raise NetError("gradient check failed")
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Pretrained word vectors: loading, cosine similarity, letter-filtered kNN.
+"""Pretrained word vectors: loading and letter-filtered kNN by cosine.
 
 The on-disk format is the common text release format: one entry per line,
 token followed by `dim` decimals, single-space separated.
@@ -153,63 +153,30 @@ def _read_vectors(path, dim: int | None) -> EmbeddingTable:
         matrix, rows, where=lambda row: f"{path}:{line_of[row]}")
 
 
-def cosine(x: str, u: str, table: EmbeddingTable) -> float:
-    """Cosine similarity between two tokens' vectors."""
-    vx, vu = table.vector(x), table.vector(u)
-    nx, nu = np.linalg.norm(vx), np.linalg.norm(vu)
-    if nx == 0.0 or nu == 0.0:
-        raise EmbeddingError(
-            f"zero-norm vector for {x!r}" if nx == 0.0 else
-            f"zero-norm vector for {u!r}"
-        )
-    return float(np.dot(vx, vu) / (nx * nu))
-
-
-# The matvec and `cosine` differ by ~1e-15; any slack far above that keeps
-# every exact top-k token in the shortlist.
-SHORTLIST_SLACK = 1e-9
-
-
 class LetterCandidates(NamedTuple):
     """A letter's kNN candidates in one vocabulary and table, read-only:
-    their vocabulary ids, their table rows and the rows' norms."""
+    their vocabulary ids and their table rows."""
 
     ids: np.ndarray
     rows: np.ndarray
-    norms: np.ndarray
 
 
 def letter_candidates(table: EmbeddingTable, vocab: Vocabulary,
                       letter: str) -> LetterCandidates:
     """The vocabulary's tokens that start with `letter` and have a nonzero
-    vector in the table (tokens without one cannot be scored), in
-    `Vocabulary.by_initial` order."""
+    vector in the table (tokens without one cannot be scored), sorted by
+    token."""
     ids = vocab.by_initial.get(letter)
-    tids = [] if ids is None else ids.tolist()
+    tids = [] if ids is None else sorted(
+        ids.tolist(), key=vocab.id_to_token.__getitem__)
     found = [(tid, row) for tid, tok in zip(tids, vocab.decode(tids))
              if (row := table.row(tok)) is not None]
     ids, rows = np.array(found, dtype=int).reshape(-1, 2).T
     keep = table.matrix[rows].any(axis=1)
     ids, rows = ids[keep], rows[keep]
-    norms = table.norms[rows]
-    for array in (ids, rows, norms):
+    for array in (ids, rows):
         array.setflags(write=False)
-    return LetterCandidates(ids, rows, norms)
-
-
-def _shortlist(table: EmbeddingTable, candidates: LetterCandidates,
-               topic: str, k: int):
-    """Positions in `candidates` of those that can be in the exact top k
-    by cosine to the topic: every one whose matvec cosine is within
-    SHORTLIST_SLACK of the k-th best.  All of them when the topic's
-    vector is zero, so that the exact scan raises as `cosine` does."""
-    _, rows, norms = candidates
-    norm = float(table.norms[table.row(topic)])
-    if not (0 < k < len(rows) and norm > 0):
-        return slice(None)
-    approx = (table.matrix[rows] @ table.vector(topic)) / (norms * norm)
-    kth = np.partition(approx, -k)[-k]
-    return np.flatnonzero(approx >= kth - SHORTLIST_SLACK)
+    return LetterCandidates(ids, rows)
 
 
 def knn_with_initial(
@@ -224,15 +191,22 @@ def knn_with_initial(
 
     Candidates are those of `letter_candidates`; pass them as
     `candidates` to reuse them across queries, or leave it None to make
-    them here.  Ties break lexicographically.  One matvec over the
-    candidates picks a shortlist; `cosine` ranks it, so the order is
-    exactly that of scoring every candidate with `cosine`.
+    them here.  One matvec scores them all,
+    (matrix[rows] @ topic) / (norms[rows] * |topic|), and a stable sort
+    over the token-ordered candidates breaks ties on the token.
     """
-    if topic not in table:
+    row = table.row(topic)
+    if row is None:
         raise EmbeddingError(f"topic {topic!r} not in embedding table")
     if candidates is None:
         candidates = letter_candidates(table, restrict_to, letter)
-    keep = _shortlist(table, candidates, topic, k)
-    scored = sorted((-cosine(tok, topic, table), tok) for tok in
-                    restrict_to.decode(candidates.ids[keep].tolist()))
-    return [tok for _, tok in scored[:k]]
+    ids, rows = candidates
+    if not len(rows):
+        return []
+    norm = table.norms[row]
+    if norm == 0:
+        raise EmbeddingError(f"zero-norm vector for {topic!r}")
+    scores = ((table.matrix[rows] @ table.matrix[row])
+              / (table.norms[rows] * norm))
+    best = np.argsort(-scores, kind="stable")[:k]
+    return restrict_to.decode(ids[best].tolist())

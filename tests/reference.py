@@ -8,8 +8,8 @@ the generator's shortcuts:
   from <bos>, through `PoemLM.step` on a fresh state (no per-token
   snapshots, no replay of a changed line tail);
 - every sampling mask is built from its definition when it is needed;
-- a topic neighbour is found by scoring every candidate with
-  `embed.cosine` (`knn_oracle`), not through a matvec shortlist;
+- a topic neighbour is found by scanning the whole vocabulary for its
+  candidates at every query (`knn_oracle`), not from a per-letter cache;
 - the rhymer takes one decoder step per hypothesis on the full,
   unprojected decoder input and runs its beam to `MAX_WORD_LEN` with no
   stop (`run_to_max_len`);
@@ -25,7 +25,7 @@ import numpy as np
 from acropoet import rhymer as rhymer_module
 from acropoet.corpus import BOS, EOL, EOS, PAD, SPECIALS, UNK, Poem
 from acropoet.decode import GenerationResult, _sample_id, scheme_for
-from acropoet.embed import EmbeddingError, cosine
+from acropoet.embed import EmbeddingError
 from acropoet.net import CE_EPS, child_rng, lstm_step, pad_ids, softmax
 from acropoet.poemlm import PoemLmError
 from acropoet.rhymer import (
@@ -95,15 +95,25 @@ def boundaries_oracle(tokens, target, cap):
 # --- kNN ----------------------------------------------------------------------
 
 def knn_oracle(topic, letter, table, vocab, k):
-    """The k vocabulary tokens starting with `letter` nearest the topic, by
-    `cosine` against every one with a nonzero vector; ties break on the
-    token."""
-    cands = []
-    for tok in vocab.non_special_tokens():
-        if tok.startswith(letter) and tok in table and np.any(table.vector(tok)):
-            cands.append(tok)
-    cands.sort(key=lambda t: (-cosine(t, topic, table), t))
-    return cands[:k]
+    """The k vocabulary tokens starting with `letter` nearest the topic:
+    every one with a nonzero vector, gathered in token order and scored
+    by one matvec, (matrix[rows] @ topic) / (norms[rows] * |topic|); ties
+    break on the token."""
+    topic_row = table.row(topic)
+    if topic_row is None:
+        raise EmbeddingError(f"topic {topic!r} not in embedding table")
+    toks = sorted(tok for tok in vocab.non_special_tokens()
+                  if tok.startswith(letter) and tok in table
+                  and np.any(table.vector(tok)))
+    if not toks:
+        return []
+    if table.norms[topic_row] == 0:
+        raise EmbeddingError(f"zero-norm vector for {topic!r}")
+    rows = [table.row(tok) for tok in toks]
+    scores = (table.matrix[rows] @ table.matrix[topic_row]) / (
+        table.norms[rows] * table.norms[topic_row])
+    scored = sorted((-float(score), tok) for score, tok in zip(scores, toks))
+    return [tok for _, tok in scored[:k]]
 
 
 # --- beam search --------------------------------------------------------------

@@ -363,12 +363,37 @@ def test_generate_no_rhyme_skips_rhymer(workdir, tmp_path):
     assert record["rhyme_slots_filled"] == []
 
 
+def _assert_rhymer_usage_error(result):
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert result.output.count("Usage:") == 1
+    errors = [l for l in result.output.splitlines() if l.startswith("Error:")]
+    assert errors == ["Error: rhyme flag is on but no --rhymer was given; "
+                      "give --rhymer or --no-rh"]
+
+
 def test_generate_rhyme_without_rhymer_fails(workdir):
     root, run = workdir
     result = run("generate", "glow", "--lm", root / "lm.ckpt",
                  "--embeddings", root / "vectors.txt")
-    assert result.exit_code == 1
-    assert "rhymer" in result.output
+    _assert_rhymer_usage_error(result)
+
+
+def test_generate_rhyme_without_rhymer_reads_no_file(workdir, tmp_path,
+                                                     monkeypatch):
+    """The missing --rhymer is reported before any model file is read,
+    even when the LM file does not exist."""
+    root, run = workdir
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("a model file was read")
+    for name in ("load_lm", "load_embeddings", "load_rhymer"):
+        monkeypatch.setattr(cli, name, unreached)
+    for lm in (root / "lm.ckpt", tmp_path / "missing.ckpt"):
+        result = run("generate", "glow", "--lm", lm,
+                     "--embeddings", root / "vectors.txt")
+        _assert_rhymer_usage_error(result)
 
 
 def _assert_one_error_line(result):
@@ -745,7 +770,7 @@ def test_generate_section_rh_false_needs_no_rhymer(workdir, tmp_path):
     assert record["flags"]["rh"] is False
     result = _run_with_config(tmp_path, {"generate": {"rh": False}}, *args,
                               "--rh")
-    assert "no rhymer" in _assert_one_error_line(result)
+    _assert_rhymer_usage_error(result)
 
 
 def test_int_config_value_accepted_for_float_field(workdir, tmp_path):

@@ -6,9 +6,11 @@ import pytest
 from reference import knn_oracle
 
 from acropoet import embed
-from acropoet.corpus import CorpusError, Poem, acrostic_block, build_vocabulary
+from acropoet.corpus import (
+    CorpusError, Poem, Vocabulary, acrostic_block, build_vocabulary,
+)
 from acropoet.embed import (
-    EmbeddingError, EmbeddingTable, cosine, knn_with_initial, load_embeddings,
+    EmbeddingError, EmbeddingTable, knn_with_initial, load_embeddings,
 )
 
 
@@ -147,42 +149,6 @@ def test_table_from_a_mapping_copies_into_one_matrix():
     assert "AA" in t and "cc" not in t and len(t) == 2
 
 
-# --- cosine -----------------------------------------------------------------
-
-def test_cosine_identical():
-    t = table_from([("a", [1, 2]), ("b", [1, 2])], 2)
-    assert cosine("a", "b", t) == pytest.approx(1.0, abs=1e-9)
-
-def test_cosine_orthogonal():
-    t = table_from([("a", [1, 0]), ("b", [0, 1])], 2)
-    assert cosine("a", "b", t) == pytest.approx(0.0, abs=1e-9)
-
-def test_cosine_45_degrees():
-    t = table_from([("a", [1, 0]), ("b", [1, 1])], 2)
-    assert cosine("a", "b", t) == pytest.approx(0.70710678, abs=1e-6)
-
-def test_cosine_zero_norm_error():
-    t = table_from([("a", [0, 0]), ("b", [1, 1])], 2)
-    with pytest.raises(EmbeddingError, match="zero-norm"):
-        cosine("a", "b", t)
-
-def test_cosine_missing_token():
-    t = table_from([("a", [1, 0])], 2)
-    with pytest.raises(EmbeddingError):
-        cosine("a", "zzz", t)
-
-def test_cosine_symmetry_and_scale_invariance():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        va, vb = rng.normal(size=4), rng.normal(size=4)
-        c = rng.uniform(0.1, 10.0)
-        t = table_from([("a", va), ("b", vb), ("bs", c * vb)], 4)
-        assert cosine("a", "b", t) == pytest.approx(cosine("b", "a", t),
-                                                    abs=1e-12)
-        assert cosine("a", "bs", t) == pytest.approx(cosine("a", "b", t),
-                                                     abs=1e-9)
-
-
 # --- kNN --------------------------------------------------------------------
 
 def _vocab(tokens):
@@ -203,6 +169,29 @@ def test_knn_missing_topic():
     t = table_from([("aa", [1, 1])], 2)
     with pytest.raises(EmbeddingError):
         knn_with_initial("nope", "a", t, _vocab(["aa"]), k=5)
+
+def test_knn_ranks_by_angle_to_the_topic():
+    # same direction, then 45, 90, 135 and 180 degrees, whatever the
+    # candidates' lengths and tokens
+    t = table_from([("top", [1, 0]), ("ae", [0.1, 0]), ("ad", [2, 2]),
+                    ("ac", [0, 5]), ("ab", [-1, 1]), ("aa", [-3, 0])], 2)
+    v = _vocab(["aa", "ab", "ac", "ad", "ae"])
+    want = ["ae", "ad", "ac", "ab", "aa"]
+    for k in range(1, 6):
+        assert knn_with_initial("top", "a", t, v, k=k) == want[:k]
+
+@pytest.mark.parametrize("scale", [1e-3, 2.5, 1e3])
+def test_knn_order_ignores_the_lengths_of_topic_and_candidates(scale):
+    rng = np.random.default_rng(4)
+    toks = [f"a{i:02d}" for i in range(20)]
+    topic, vecs = rng.normal(size=4), rng.normal(size=(20, 4))
+    lengths = rng.uniform(0.1, 10.0, size=(20, 1))
+    plain = table_from([("topic", topic), *zip(toks, vecs)], 4)
+    scaled = table_from([("topic", scale * topic),
+                         *zip(toks, lengths * vecs)], 4)
+    vocab = _vocab(toks)
+    assert knn_with_initial("topic", "a", scaled, vocab, k=20) == \
+        knn_with_initial("topic", "a", plain, vocab, k=20)
 
 @pytest.mark.parametrize("seed", range(10))
 def test_knn_matches_bruteforce(seed):
@@ -233,7 +222,8 @@ def test_knn_exact_ties_break_on_token():
     entries = [("topic", rng.normal(size=4))]
     toks = []
     for i, vec in enumerate(base):
-        # duplicates and positive rescalings tie in exact cosine
+        # duplicates tie exactly; a rescaling may move the score in its
+        # last bits, and the oracle's formula must move it the same way
         for j, scale in enumerate([1.0, 1.0, 2.5, 1e-3, 1e3]):
             tok = f"a{i}{'zyxwv'[j]}"
             toks.append(tok)
@@ -243,8 +233,8 @@ def test_knn_exact_ties_break_on_token():
     _assert_knn_matches_oracle("topic", table, vocab, "a", range(1, 12))
 
 def test_knn_near_ties_keep_exact_order():
-    # cosines that differ in the last few bits: the matvec may order them
-    # differently from `cosine`, the shortlist must not
+    # cosines that differ in the last few bits: the order is that of the
+    # one matvec formula, bit for bit
     entries = [("topic", np.array([1.0, 0.0, 0.0]))]
     toks = []
     for i in range(30):
@@ -305,18 +295,16 @@ def test_knn_index_released_with_its_vocabulary():
     assert knn_with_initial("top", "a", t, _vocab(["ab"]), k=1) == ["ab"]
 
 
-def test_letter_candidates_are_in_table_nonzero_in_vocabulary_order():
+def test_letter_candidates_are_in_table_nonzero_in_token_order():
     t = table_from([("top", [1, 0]), ("ab", [1, 1]), ("aa", [0, 0]),
                     ("ac", [2, 1]), ("b1", [1, 1])], 2)
-    v = _vocab(["ac", "zz", "ad", "aa", "ab", "b1"])
-    ids, rows, norms = embed.letter_candidates(t, v, "a")
-    assert v.decode(ids.tolist()) == [tok for tok in v.non_special_tokens()
-                                      if tok in ("ac", "ab")]
+    v = Vocabulary(["ac", "zz", "ad", "aa", "ab", "b1"])
+    ids, rows = embed.letter_candidates(t, v, "a")
+    assert v.decode(ids.tolist()) == ["ab", "ac"]
     assert rows.tolist() == [t.row(tok) for tok in v.decode(ids.tolist())]
-    assert np.array_equal(norms, t.norms[rows])
-    assert not any(a.flags.writeable for a in (ids, rows, norms))
+    assert not any(a.flags.writeable for a in (ids, rows))
     none = embed.letter_candidates(t, v, "q")
-    assert len(none.ids) == len(none.rows) == len(none.norms) == 0
+    assert len(none.ids) == len(none.rows) == 0
     for letter in "abqz":
         cands = embed.letter_candidates(t, v, letter)
         for k in (1, 2, 5):
@@ -333,8 +321,7 @@ def test_letter_candidates_are_in_table_nonzero_in_vocabulary_order():
 ], ids=["underflow", "underflow-both", "overflow", "inf", "nan"])
 def test_table_rejects_a_vector_with_an_odd_norm(odd, problem):
     """A norm that underflows to zero or is not finite has no cosine, so
-    the table refuses it, naming its token, and every letter's candidates
-    keep their norms."""
+    the table refuses it, naming its token."""
     with pytest.raises(EmbeddingError,
                        match=rf"^token 'a9': vector norm {problem}$"):
         table_from([("top", [1.0, 0.5]), ("a1", [1.0, 2.0]), ("a9", odd)],
@@ -359,7 +346,6 @@ def test_an_all_zero_vector_loads_and_is_no_candidate(tmp_path):
     v = _vocab(["aa", "ab", "ac"])
     cands = embed.letter_candidates(t, v, "a")
     assert v.decode(cands.ids.tolist()) == ["ab", "ac"]
-    assert np.all(cands.norms > 0)
     for k in (1, 3):
         assert knn_with_initial("top", "a", t, v, k=k) == \
             knn_oracle("top", "a", t, v, k) == ["ac", "ab"][:k]

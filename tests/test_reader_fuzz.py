@@ -5,11 +5,13 @@ inputs are desk artifacts with a few byte-level mutations, and random
 bytes."""
 
 import pytest
-from helpers import make_poems, make_table
+from helpers import (
+    make_documents, make_plain_sentences, make_poems, make_sonnets, make_table,
+)
 from hypothesis import HealthCheck, given, settings, strategies as st
-from test_cli import write_table
+from test_cli import write_documents, write_table
 
-from acropoet import corpus, embed, net
+from acropoet import cli, corpus, embed, net
 from acropoet.cli import PIPELINE_ERRORS
 from acropoet.poemlm import (
     LmConfig, LmVariant, PoemLM, TrainedLm, build_embedding_matrix, save_lm,
@@ -23,7 +25,8 @@ FUZZ = settings(derandomize=True, database=None, deadline=None,
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
     """The bytes of a desk LM checkpoint (untrained, 2 units wide), a
-    4-wide embeddings file and a poem JSONL file."""
+    4-wide embeddings file, a poem JSONL file, two raw document JSONL
+    files (plain and sonnets) and a pretraining text file."""
     root = tmp_path_factory.mktemp("seeds")
     table = make_table(dim=4, seed=0)
     poems = make_poems(4, seed=1)
@@ -34,8 +37,14 @@ def artifacts(tmp_path_factory):
     save_lm(root / "lm.ckpt", TrainedLm(model=lm))
     write_table(root / "vectors.txt", table)
     corpus.write_poems(root / "poems.jsonl", poems)
+    write_documents(root / "docs.jsonl", make_documents(3, seed=0))
+    write_documents(root / "sonnets.jsonl", make_sonnets(2, seed=0))
+    (root / "pre.txt").write_text(
+        "".join(" ".join(s) + "\n" for s in make_plain_sentences(4, seed=0)),
+        encoding="utf-8")
     return {name: (root / name).read_bytes()
-            for name in ("lm.ckpt", "vectors.txt", "poems.jsonl")}
+            for name in ("lm.ckpt", "vectors.txt", "poems.jsonl",
+                         "docs.jsonl", "sonnets.jsonl", "pre.txt")}
 
 
 # bytes that break text formats more often than random ones do
@@ -76,6 +85,9 @@ READERS = {
     "embeddings-4-wide": ("vectors.txt",
                           lambda path: embed.load_embeddings(path, 4)),
     "poems": ("poems.jsonl", corpus.read_poems),
+    "documents": ("docs.jsonl", corpus.read_documents),
+    "rhyme-pairs": ("sonnets.jsonl", cli._rhyme_pairs),
+    "pretrain": ("pre.txt", cli._read_pretrain),
 }
 
 

@@ -1,7 +1,8 @@
 """`decode.generate_poem` against the plain reference decoder.
 
 The generator's shortcuts (per-token LM snapshots, per-poem masks, the
-kNN shortlist, the batched beam with its stop, rhymer context reuse) must
+per-letter kNN candidates, the batched beam with its stop, rhymer context
+reuse) must
 change nothing: the poem, the first-word paths, the substitutions, the
 rhymer calls and the distribution of every sampled token equal those of
 `reference.reference_poem`, which has none of them.  (One draw of a
@@ -29,8 +30,8 @@ from acropoet.poemlm import (
 )
 from acropoet.rhymer import RhymerConfig, RhymerModel
 
-# A third word for every initial, so that with k=2 the kNN shortlist
-# leaves candidates out.
+# A third word for every initial, so that with k=2 a kNN query leaves
+# candidates out.
 EXTRA = ["amber", "bloom", "cinder", "dusk", "echo", "fern", "gale", "haze",
          "iris", "jade", "knoll", "lunar", "moss", "nectar", "oak", "petal",
          "quill", "rain", "stone", "thorn", "unity", "vale", "willow",
