@@ -313,7 +313,8 @@ def label(ckpt_path, input_path, output_path):
 @click.option("--test", "test_path", required=True)
 @click.option("--embeddings", "emb_path", default=None,
               help="Word-vector text file, as wide as the LM's topic "
-                   "vectors (needed when the LM has a topic channel).")
+                   "vectors; needed and read only when the LM has a "
+                   "topic channel.")
 @click.option("--json", "json_path", default=None)
 def eval_ppl(ckpt_path, test_path, emb_path, json_path):
     """Report test-set perplexity for an LM checkpoint."""
@@ -328,7 +329,9 @@ def eval_ppl(ckpt_path, test_path, emb_path, json_path):
         if oov > 0.5:
             raise PoemLmError(f"vocabulary mismatch: {oov:.0%} of corpus "
                               f"tokens are unknown to the checkpoint")
-    table = load_embeddings(emb_path, model.topic_dim) if emb_path else None
+    # a topic-less LM's condition is zeros whatever the table holds
+    table = (load_embeddings(emb_path, model.topic_dim)
+             if model.variant.topic_channel else None)
     ppl = model.perplexity(poems, table)
     click.echo(f"{model.variant.name}\t{ppl:.3f}")
     payload = {"variant": model.variant.name, "perplexity": ppl,
@@ -339,7 +342,9 @@ def eval_ppl(ckpt_path, test_path, emb_path, json_path):
 @main.command()
 @click.argument("word")
 @click.option("--lm", "lm_path", required=True)
-@click.option("--rhymer", "rhymer_path", default=None)
+@click.option("--rhymer", "rhymer_path", default=None,
+              help="Rhymer checkpoint; needed and read only with rhyme "
+                   "on.")
 @click.option("--embeddings", "emb_path", required=True,
               help="Word-vector text file, as wide as the LM's topic "
                    "vectors.")
@@ -347,7 +352,7 @@ def eval_ppl(ckpt_path, test_path, emb_path, json_path):
               help="First-word topic steering (default on).")
 @click.option("--ac/--no-ac", default=None,
               help="Acrostic masking (default on).")
-@click.option("--rh/--no-rh", "--rhyme/--no-rhyme", default=None,
+@click.option("--rh/--no-rh", default=None,
               help="Rhyme-scheme substitution (default on).")
 @click.option("--tp/--no-tp", default=None,
               help="Topic conditioning (default on).")
@@ -370,7 +375,7 @@ def generate(obj, word, lm_path, rhymer_path, emb_path, st, ac, rh, tp,
                                "give --rhymer or --no-rh")
     lm = load_lm(lm_path).model
     table = load_embeddings(emb_path, lm.topic_dim)
-    rhymer = load_rhymer(rhymer_path) if rhymer_path else None
+    rhymer = load_rhymer(rhymer_path) if cfg.rh else None
     result = generate_poem(word, cfg, ModelBundle(lm=lm, table=table,
                                                   rhymer=rhymer))
     click.echo(render_poem(result.poem))

@@ -29,6 +29,7 @@ EOS = "<eos>"
 EOL = "<eol>"
 UNK = "<unk>"
 SPECIALS = (PAD, BOS, EOS, EOL, UNK)
+MAX_VOCAB = 50000  # most frequent training tokens a vocabulary keeps
 
 # One-hot letter block geometry: 26 letters + 1 pad column, 8 rows.
 N_LETTER_ROWS = 8
@@ -154,6 +155,9 @@ def split_into_training_poems(doc: RawDocument) -> list[Poem]:
 class Vocabulary:
     """Dense token<->id map with reserved special tokens."""
 
+    # __init__ puts SPECIALS first, so each has its index there as its id
+    pad_id, bos_id, eos_id, eol_id, unk_id = range(len(SPECIALS))
+
     def __init__(self, tokens: Iterable[str]):
         self.id_to_token: list[str] = list(SPECIALS) + list(tokens)
         self.token_to_id: dict[str, int] = {
@@ -169,26 +173,6 @@ class Vocabulary:
 
     def __contains__(self, token: str) -> bool:
         return token in self.token_to_id
-
-    @property
-    def pad_id(self) -> int:
-        return self.token_to_id[PAD]
-
-    @property
-    def bos_id(self) -> int:
-        return self.token_to_id[BOS]
-
-    @property
-    def eos_id(self) -> int:
-        return self.token_to_id[EOS]
-
-    @property
-    def eol_id(self) -> int:
-        return self.token_to_id[EOL]
-
-    @property
-    def unk_id(self) -> int:
-        return self.token_to_id[UNK]
 
     def encode(self, tokens: Iterable[str]) -> list[int]:
         unk = self.unk_id
@@ -223,7 +207,8 @@ class Vocabulary:
         return MappingProxyType(arrays)
 
 
-def build_vocabulary(poems: Iterable[Poem], max_size: int = 50000) -> Vocabulary:
+def build_vocabulary(poems: Iterable[Poem],
+                     max_size: int = MAX_VOCAB) -> Vocabulary:
     """Keep the max_size most frequent tokens; ties go to the smaller token."""
     counts: Counter[str] = Counter()
     for poem in poems:

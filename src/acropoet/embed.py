@@ -26,10 +26,20 @@ class EmbeddingTable:
     matrix, its row norms and the row of each token."""
 
     def __init__(self, dim: int, vectors: Mapping[str, np.ndarray]):
+        """Keys are lower-cased, as lookups are; two keys that are then
+        equal are an error."""
+        rows: dict[str, int] = {}
+        for key in vectors:
+            token = key.lower()
+            if token in rows:
+                first = next(k for k in vectors if k.lower() == token)
+                raise EmbeddingError(f"tokens {first!r} and {key!r} are "
+                                     f"the same once lower-cased")
+            rows[token] = len(rows)
         matrix = np.zeros((len(vectors), dim))
         for row, vec in zip(matrix, vectors.values()):
             row[:] = vec
-        self._init(matrix, dict(zip(vectors, range(len(vectors)))))
+        self._init(matrix, rows)
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, rows: dict[str, int],

@@ -36,7 +36,6 @@ log = logging.getLogger(__name__)
 
 ACROSTIC_DIM = N_LETTER_ROWS * N_LETTER_COLS  # 216
 EMB_NAME = "embed.fixed"
-VOCAB_SIZE = 50000  # most frequent training tokens the LM keeps
 
 
 class PoemLmError(ValueError):
@@ -398,7 +397,7 @@ def train_variant(variant: LmVariant, gold_train: list[Poem],
     if not finetune or not gold_dev:
         raise PoemLmError("empty training or dev corpus")
 
-    vocab = build_vocabulary(finetune, max_size=VOCAB_SIZE)
+    vocab = build_vocabulary(finetune)
     model = PoemLM(vocab, cfg, topic_dim=table.dim,
                    emb_matrix=build_embedding_matrix(vocab, table),
                    variant=variant)

@@ -36,12 +36,10 @@ class TopicConfig:
     batch_size: int = 128
     patience: int = 25
     max_epochs: int = 100
-    vocab_size: int = 50000
     seed: int = 0
 
     def __post_init__(self):
-        problem = net.config_problem(self, ("hidden", "batch_size",
-                                            "vocab_size"))
+        problem = net.config_problem(self, ("hidden", "batch_size"))
         if problem:
             raise TopicError(problem)
 
@@ -153,7 +151,7 @@ def train_topic_model(gold_train: list[Poem], gold_dev: list[Poem],
     if len(labels) < 2:
         raise TopicError(
             "training corpus has a single topic; classifier is degenerate")
-    vocab = build_vocabulary(gold_train, max_size=cfg.vocab_size)
+    vocab = build_vocabulary(gold_train)
     model = TopicClassifier(vocab, labels, cfg,
                             build_embedding_matrix(vocab, table))
     rng = net.child_rng(cfg.seed, "topics", "train")

@@ -298,6 +298,16 @@ def test_eval_ppl_of_an_lm_without_topic_channel_needs_no_embeddings(
     result = run("eval-ppl", "--checkpoint", out, "--test", root / "dev.jsonl")
     assert result.exit_code == 0, result.output
     assert result.output.startswith("gold-\t")
+    ppl_json = (out.parent / "gold-.ckpt.ppl.json").read_bytes()
+    # the LM reads no topic vectors, so a file of the wrong width is not
+    # read and the perplexity is the same to the byte
+    bad = tmp_path / "bad.txt"
+    bad.write_text("fire 1.0 2.0\n")
+    again = run("eval-ppl", "--checkpoint", out, "--test", root / "dev.jsonl",
+                "--embeddings", bad)
+    assert again.exit_code == 0, again.output
+    assert again.output == result.output
+    assert (out.parent / "gold-.ckpt.ppl.json").read_bytes() == ppl_json
 
 
 @pytest.mark.parametrize("command", ["generate", "eval-ppl"])
@@ -361,6 +371,43 @@ def test_generate_no_rhyme_skips_rhymer(workdir, tmp_path):
     assert result.exit_code == 0, result.output
     record = json.loads((tmp_path / "poem.json").read_text())
     assert record["rhyme_slots_filled"] == []
+
+
+@pytest.mark.parametrize("rh_off", ["flag", "config"])
+def test_generate_rhyme_off_reads_no_rhymer(workdir, tmp_path, monkeypatch,
+                                            rh_off):
+    """With rhyme off a --rhymer is never read, so a damaged one changes
+    nothing."""
+    root, _ = workdir
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes((root / "rhymer.ckpt").read_bytes()[:100])
+    config = {"generate": {"rh": False}} if rh_off == "config" else {}
+    args = ["generate", "mist", "--lm", root / "lm.ckpt",
+            "--embeddings", root / "vectors.txt",
+            *(["--no-rh"] if rh_off == "flag" else [])]
+    plain = _run_with_config(tmp_path, config, *args)
+    assert plain.exit_code == 0, plain.output
+    assert len(plain.output.splitlines()) == 4
+    damaged = _run_with_config(tmp_path, config, *args, "--rhymer", cut)
+    assert damaged.exit_code == 0, damaged.output
+    assert damaged.output == plain.output
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("the rhymer was read")
+    monkeypatch.setattr(cli, "load_rhymer", unreached)
+    result = _run_with_config(tmp_path, config, *args, "--rhymer", cut)
+    assert result.exit_code == 0, result.output
+    assert result.output == plain.output
+
+
+def test_generate_rhyme_flag_has_one_spelling(workdir):
+    root, run = workdir
+    result = run("generate", "glow", "--lm", root / "lm.ckpt", "--no-rhyme",
+                 "--embeddings", root / "vectors.txt")
+    assert result.exit_code == 2
+    assert "No such option" in result.output and "--no-rhyme" in result.output
+    assert "rhyme/" not in CliRunner().invoke(main, ["generate",
+                                                     "--help"]).output
 
 
 def _assert_rhymer_usage_error(result):
@@ -632,6 +679,17 @@ def test_unknown_training_config_key_is_usage_error(workdir, tmp_path):
     assert not (tmp_path / "r.ckpt").exists()
 
 
+def test_topics_config_has_no_vocab_size(workdir, tmp_path):
+    """Every vocabulary keeps at most `corpus.MAX_VOCAB` tokens; no
+    config sets the cap."""
+    root, _ = workdir
+    result = _run_with_config(tmp_path, {"topics": {"vocab_size": 10}},
+                              *_train_topics_args(root, tmp_path))
+    assert result.exit_code == 2
+    assert "unknown key 'vocab_size'" in result.output
+    assert not (tmp_path / "t.ckpt").exists()
+
+
 def test_unknown_generate_config_key_is_usage_error(workdir, tmp_path):
     root, _ = workdir
     result = _run_with_config(
@@ -810,6 +868,9 @@ META_CASES = [
      "'vocab': duplicate token in vocabulary"),
     ("topics", lambda m: m.update(labels=["fire"]),
      "need at least two topics to classify"),
+    # topics checkpoints once kept a size cap in their config
+    ("topics", lambda m: m["config"].update(vocab_size=50000),
+     "unknown key 'vocab_size'"),
 ]
 
 
@@ -1068,7 +1129,7 @@ OUT_OF_RANGE = [
     ("lm", "batch_size", 0), ("topics", "batch_size", 0),
     ("rhymer", "batch_size", 0), ("lm", "n_layers", 0), ("lm", "hidden", 0),
     ("topics", "hidden", 0), ("rhymer", "char_dim", 0),
-    ("rhymer", "word_hidden", 0), ("topics", "vocab_size", 0),
+    ("rhymer", "word_hidden", 0),
     ("lm", "dropout", 1.5), ("lm", "dropout", 1.0), ("lm", "dropout", -0.1),
     ("lm", "lr", 0.0), ("topics", "lr", -0.01), ("rhymer", "lr", math.nan),
     ("rhymer", "lr", math.inf),

@@ -127,6 +127,21 @@ def test_vocab_empty_corpus():
     assert v.non_special_tokens() == []
     assert len(v) == len(corpus.SPECIALS)
 
+@pytest.mark.parametrize("attr,tok", [
+    ("pad_id", corpus.PAD), ("bos_id", corpus.BOS), ("eos_id", corpus.EOS),
+    ("eol_id", corpus.EOL), ("unk_id", corpus.UNK)])
+def test_vocab_special_ids_are_class_constants(attr, tok):
+    for tokens in ([], ["zeta", "alpha"], ["a", "<pads>", "b"]):
+        v = corpus.Vocabulary(tokens)
+        assert v.token_to_id[tok] == getattr(corpus.Vocabulary, attr)
+        assert getattr(v, attr) == getattr(corpus.Vocabulary, attr)
+
+def test_vocab_default_cap_is_max_vocab():
+    tokens = [f"t{i}" for i in range(corpus.MAX_VOCAB + 1)]
+    v = build_vocabulary([_poem(tokens)])
+    assert len(v) == corpus.MAX_VOCAB + len(corpus.SPECIALS)
+    assert max(tokens) == "t9999" and "t9999" not in v  # loses the tie
+
 def test_vocab_tie_lexicographic():
     poems = [_poem(["zeta", "alpha"])]
     v = build_vocabulary(poems, max_size=1)

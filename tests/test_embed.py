@@ -149,6 +149,21 @@ def test_table_from_a_mapping_copies_into_one_matrix():
     assert "AA" in t and "cc" not in t and len(t) == 2
 
 
+def test_table_from_a_mapping_lower_cases_its_keys():
+    t = EmbeddingTable(dim=2, vectors={"Fire": np.array([1.0, 2.0]),
+                                       "sea": np.array([3.0, 4.0])})
+    assert len(t) == 2
+    assert "Fire" in t and "fire" in t and "FIRE" in t
+    assert t.row("fire") == 0 and t.row("SEA") == 1
+    assert np.array_equal(t.vector("fire"), [1.0, 2.0])
+
+def test_table_from_a_mapping_rejects_keys_equal_once_lower_cased():
+    vecs = {"fire": np.zeros(2), "sea": np.ones(2), "Fire": np.ones(2)}
+    with pytest.raises(EmbeddingError,
+                       match="tokens 'fire' and 'Fire' are the same"):
+        EmbeddingTable(dim=2, vectors=vecs)
+
+
 # --- kNN --------------------------------------------------------------------
 
 def _vocab(tokens):
