@@ -27,7 +27,7 @@ class EmbeddingTable:
 
     def __init__(self, dim: int, vectors: Mapping[str, np.ndarray]):
         """Keys are lower-cased, as lookups are; two keys that are then
-        equal are an error."""
+        equal are an error, as is a vector whose shape is not (dim,)."""
         rows: dict[str, int] = {}
         for key in vectors:
             token = key.lower()
@@ -37,7 +37,10 @@ class EmbeddingTable:
                                      f"the same once lower-cased")
             rows[token] = len(rows)
         matrix = np.zeros((len(vectors), dim))
-        for row, vec in zip(matrix, vectors.values()):
+        for row, (key, vec) in zip(matrix, vectors.items()):
+            if np.shape(vec) != (dim,):
+                raise EmbeddingError(f"token {key!r}: vector shape "
+                                     f"{np.shape(vec)}, expected ({dim},)")
             row[:] = vec
         self._init(matrix, rows)
 

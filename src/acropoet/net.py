@@ -613,15 +613,16 @@ def softmax_xent_batch(logits: np.ndarray, targets: np.ndarray,
 
 
 def xent_grad(probs: np.ndarray, targets: np.ndarray,
-              weights: np.ndarray) -> np.ndarray:
-    """The gradient of softmax_xent_batch's mean loss (its total loss
-    over max(total weight, 1)) with respect to its logits, built in place
-    of its probs, which are returned.  probs may be reshaped first, to
-    any shape whose last axis is V."""
+              weights: np.ndarray, total: float) -> np.ndarray:
+    """The gradient of a mean loss (a total loss over max(total, 1)) with
+    respect to the logits of softmax_xent_batch's probs, built in place
+    of them, which are returned.  total is the whole batch's weight, of
+    which these rows may be a part.  probs may be reshaped first, to any
+    shape whose last axis is V."""
     flat = probs.reshape(-1, probs.shape[-1])  # a view: probs is C order
     flat *= weights[:, None]
     flat[np.arange(len(flat)), targets] -= weights
-    probs /= max(float(weights.sum()), 1.0)
+    probs /= max(total, 1.0)
     return probs
 
 
@@ -696,7 +697,8 @@ class EarlyStopper:
     """Stop after `patience` epochs without improvement; lower is better.
 
     The best parameters are kept as copies of the trainable arrays only:
-    training never changes the store's fixed ones.
+    training never changes the store's fixed ones.  The first snapshot
+    allocates the copies; later ones copy into them.
     """
 
     patience: int
@@ -708,8 +710,13 @@ class EarlyStopper:
         if metric < self.best_metric:
             self.best_metric = metric
             self.epochs_since_best = 0
-            self.best_params = {k: p.copy() for k, p in store.params.items()
-                                if k not in store.fixed}
+            if self.best_params:
+                for k, p in self.best_params.items():
+                    np.copyto(p, store.params[k])
+            else:
+                self.best_params = {k: p.copy()
+                                    for k, p in store.params.items()
+                                    if k not in store.fixed}
             return True
         self.epochs_since_best += 1
         return False
@@ -730,7 +737,8 @@ def fit(store: ParameterStore, run_epoch, evaluate, patience: int,
     evaluate() -> (dev loss to minimise, that epoch's dev history fields);
     run_epoch() trains one epoch and returns its training history fields,
     which override same-named dev fields.  Epoch 0 is the dev pass before
-    any training.  The best parameters seen are restored at the end.
+    any training.  The best parameters seen are restored at the end,
+    unless the last epoch evaluated was the best, which left them in place.
     Arrays without Adam moments get zero ones before the first pass;
     moments from an earlier call carry on.  Each epoch's wall-clock time
     goes to its log line only, so artifacts written from the history stay
@@ -754,7 +762,8 @@ def fit(store: ParameterStore, run_epoch, evaluate, patience: int,
         history.append(entry)
         if stopper.should_stop:
             break
-    stopper.restore_best(store)
+    if stopper.epochs_since_best:
+        stopper.restore_best(store)
     return history
 
 

@@ -36,6 +36,7 @@ log = logging.getLogger(__name__)
 
 ACROSTIC_DIM = N_LETTER_ROWS * N_LETTER_COLS  # 216
 EMB_NAME = "embed.fixed"
+HEAD_ROWS = 256  # target positions the training head takes at a time
 
 
 class PoemLmError(ValueError):
@@ -120,6 +121,25 @@ def build_embedding_matrix(vocab: Vocabulary,
     return mat
 
 
+def target_positions(batch):
+    """The flat positions t * B + b of a padded batch's targets (weight
+    above 0), and the targets and weights there."""
+    _, targets, weights, _ = batch
+    positions = np.flatnonzero(weights > 0)
+    return (positions, targets.reshape(-1)[positions],
+            weights.reshape(-1)[positions])
+
+
+def head_chunks(rows: int) -> list[tuple[int, int]]:
+    """The (lo, hi) bounds of the fewest near-equal chunks of at most
+    HEAD_ROWS rows that cover range(rows).  They depend on rows alone;
+    near-equal sizes leave no one-row tail, which a product would run
+    as a matrix-vector product, with other bits."""
+    count = max(1, -(-rows // HEAD_ROWS))
+    bounds = [rows * k // count for k in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 class StepCondition(NamedTuple):
     """Every layer's `LstmLayer.step_weights` under one condition vector,
     made once for the steps of one poem by `PoemLM.project_condition`."""
@@ -185,11 +205,12 @@ class PoemLM:
 
     # -- forward / backward ---------------------------------------------------
 
-    def forward_batch(self, token_ids: np.ndarray, cond: np.ndarray,
-                      rng: Optional[np.random.Generator] = None,
-                      positions: Optional[np.ndarray] = None):
-        """Logits for (T,B) token ids under (B,C) conditions: (T,B,V), or
-        (len(positions), V) at the given flat positions t * B + b only.
+    def hidden_batch(self, token_ids: np.ndarray, cond: np.ndarray,
+                     rng: Optional[np.random.Generator] = None,
+                     positions: Optional[np.ndarray] = None):
+        """The top layer's hidden rows for (T,B) token ids under (B,C)
+        conditions: (T,B,H), or (len(positions), H) at the given flat
+        positions t * B + b only; and the caches `backward_batch` takes.
 
         The conditions are layer 0's constant input, so they are projected
         once per batch, not once per step.  Dropout runs, with masks drawn
@@ -206,13 +227,28 @@ class PoemLM:
         shape = H.shape
         if positions is not None:
             H = H.reshape(-1, shape[-1])[positions]
-        logits, lin_cache = self.out.forward(H)
-        return logits, (caches, lin_cache, positions, shape)
+        return H, (caches, positions, shape)
 
-    def backward_batch(self, dlogits: np.ndarray, caches,
+    def forward_batch(self, token_ids: np.ndarray, cond: np.ndarray,
+                      rng: Optional[np.random.Generator] = None,
+                      positions: Optional[np.ndarray] = None):
+        """Logits for (T,B) token ids under (B,C) conditions: (T,B,V), or
+        (len(positions), V) at the given flat positions t * B + b only.
+
+        Returns (logits, (hidden rows, caches)): the hidden rows are the
+        input `self.out.backward` takes, the caches `backward_batch`'s.
+        rng is `hidden_batch`'s.
+        """
+        H, caches = self.hidden_batch(token_ids, cond, rng=rng,
+                                      positions=positions)
+        logits, lin_cache = self.out.forward(H)
+        return logits, (lin_cache, caches)
+
+    def backward_batch(self, dH: np.ndarray, caches,
                        grads: dict[str, np.ndarray]) -> None:
-        layer_caches, lin_cache, positions, shape = caches
-        dH = self.out.backward(dlogits, lin_cache, grads)
+        """Add the gradients of the stack's weights, given dH, the
+        gradient of the hidden rows `hidden_batch` returned with caches."""
+        layer_caches, positions, shape = caches
         if positions is not None:
             full = np.zeros(shape)
             full.reshape(-1, shape[-1])[positions] = dH
@@ -231,28 +267,50 @@ class PoemLM:
         only at its target positions (weight > 0).  Dropout runs, with
         masks drawn from rng, only when rng is given.
 
-        Returns (summed loss, total weight, caches for backward_batch,
+        Returns (summed loss, total weight, `forward_batch`'s caches,
         xent): xent is the softmax, targets and weights at those
-        positions, which `net.xent_grad(*xent)` turns into the mean
-        loss's dlogits.
+        positions, which `net.xent_grad(*xent, total weight)` turns into
+        the mean loss's dlogits.
         """
-        inputs, targets, weights, cond = batch
-        positions = np.flatnonzero(weights > 0)
+        inputs, _, _, cond = batch
+        positions, targets, weights = target_positions(batch)
         logits, caches = self.forward_batch(inputs, cond, rng=rng,
                                             positions=positions)
-        targets = targets.reshape(-1)[positions]
-        weights = weights.reshape(-1)[positions]
         loss, probs, wsum = softmax_xent_batch(logits, targets, weights)
         return loss, wsum, caches, (probs, targets, weights)
 
     def loss_and_grads(self, batch,
                        rng: Optional[np.random.Generator] = None):
-        """`target_loss` and the gradients of its mean: (summed loss,
-        total weight, gradients)."""
-        loss, wsum, caches, xent = self.target_loss(batch, rng=rng)
+        """The loss of `target_loss` and the gradients of its mean:
+        (summed loss, total weight, gradients).
+
+        The output head runs over `head_chunks` of the target positions,
+        one after another, so that no (positions, V) logits or softmax
+        is built whole.  Each chunk's dlogits divide by the whole batch's
+        weight; its head gradients add up in chunk order.
+        """
+        inputs, _, _, cond = batch
+        positions, targets, weights = target_positions(batch)
+        H, caches = self.hidden_batch(inputs, cond, rng=rng,
+                                      positions=positions)
+        total = float(weights.sum())
         grads = self.store.zero_grads()
-        self.backward_batch(xent_grad(*xent), caches, grads)
-        return loss, wsum, grads
+        dH = np.empty_like(H)
+        loss = 0.0
+        for lo, hi in head_chunks(len(H)):
+            t, w = targets[lo:hi], weights[lo:hi]
+            logits, X = self.out.forward(H[lo:hi])
+            chunk_loss, probs, _ = softmax_xent_batch(logits, t, w)
+            loss += chunk_loss
+            # logits go before the backward pass; probs stay until the
+            # next chunk's replace them.  Freeing both every chunk let
+            # glibc trim the heap, and each chunk faulted those pages in
+            # again: 24k against 15k minor faults a call (B=32, V=5000)
+            del logits
+            dH[lo:hi] = self.out.backward(xent_grad(probs, t, w, total), X,
+                                          grads)
+        self.backward_batch(dH, caches, grads)
+        return loss, total, grads
 
     # -- scoring --------------------------------------------------------------
 

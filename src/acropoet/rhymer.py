@@ -230,8 +230,8 @@ class RhymerModel:
 
         Returns (loss, target count, caches for backward_batch, xent):
         xent is the softmax shaped like the logits, and the targets and
-        weights flattened, which `xent_grad(*xent)` turns into the mean
-        loss's dlogits.
+        weights flattened, which `xent_grad(*xent, count)` turns into the
+        mean loss's dlogits.
         """
         batch = self._encode_batch(examples)
         logits, caches = self.forward_batch(batch)
@@ -247,7 +247,7 @@ class RhymerModel:
         """(summed loss, target count, gradients of the mean loss)."""
         loss, wsum, caches, xent = self.target_loss(examples)
         grads = self.store.zero_grads()
-        self.backward_batch(xent_grad(*xent), caches, grads)
+        self.backward_batch(xent_grad(*xent, wsum), caches, grads)
         return loss, wsum, grads
 
     def per_char_nll(self, examples: list[RhymeExample]) -> float:

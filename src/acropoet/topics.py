@@ -99,7 +99,7 @@ class TopicClassifier:
         poem count, gradients)."""
         loss, wsum, (cache, head_cache), xent = self.target_loss(batch)
         grads = self.store.zero_grads()
-        d_enc = self.head.backward(xent_grad(*xent), head_cache, grads)
+        d_enc = self.head.backward(xent_grad(*xent, wsum), head_cache, grads)
         self.encoder.backward(d_enc, cache, grads, input_grad=False)
         return loss, wsum, grads
 

@@ -98,9 +98,19 @@ def test_lm_training_and_perplexity_make_no_step_calls(table, monkeypatch):
 
 # The train-lm workload expects spans from the LM's batch methods and from
 # the layers they run; the target-position path must still go through them.
+# Training runs the stack and then the head chunk by chunk; scoring runs
+# forward_batch, which is both.
 
 def test_lm_training_and_perplexity_run_the_traced_layer_methods(
         table, monkeypatch):
+    monkeypatch.setattr(poemlm, "HEAD_ROWS", 50)
+    chunks = []
+    real_chunks = poemlm.head_chunks
+
+    def head_chunks(rows):
+        chunks.append(len(real_chunks(rows)))
+        return real_chunks(rows)
+    monkeypatch.setattr(poemlm, "head_chunks", head_chunks)
     calls = Counter()
     for owner, name in ((PoemLM, "forward_batch"),
                         (PoemLM, "backward_batch"),
@@ -120,10 +130,13 @@ def test_lm_training_and_perplexity_run_the_traced_layer_methods(
     train_lm(model, train, make_poems(4, seed=2), table, max_epochs=1)
     model.perplexity(make_poems(4, seed=3), table)
     batches = 3  # 20 poems in batches of 8
+    assert len(chunks) == batches and sum(chunks) > batches
     assert calls["PoemLM.backward_batch"] == batches
-    assert calls["Linear.backward"] == batches
-    assert calls["PoemLM.forward_batch"] == calls["Linear.forward"] > batches
-    assert calls["LstmLayer.forward"] == 2 * calls["PoemLM.forward_batch"]
+    assert calls["Linear.backward"] == sum(chunks)
+    scoring = calls["PoemLM.forward_batch"]
+    assert scoring == 3  # the dev set before and after the epoch, the test
+    assert calls["Linear.forward"] == scoring + sum(chunks)
+    assert calls["LstmLayer.forward"] == 2 * (scoring + batches)
     # layer 0 reads fixed embeddings and conditions: no input gradient
     assert input_grads == Counter({("lm.lstm0", False, False): batches,
                                    ("lm.lstm1", True, False): batches})

@@ -164,6 +164,17 @@ def test_table_from_a_mapping_rejects_keys_equal_once_lower_cased():
         EmbeddingTable(dim=2, vectors=vecs)
 
 
+@pytest.mark.parametrize("vec", [np.ones(1), np.ones(4), np.ones((1, 3)),
+                                 np.float64(1.0)])
+def test_table_from_a_mapping_rejects_a_vector_of_another_shape(vec):
+    """A short vector would broadcast over its row, a long one fail with
+    numpy's own error."""
+    vecs = {"fire": np.ones(3), "sea": vec}
+    with pytest.raises(EmbeddingError, match=r"token 'sea': vector shape "
+                       r"\(.*\), expected \(3,\)"):
+        EmbeddingTable(dim=3, vectors=vecs)
+
+
 # --- kNN --------------------------------------------------------------------
 
 def _vocab(tokens):

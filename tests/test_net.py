@@ -14,7 +14,7 @@ from acropoet import net
 from acropoet.net import (
     BiLstmEncoder, EarlyStopper, Linear, LstmLayer, NetError,
     ParameterStore, adam_update, child_rng, clip_global_norm,
-    dropout_forward, grad_check, load_checkpoint, lstm_step,
+    dropout_forward, fit, grad_check, load_checkpoint, lstm_step,
     save_checkpoint,
 )
 
@@ -670,7 +670,8 @@ def _xent_grad_reference(logits, targets, weights):
 
 def test_xent_grad_is_the_expression_form_bit_for_bit():
     """softmax_xent_batch's probabilities, made the mean loss's gradient
-    in place by xent_grad; reshaped probabilities give the same bits."""
+    in place by xent_grad; reshaped probabilities, and row chunks over
+    the whole batch's weight, give the same bits."""
     rng = np.random.default_rng(2)
     logits = rng.normal(size=(12, 7)) * 5
     targets = rng.integers(0, 7, size=12)
@@ -682,14 +683,18 @@ def test_xent_grad_is_the_expression_form_bit_for_bit():
     assert loss == float(-(weights * np.log(p_t)).sum())
     assert wsum == float(weights.sum()) > 1.0
     shaped = probs.copy().reshape(3, 4, 7)
-    assert net.xent_grad(probs, targets, weights) is probs
+    chunks = probs.copy()
+    assert net.xent_grad(probs, targets, weights, wsum) is probs
     assert _same_bits(probs, want)
-    assert _same_bits(net.xent_grad(shaped, targets, weights),
+    assert _same_bits(net.xent_grad(shaped, targets, weights, wsum),
                       want.reshape(3, 4, 7))
+    for lo, hi in ((0, 5), (5, 12)):
+        net.xent_grad(chunks[lo:hi], targets[lo:hi], weights[lo:hi], wsum)
+    assert _same_bits(chunks, want)
     # a total weight below 1 divides by 1
     small = weights / (2.0 * wsum)
-    _, probs, _ = net.softmax_xent_batch(logits, targets, small)
-    assert _same_bits(net.xent_grad(probs, targets, small),
+    _, probs, small_sum = net.softmax_xent_batch(logits, targets, small)
+    assert _same_bits(net.xent_grad(probs, targets, small, small_sum),
                       _xent_grad_reference(logits, targets, small))
 
 
@@ -1005,12 +1010,13 @@ def test_adam_row_blocks_keep_every_bit(monkeypatch, shape, max_blocks):
 
 
 # One train_lm epoch at B=32, H=256 in a child process whose BLAS thread
-# count is set before numpy loads; prints what the row blocks did.
+# count is set before numpy loads; its output head runs in several chunks.
+# Prints what the row blocks and the head chunks did.
 _EPOCH_SCRIPT = """
 import hashlib, json, os, sys
 sys.path[:0] = sys.argv[1:]
 from helpers import make_poems, make_table
-from acropoet import net
+from acropoet import net, poemlm
 from acropoet.corpus import build_vocabulary
 from acropoet.poemlm import (
     LmConfig, LmVariant, PoemLM, build_embedding_matrix, train_lm)
@@ -1021,6 +1027,14 @@ def counted(fn, rows, blocks):
     counts.append(blocks)
     return real(fn, rows, blocks)
 net.run_row_blocks = counted
+
+poemlm.HEAD_ROWS = 64
+head_chunks = []
+real_chunks = poemlm.head_chunks
+def chunked(rows):
+    head_chunks.append(len(real_chunks(rows)))
+    return real_chunks(rows)
+poemlm.head_chunks = chunked
 
 def epoch():
     table = make_table(dim=8, seed=0)
@@ -1046,6 +1060,7 @@ whole, _ = epoch()
 print(json.dumps({"blas_threads": net.blas_threads(), "blocks": blocks,
                   "patched_blocks": max(counts, default=1),
                   "same_bits": pooled == whole,
+                  "head_chunks": min(head_chunks),
                   "no_pool_at_load": no_pool_at_load}))
 """
 
@@ -1069,6 +1084,7 @@ def test_training_on_one_blas_thread_uses_row_blocks_with_the_same_bits():
     out = _epoch_in_child(1)
     assert out["blas_threads"] == 1
     assert out["blocks"] > 1
+    assert out["head_chunks"] > 1
     assert out["same_bits"]
     assert out["patched_blocks"] == 1
     assert out["no_pool_at_load"]
@@ -1099,3 +1115,48 @@ def test_early_stopper_keeps_and_restores_trainable_arrays_only():
     assert np.array_equal(s["w"], [1.0, 2.0])
     assert s["emb"] is emb
     assert np.array_equal(emb, np.arange(6.0).reshape(3, 2))
+
+
+def test_early_stopper_copies_into_its_first_snapshot():
+    """Each improvement after the first copies into the arrays the first
+    snapshot allocated."""
+    s = ParameterStore()
+    s.add("w", np.array([1.0, 2.0]))
+    stopper = EarlyStopper(patience=1)
+    stopper.update(2.0, s)
+    kept = stopper.best_params["w"]
+    s.params["w"][:] = 5.0
+    assert stopper.update(1.0, s)
+    assert stopper.best_params["w"] is kept
+    assert np.array_equal(kept, [5.0, 5.0])
+    s.params["w"][:] = 7.0
+    stopper.restore_best(s)
+    assert np.array_equal(s["w"], [5.0, 5.0])
+
+
+@pytest.mark.parametrize("dev_losses, restores, final", [
+    ([3.0, 2.0, 1.0], 0, 2.0),   # the last epoch is the best: kept as is
+    ([3.0, 1.0, 2.0], 1, 1.0),   # the last epoch is worse: the best restored
+])
+def test_fit_restores_only_when_the_last_epoch_was_not_the_best(
+        monkeypatch, dev_losses, restores, final):
+    s = ParameterStore()
+    s.add("w", np.array([0.0]))
+    calls = []
+    real = EarlyStopper.restore_best
+
+    def counted(stopper, store):
+        calls.append(store)
+        real(stopper, store)
+    monkeypatch.setattr(EarlyStopper, "restore_best", counted)
+    losses = iter(dev_losses)
+
+    def run_epoch():
+        s.params["w"] += 1.0
+        return {}
+
+    history = fit(s, run_epoch, lambda: (next(losses), {}), patience=5,
+                  max_epochs=len(dev_losses) - 1, tag="t")
+    assert len(history) == len(dev_losses)
+    assert len(calls) == restores
+    assert s["w"][0] == final

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import make_plain_sentences, make_poems, make_table
 from reference import lm_forward
 
-from acropoet.corpus import Poem, build_vocabulary, poem_initials
+from acropoet import poemlm
+from acropoet.corpus import Poem, Vocabulary, build_vocabulary, poem_initials
 from acropoet.net import grad_check, softmax, softmax_xent_batch, xent_grad
 from acropoet.poemlm import (
     ACROSTIC_DIM, EMB_NAME, LmConfig, LmVariant, PoemLM, PoemLmError,
@@ -183,13 +186,15 @@ def test_gradcheck_full_model(table):
     inputs, targets, weights, cond = batch
 
     def loss_and_grads():
-        logits, caches = model.forward_batch(inputs, cond)
+        logits, (H, caches) = model.forward_batch(inputs, cond)
         V = logits.shape[-1]
         loss, probs, wsum = softmax_xent_batch(
             logits.reshape(-1, V), targets.reshape(-1), weights.reshape(-1))
-        dflat = xent_grad(probs, targets.reshape(-1), weights.reshape(-1))
+        dflat = xent_grad(probs, targets.reshape(-1), weights.reshape(-1),
+                          wsum)
         grads = model.store.zero_grads()
-        model.backward_batch(dflat.reshape(logits.shape), caches, grads)
+        dH = model.out.backward(dflat.reshape(logits.shape), H, grads)
+        model.backward_batch(dH, caches, grads)
         return loss / wsum, grads
 
     loss, grads = loss_and_grads()
@@ -202,13 +207,14 @@ def test_gradcheck_full_model(table):
 def _full_logits_xent(model, inputs, targets, weights, cond, rng):
     """The loss and gradients from logits at every position, padding
     included: the reference for the target-position path."""
-    logits, caches = model.forward_batch(inputs, cond, rng=rng)
+    logits, (H, caches) = model.forward_batch(inputs, cond, rng=rng)
     V = logits.shape[-1]
-    loss, probs, _ = softmax_xent_batch(
+    loss, probs, wsum = softmax_xent_batch(
         logits.reshape(-1, V), targets.reshape(-1), weights.reshape(-1))
-    dflat = xent_grad(probs, targets.reshape(-1), weights.reshape(-1))
+    dflat = xent_grad(probs, targets.reshape(-1), weights.reshape(-1), wsum)
     grads = model.store.zero_grads()
-    model.backward_batch(dflat.reshape(logits.shape), caches, grads)
+    dH = model.out.backward(dflat.reshape(logits.shape), H, grads)
+    model.backward_batch(dH, caches, grads)
     return logits, loss, grads
 
 
@@ -238,11 +244,70 @@ def test_target_positions_match_full_logits(table):
                        rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("head_rows", [3, 7])
+def test_chunked_head_matches_full_logits(table, monkeypatch, head_rows):
+    """Batches that span several head chunks, sizes differing by one,
+    give the whole-array loss and gradients."""
+    monkeypatch.setattr(poemlm, "HEAD_ROWS", head_rows)
+    model, poems = fresh_model(table, n_layers=2, dropout=0.3)
+    batch = next(model.batches(poems[:3], table, batch_size=3))
+    rows = int((batch[2] > 0).sum())
+    chunks = poemlm.head_chunks(rows)
+    assert len(chunks) > 2
+    assert {hi - lo for lo, hi in chunks} == {rows // len(chunks),
+                                              -(-rows // len(chunks))}
+    _, loss, grads = _full_logits_xent(model, *batch,
+                                       rng=np.random.default_rng(4))
+    loss_t, wsum, grads_t = model.loss_and_grads(
+        batch, rng=np.random.default_rng(4))
+    assert wsum == rows
+    assert loss_t == pytest.approx(loss, rel=0, abs=1e-12)
+    assert sorted(grads_t) == sorted(grads)
+    for name in grads:
+        assert np.allclose(grads_t[name], grads[name], rtol=0,
+                           atol=1e-12), name
+
+
+@pytest.mark.parametrize("rows", [1, 2, 255, 256, 257, 511, 513, 1240])
+def test_head_chunks_cover_the_rows_near_equally(rows):
+    chunks = poemlm.head_chunks(rows)
+    assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
+    assert chunks[-1][1] == rows
+    sizes = [hi - lo for lo, hi in chunks]
+    assert len(chunks) == -(-rows // poemlm.HEAD_ROWS)
+    assert max(sizes) <= poemlm.HEAD_ROWS
+    assert max(sizes) - min(sizes) <= 1
+    assert min(sizes) >= min(rows, 2)  # no one-row tail
+
+
+def test_training_builds_no_whole_batch_logits(table):
+    """The head's chunks keep one loss_and_grads call's allocation peak
+    below one (positions, V) array; the whole-array head builds two, the
+    logits and their softmax."""
+    poems = make_poems(40, seed=6)
+    vocab = Vocabulary(build_vocabulary(poems).non_special_tokens()
+                       + [f"w{i}" for i in range(2000)])
+    model = PoemLM(vocab, LmConfig(n_layers=1, hidden=8, dropout=0.0),
+                   topic_dim=table.dim,
+                   emb_matrix=build_embedding_matrix(vocab, table),
+                   variant=LmVariant.from_name("gold+"))
+    batch = next(model.batches(poems, table, batch_size=len(poems)))
+    rows = int((batch[2] > 0).sum())
+    assert rows > 4 * poemlm.HEAD_ROWS
+    model.loss_and_grads(batch)  # warm up: first-call allocations
+    tracemalloc.start()
+    try:
+        model.loss_and_grads(batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < rows * len(vocab) * 8
+
+
 def test_perplexity_takes_the_loss_without_its_gradient(table,
                                                        monkeypatch):
     """Scoring never builds dlogits, and its losses are the training
-    path's, bit for bit."""
-    from acropoet import poemlm
+    path's, to rounding: training sums them chunk by chunk."""
     model, poems = fresh_model(table)
     grads_built = []
     real = poemlm.xent_grad
@@ -253,13 +318,14 @@ def test_perplexity_takes_the_loss_without_its_gradient(table,
     monkeypatch.setattr(poemlm, "xent_grad", counted)
     ppl = model.perplexity(poems, table)
     assert grads_built == []
-    total, count = 0.0, 0
+    total, count, chunks = 0.0, 0, []
     for batch in model.batches(poems, table, model.cfg.batch_size):
         loss, wsum, _ = model.loss_and_grads(batch)
         total += loss
         count += int(wsum)
-    assert len(grads_built) == -(-len(poems) // model.cfg.batch_size)
-    assert ppl == float(np.exp(total / count))
+        chunks += [hi - lo for lo, hi in poemlm.head_chunks(int(wsum))]
+    assert grads_built == chunks
+    assert ppl == pytest.approx(float(np.exp(total / count)), rel=1e-12)
 
 
 def test_lm_forward_equals_the_last_row_of_full_logits(table):
