@@ -697,8 +697,7 @@ class EarlyStopper:
     """Stop after `patience` epochs without improvement; lower is better.
 
     The best parameters are kept as copies of the trainable arrays only:
-    training never changes the store's fixed ones.  The first snapshot
-    allocates the copies; later ones copy into them.
+    training never changes the store's fixed ones.
     """
 
     patience: int
@@ -710,13 +709,8 @@ class EarlyStopper:
         if metric < self.best_metric:
             self.best_metric = metric
             self.epochs_since_best = 0
-            if self.best_params:
-                for k, p in self.best_params.items():
-                    np.copyto(p, store.params[k])
-            else:
-                self.best_params = {k: p.copy()
-                                    for k, p in store.params.items()
-                                    if k not in store.fixed}
+            self.best_params = {k: p.copy() for k, p in store.params.items()
+                                if k not in store.fixed}
             return True
         self.epochs_since_best += 1
         return False
@@ -737,8 +731,7 @@ def fit(store: ParameterStore, run_epoch, evaluate, patience: int,
     evaluate() -> (dev loss to minimise, that epoch's dev history fields);
     run_epoch() trains one epoch and returns its training history fields,
     which override same-named dev fields.  Epoch 0 is the dev pass before
-    any training.  The best parameters seen are restored at the end,
-    unless the last epoch evaluated was the best, which left them in place.
+    any training.  The best parameters seen are restored at the end.
     Arrays without Adam moments get zero ones before the first pass;
     moments from an earlier call carry on.  Each epoch's wall-clock time
     goes to its log line only, so artifacts written from the history stay
@@ -762,8 +755,7 @@ def fit(store: ParameterStore, run_epoch, evaluate, patience: int,
         history.append(entry)
         if stopper.should_stop:
             break
-    if stopper.epochs_since_best:
-        stopper.restore_best(store)
+    stopper.restore_best(store)
     return history
 
 

@@ -131,13 +131,11 @@ def target_positions(batch):
 
 
 def head_chunks(rows: int) -> list[tuple[int, int]]:
-    """The (lo, hi) bounds of the fewest near-equal chunks of at most
-    HEAD_ROWS rows that cover range(rows).  They depend on rows alone;
-    near-equal sizes leave no one-row tail, which a product would run
-    as a matrix-vector product, with other bits."""
-    count = max(1, -(-rows // HEAD_ROWS))
-    bounds = [rows * k // count for k in range(count + 1)]
-    return list(zip(bounds[:-1], bounds[1:]))
+    """The (lo, hi) bounds of consecutive chunks of HEAD_ROWS rows, the
+    last one shorter, that cover range(rows).  They depend on rows alone,
+    never on the CPU count."""
+    return [(lo, min(lo + HEAD_ROWS, rows))
+            for lo in range(0, rows, HEAD_ROWS)]
 
 
 class StepCondition(NamedTuple):
@@ -269,8 +267,8 @@ class PoemLM:
 
         Returns (summed loss, total weight, `forward_batch`'s caches,
         xent): xent is the softmax, targets and weights at those
-        positions, which `net.xent_grad(*xent, total weight)` turns into
-        the mean loss's dlogits.
+        positions.  This is the scoring pass; training runs the same
+        loss with its output head in chunks, in `loss_and_grads`.
         """
         inputs, _, _, cond = batch
         positions, targets, weights = target_positions(batch)

@@ -14,7 +14,7 @@ from acropoet import net
 from acropoet.net import (
     BiLstmEncoder, EarlyStopper, Linear, LstmLayer, NetError,
     ParameterStore, adam_update, child_rng, clip_global_norm,
-    dropout_forward, fit, grad_check, load_checkpoint, lstm_step,
+    dropout_forward, grad_check, load_checkpoint, lstm_step,
     save_checkpoint,
 )
 
@@ -1115,48 +1115,3 @@ def test_early_stopper_keeps_and_restores_trainable_arrays_only():
     assert np.array_equal(s["w"], [1.0, 2.0])
     assert s["emb"] is emb
     assert np.array_equal(emb, np.arange(6.0).reshape(3, 2))
-
-
-def test_early_stopper_copies_into_its_first_snapshot():
-    """Each improvement after the first copies into the arrays the first
-    snapshot allocated."""
-    s = ParameterStore()
-    s.add("w", np.array([1.0, 2.0]))
-    stopper = EarlyStopper(patience=1)
-    stopper.update(2.0, s)
-    kept = stopper.best_params["w"]
-    s.params["w"][:] = 5.0
-    assert stopper.update(1.0, s)
-    assert stopper.best_params["w"] is kept
-    assert np.array_equal(kept, [5.0, 5.0])
-    s.params["w"][:] = 7.0
-    stopper.restore_best(s)
-    assert np.array_equal(s["w"], [5.0, 5.0])
-
-
-@pytest.mark.parametrize("dev_losses, restores, final", [
-    ([3.0, 2.0, 1.0], 0, 2.0),   # the last epoch is the best: kept as is
-    ([3.0, 1.0, 2.0], 1, 1.0),   # the last epoch is worse: the best restored
-])
-def test_fit_restores_only_when_the_last_epoch_was_not_the_best(
-        monkeypatch, dev_losses, restores, final):
-    s = ParameterStore()
-    s.add("w", np.array([0.0]))
-    calls = []
-    real = EarlyStopper.restore_best
-
-    def counted(stopper, store):
-        calls.append(store)
-        real(stopper, store)
-    monkeypatch.setattr(EarlyStopper, "restore_best", counted)
-    losses = iter(dev_losses)
-
-    def run_epoch():
-        s.params["w"] += 1.0
-        return {}
-
-    history = fit(s, run_epoch, lambda: (next(losses), {}), patience=5,
-                  max_epochs=len(dev_losses) - 1, tag="t")
-    assert len(history) == len(dev_losses)
-    assert len(calls) == restores
-    assert s["w"][0] == final
